@@ -10,13 +10,10 @@
 //
 // Cells:
 //   norepl  — replication off, no failure. The overhead baseline.
-//   repl    — legacy single-backup config (replication=1, the PR-9
-//             shape; normalized to R=2). Gates: digest identical to
-//             norepl, replica traffic actually flowed, and wall time
-//             stays within kOverheadCap of the baseline.
-//   repl2   — replication=2 through the generalized ring fan-out.
-//             Gate: wall within kGeneralizedCap of the legacy cell —
-//             generalizing the ring must not tax the R=2 case.
+//   repl    — R=2 (one ring backup per home), no failure. Gates:
+//             digest identical to norepl, replica traffic actually
+//             flowed, and wall time stays within kOverheadCap of the
+//             baseline.
 //   kill    — R=2, lossy fabric, rank 2 SIGKILLs itself the moment its
 //             2nd barrier completes. Gates: exactly one corpse, every
 //             survivor ran lots::recover(), digest bit-identical to the
@@ -66,8 +63,7 @@ constexpr int kKillRank = 2;
 constexpr int kRows = 16;
 constexpr size_t kRowLen = 256;
 constexpr int kIters = 8;
-constexpr double kOverheadCap = 2.5;     ///< repl wall / norepl wall bound
-constexpr double kGeneralizedCap = 1.25; ///< repl2 wall / repl wall bound
+constexpr double kOverheadCap = 2.5;  ///< repl wall / norepl wall bound
 
 /// What one worker leaves behind for the parent: its rank, its digest of
 /// the (globally shared) final arrays, and the replication/recovery
@@ -295,35 +291,28 @@ void lossy(Config& cfg) {
 int main() {
   std::printf("\n=== worker-death recovery ablation: 4-rank loopback UDP ===\n");
 
+  using When = lots::KillPoint::When;
   const CellResult norepl = run_cell("norepl", 0, [](Config&) {});
-  const CellResult repl = run_cell("repl", 1, [](Config&) {});
-  const CellResult repl2 = run_cell("repl2", 2, [](Config&) {});
+  const CellResult repl = run_cell("repl", 2, [](Config&) {});
   const CellResult kill = run_cell("kill", 2, [](Config& cfg) {
     lossy(cfg);
-    cfg.chaos_kill_rank = kKillRank;
-    cfg.chaos_kill_after_barrier = 2;
+    cfg.kill_points = {{kKillRank, When::kBarrier, 2}};
   });
   const CellResult kill2 = run_cell("kill2", 3, [](Config& cfg) {
     lossy(cfg);
-    cfg.chaos_kill_rank = 1;
-    cfg.chaos_kill_after_barrier = 2;
-    cfg.chaos_kill_rank2 = 2;
-    cfg.chaos_kill_after_barrier2 = 2;
+    cfg.kill_points = {{1, When::kBarrier, 2}, {2, When::kBarrier, 2}};
   });
   const CellResult kill0 = run_cell("kill0", 2, [](Config& cfg) {
     lossy(cfg);
-    cfg.chaos_kill_rank = 0;
-    cfg.chaos_kill_after_barrier = 2;
+    cfg.kill_points = {{0, When::kBarrier, 2}};
   });
   const CellResult midkill = run_cell("midkill", 2, [](Config& cfg) {
     lossy(cfg);
-    cfg.chaos_kill_rank = kKillRank;
-    cfg.chaos_kill_after_barrier = 2;
-    cfg.chaos_kill_mid_barrier = true;
+    cfg.kill_points = {{kKillRank, When::kMidBarrier, 2}};
   });
 
   bool ok = true;
-  for (const auto* c : {&norepl, &repl, &repl2}) {
+  for (const auto* c : {&norepl, &repl}) {
     if (c->sigkilled != 0 || c->failed != 0) {
       std::printf("GATE FAIL: a no-failure cell lost workers\n");
       ok = false;
@@ -350,7 +339,7 @@ int main() {
       ok = false;
     }
   }
-  if (norepl.digest == 0 || repl.digest != norepl.digest || repl2.digest != norepl.digest) {
+  if (norepl.digest == 0 || repl.digest != norepl.digest) {
     std::printf("GATE FAIL: replication changed the answer\n");
     ok = false;
   }
@@ -380,22 +369,11 @@ int main() {
                 overhead, kOverheadCap, repl.wall_s, norepl.wall_s);
     ok = false;
   }
-  // Generalizing the ring to factor R must not tax the R=2 case: the
-  // legacy single-backup config (replication=1, PR-9's shape) and the
-  // explicit R=2 run take the same fan-out, so their walls must agree.
-  const double generalized = repl.wall_s > 0 ? repl2.wall_s / repl.wall_s : 0.0;
-  if (repl2.wall_s > repl.wall_s * kGeneralizedCap + 0.25) {
-    std::printf("GATE FAIL: generalized R=2 ring costs %.2fx the legacy single-backup "
-                "run (cap %.2fx: %.2fs vs %.2fs)\n",
-                generalized, kGeneralizedCap, repl2.wall_s, repl.wall_s);
-    ok = false;
-  }
-
-  std::printf(ok ? "RECOVERY_ABL_OK overhead=%.2fx r2_vs_legacy=%.2fx replica_bytes=%llu "
+  std::printf(ok ? "RECOVERY_ABL_OK overhead=%.2fx replica_bytes=%llu "
                    "recoveries=%llu mid=%llu\n"
-                 : "RECOVERY_ABL_FAIL overhead=%.2fx r2_vs_legacy=%.2fx replica_bytes=%llu "
+                 : "RECOVERY_ABL_FAIL overhead=%.2fx replica_bytes=%llu "
                    "recoveries=%llu mid=%llu\n",
-              overhead, generalized, static_cast<unsigned long long>(repl.replica_bytes),
+              overhead, static_cast<unsigned long long>(repl.replica_bytes),
               static_cast<unsigned long long>(kill.recoveries + kill2.recoveries +
                                               kill0.recoveries + midkill.recoveries),
               static_cast<unsigned long long>(midkill.recoveries_mid));

@@ -44,7 +44,7 @@
 //   recover, rank 0 re-reads the dead rank's slice from its replica
 //   holder, and KV_SMOKE_OK still gates):
 //       LOTS_KV_SPARE=3 ./lots_launch -n 4 --threads 2 --replicate 2
-//           --kill-rank 3 --kill-after-barrier 2 ./bench_kv_load
+//           --kill 3:barrier:2 ./bench_kv_load
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -472,8 +472,8 @@ void run_load(core::Runtime& rt, const Config& cfg, const LoadOptions& opts,
       rank_ok = rank_total.failures == 0 && rank_total.ops == my_clients * opts.ops;
       if (!rank_ok) outcome.local_fail.store(true);
     }
-    // Publish this rank's slice. Under the chaos soak (--kill-rank on
-    // the spare) a peer can die here; slice write + barrier is an
+    // Publish this rank's slice. Under the chaos soak (--kill on the
+    // spare) a peer can die here; slice write + barrier is an
     // idempotent superstep, so catch on every app thread, recover, and
     // redo — the recoverable pattern from examples/fault_tolerant.cpp.
     //

@@ -22,8 +22,7 @@
 //   Clean run over loopback UDP:
 //     ./lots_launch -n 4 --replicate ./example_fault_tolerant
 //   Chaos run — rank 2 is SIGKILLed the moment its 2nd barrier commits:
-//     ./lots_launch -n 4 --replicate --kill-rank 2 --kill-after-barrier 2
-//         ./example_fault_tolerant     (one line)
+//     ./lots_launch -n 4 --replicate --kill 2:barrier:2 ./example_fault_tolerant
 #include <cstdio>
 #include <vector>
 

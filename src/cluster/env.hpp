@@ -5,6 +5,9 @@
 // Runtime and the same binary runs unchanged on either fabric.
 #pragma once
 
+#include <string>
+#include <vector>
+
 #include "common/config.hpp"
 
 namespace lots::cluster {
@@ -34,13 +37,11 @@ inline constexpr const char* kEnvPrefetch = "LOTS_PREFETCH";
 /// non-empty value other than "0" enables it.
 inline constexpr const char* kEnvBarrierReval = "LOTS_BARRIER_REVALIDATE";
 /// Fast-path knobs (fabric-independent): the per-thread access
-/// lookaside buffer (Config::alb — "0" disables, anything else enables),
-/// its per-thread entry count (Config::alb_size, power of two), and the
-/// run-length diff wire encoding (Config::diff_rle — "0" disables), e.g.
-/// `LOTS_ALB=0 LOTS_DIFF_RLE=0 ./bench_abl_fastpath`.
+/// lookaside buffer (Config::alb — "0" disables, anything else enables)
+/// and its per-thread entry count (Config::alb_size, power of two), e.g.
+/// `LOTS_ALB=0 ./bench_fig8_sor`.
 inline constexpr const char* kEnvAlb = "LOTS_ALB";
 inline constexpr const char* kEnvAlbSize = "LOTS_ALB_SIZE";
-inline constexpr const char* kEnvDiffRle = "LOTS_DIFF_RLE";
 /// Adaptive-migration knobs (fabric-independent): lock-release-driven
 /// home migration (Config::lock_migration — any non-empty value other
 /// than "0" enables) and its dominance threshold in consecutive
@@ -49,27 +50,15 @@ inline constexpr const char* kEnvDiffRle = "LOTS_DIFF_RLE";
 inline constexpr const char* kEnvMigrate = "LOTS_MIGRATE";
 inline constexpr const char* kEnvMigrateK = "LOTS_MIGRATE_K";
 /// Fault-tolerance knobs (fabric-independent): the replication factor
-/// R (Config::replication — integer total copies per object; 0 = off,
-/// 1 = legacy alias for R=2, R>=2 = home + R-1 ring backups), the
-/// retransmit-round cap before a silent peer is declared unreachable
-/// (Config::cluster.udp_max_retrans, 0 = retry forever), and the chaos
-/// self-kill wired by `lots_launch --kill-rank R[,R2]
-/// --kill-after-barrier K[,K2]` (Config::chaos_kill_rank[2] /
-/// chaos_kill_after_barrier[2] — comma pairs for double-kill cells),
-/// plus the mid-barrier kill point (LOTS_KILL_MID: victim 1 dies inside
-/// the two-phase barrier protocol, before the done rendezvous) and the
-/// kill-during-recovery victim (LOTS_KILL_IN_RECOVERY: that rank dies
-/// at the start of its own recovery pass), and the kill-after-recovery
-/// victim (LOTS_KILL_AFTER_RECOVERY: that rank dies the instant its
-/// recovery round completes — before the next barrier re-seeds the
-/// rotated ring).
+/// R (Config::replication — total copies per object; 0 = off, else
+/// R >= 2 = home + R-1 ring backups), the retransmit-round cap before a
+/// silent peer is declared unreachable (Config::cluster.udp_max_retrans,
+/// 0 = retry forever), and the chaos kill points (Config::kill_points,
+/// the spec `RANK:WHEN[:N][,...]` read by parse_kill_spec and set by
+/// `lots_launch --kill SPEC`), e.g. `LOTS_KILL=1:barrier:2,2:barrier:2`.
 inline constexpr const char* kEnvReplicate = "LOTS_REPLICATE";
 inline constexpr const char* kEnvNetRetrans = "LOTS_NET_RETRANS";
-inline constexpr const char* kEnvKillRank = "LOTS_KILL_RANK";
-inline constexpr const char* kEnvKillAfter = "LOTS_KILL_AFTER";
-inline constexpr const char* kEnvKillMid = "LOTS_KILL_MID";
-inline constexpr const char* kEnvKillInRecovery = "LOTS_KILL_IN_RECOVERY";
-inline constexpr const char* kEnvKillAfterRecovery = "LOTS_KILL_AFTER_RECOVERY";
+inline constexpr const char* kEnvKill = "LOTS_KILL";
 /// Service-layer knobs (lots_kv). Store geometry — read by
 /// service::KvConfig::from_env on every node, so identical values must
 /// reach the whole cluster (lots_launch --kv-shards puts LOTS_KV_SHARDS
@@ -88,7 +77,7 @@ inline constexpr const char* kEnvKvZipf = "LOTS_KV_ZIPF";
 inline constexpr const char* kEnvKvQps = "LOTS_KV_QPS";
 inline constexpr const char* kEnvKvSeed = "LOTS_KV_SEED";
 /// Chaos-soak spare: a rank that runs ZERO clients (it only serves DSM
-/// and KV traffic), so `--kill-rank` can target a non-client rank and
+/// and KV traffic), so `--kill` can target a non-client rank and
 /// the surviving clients' model checks stay complete. -1 = none.
 inline constexpr const char* kEnvKvSpare = "LOTS_KV_SPARE";
 
@@ -111,22 +100,33 @@ bool configure_threads_from_env(Config& cfg);
 /// of them was present.
 bool configure_fetch_from_env(Config& cfg);
 
-/// Applies LOTS_ALB / LOTS_ALB_SIZE / LOTS_DIFF_RLE to the access
-/// fast-path knobs (any fabric). Returns true when any was present.
+/// Applies LOTS_ALB / LOTS_ALB_SIZE to the access fast-path knobs (any fabric). Returns true when any was present.
 bool configure_fastpath_from_env(Config& cfg);
 
 /// Applies LOTS_MIGRATE / LOTS_MIGRATE_K to the adaptive-migration
 /// knobs (any fabric). Returns true when any was present.
 bool configure_migrate_from_env(Config& cfg);
 
-/// Applies LOTS_REPLICATE / LOTS_NET_RETRANS / LOTS_KILL_RANK /
-/// LOTS_KILL_AFTER to the fault-tolerance knobs (any fabric). Returns
-/// true when any was present.
+/// Applies LOTS_REPLICATE / LOTS_NET_RETRANS / LOTS_KILL to the
+/// fault-tolerance knobs (any fabric; kill ranks are checked against
+/// cfg.nprocs). Returns true when any was present.
 bool configure_robustness_from_env(Config& cfg);
 
+/// Parses a kill spec `RANK:WHEN[:N][,...]` — WHEN one of barrier,
+/// mid-barrier, in-recovery, after-recovery; N >= 1, default 1 — into
+/// kill points. Throws UsageError on an unknown WHEN, a rank outside
+/// [0, nprocs), N = 0, or any malformed or trailing text.
+std::vector<KillPoint> parse_kill_spec(const std::string& spec, int nprocs);
+
+/// Strict parses of `s` in [lo, hi]: anything malformed or out of range
+/// throws UsageError naming `name` (a typo must not silently run the
+/// default shape). lots_launch routes its flags through them too.
+long env_int(const char* name, const char* s, long lo, long hi);
+double env_double(const char* name, const char* s, double lo, double hi);
+
 /// Strict env parses shared by the service/bench knobs: a missing or
-/// empty variable yields `dflt`; anything malformed or out of range
-/// throws UsageError (a typo must not silently run the default shape).
+/// empty variable yields `dflt`; anything else goes through the strict
+/// parse.
 long env_int_or(const char* name, long dflt, long lo, long hi);
 double env_double_or(const char* name, double dflt, double lo, double hi);
 

@@ -44,17 +44,15 @@ void Config::validate() const {
   if (lock_migration && protocol != ProtocolMode::kMixed && protocol != ProtocolMode::kAdaptive) {
     throw UsageError("Config.lock_migration needs a lock-diff protocol (kMixed or kAdaptive)");
   }
-  if (replication < 0 || replication > 256) {
-    throw UsageError("Config.replication must be a copy count in [0,256] (0 = off)");
+  if (replication == 1 || replication < 0 || replication > 256) {
+    throw UsageError("Config.replication is the copy count R: 0 = off, else R >= 2 (max 256)");
   }
-  if (chaos_kill_rank >= nprocs || chaos_kill_rank2 >= nprocs) {
-    throw UsageError("Config.chaos_kill_rank must name a rank of the run (or -1)");
-  }
-  if (chaos_kill_in_recovery >= nprocs) {
-    throw UsageError("Config.chaos_kill_in_recovery must name a rank of the run (or -1)");
-  }
-  if (chaos_kill_after_recovery >= nprocs) {
-    throw UsageError("Config.chaos_kill_after_recovery must name a rank of the run (or -1)");
+  for (const KillPoint& k : kill_points) {
+    if (k.rank < 0 || k.rank >= nprocs) {
+      throw UsageError("Config.kill_points: rank " + std::to_string(k.rank) +
+                       " is not a rank of the run");
+    }
+    if (k.n == 0) throw UsageError("Config.kill_points: n counts from 1");
   }
   if (cluster.fabric == FabricKind::kUdp) {
     if (cluster.coord_port == 0) {

@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace lots {
 
@@ -21,11 +22,10 @@ enum class ProtocolMode : uint8_t {
   kWriteUpdateOnly,     ///< homeless write-update at locks AND barriers
   kWriteInvalidateOnly, ///< migrating-home write-invalidate everywhere
   /// Paper §5 future work, implemented here: the mixed protocol plus
-  /// (a) home-migration damping — the barrier master tracks each
-  /// object's recent writers and stops migrating homes that ping-pong
-  /// between two nodes (the RX pathology), and (b) dense diff encoding —
-  /// contiguous diff runs are shipped as raw value ranges (4 B/word)
-  /// instead of (index,value) pairs (8 B/word).
+  /// home-migration damping — the barrier master tracks each object's
+  /// recent writers and stops migrating homes that ping-pong between two
+  /// nodes (the RX pathology). Its contiguous diffs ship in the shared
+  /// run-length wire form, like every mode's.
   kAdaptive,
 };
 
@@ -105,6 +105,24 @@ struct DiskModel {
   }
 };
 
+/// A chaos-testing self-kill: rank `rank` raises SIGKILL on itself at
+/// the `n`-th occurrence of kill point `when` (UDP fabric only — the
+/// victim must really disappear). Spec string form, parsed by
+/// cluster::parse_kill_spec: `RANK:WHEN[:N][,...]`, N defaulting to 1.
+struct KillPoint {
+  enum class When : uint8_t {
+    kBarrier,        ///< "barrier": the instant its n-th barrier commits
+    kMidBarrier,     ///< "mid-barrier": inside its n-th barrier, plan applied
+                     ///< and replicas shipped, before the done rendezvous
+    kInRecovery,     ///< "in-recovery": at the top of its n-th recovery pass
+    kAfterRecovery,  ///< "after-recovery": the instant its n-th recovery
+                     ///< round completes, before any barrier re-seeds the ring
+  };
+  int rank = 0;
+  When when = When::kBarrier;
+  uint32_t n = 1;
+};
+
 /// Whole-cluster configuration. Defaults give a small, fast in-process
 /// cluster suitable for unit tests; benches override the knobs they sweep.
 struct Config {
@@ -156,45 +174,13 @@ struct Config {
   /// deaths per barrier interval are survived by re-homing each dead
   /// rank's objects to the lowest-alive ring holder and resuming from
   /// the last barrier. 0 disables replication (a death is then fatal);
-  /// 1 is accepted as a legacy alias for "on with one backup" (R=2).
-  /// While enabled, lock-driven home migration handoffs are declined
-  /// (a home moving between barriers would leave its replicas stale).
-  /// Env: LOTS_REPLICATE=R.
+  /// otherwise R >= 2. While enabled, lock-driven home migration
+  /// handoffs are declined (a home moving between barriers would leave
+  /// its replicas stale). Env: LOTS_REPLICATE=R.
   int replication = 0;
-  /// Normalized copy count: 0 when replication is off, else >= 2
-  /// (replication=1 is the pre-R boolean "on" and means one backup).
-  [[nodiscard]] int replicas() const {
-    return replication <= 0 ? 0 : (replication < 2 ? 2 : replication);
-  }
-  /// Chaos-testing self-kill (wired by `lots_launch --kill-rank R[,R2]
-  /// --kill-after-barrier K[,K2]`): the rank equal to `chaos_kill_rank`
-  /// raises SIGKILL on itself immediately after completing its
-  /// `chaos_kill_after_barrier`-th barrier; a second victim/barrier
-  /// pair supports double-kill chaos cells. -1 = disabled. Env:
-  /// LOTS_KILL_RANK / LOTS_KILL_AFTER (comma-separated pairs).
-  int chaos_kill_rank = -1;
-  uint32_t chaos_kill_after_barrier = 0;
-  int chaos_kill_rank2 = -1;
-  uint32_t chaos_kill_after_barrier2 = 0;
-  /// When set, victim 1 dies INSIDE the two-phase barrier protocol —
-  /// after entering (so the master has it in the in-barrier set) and
-  /// after applying the plan, but before the done rendezvous — instead
-  /// of after the barrier commits. Exercises mid-barrier death
-  /// recovery. Env: LOTS_KILL_MID.
-  bool chaos_kill_mid_barrier = false;
-  /// Rank that SIGKILLs itself at the start of its own recovery pass
-  /// (while survivors are mid-recovery for an earlier death) —
-  /// exercises the kill-during-recovery retry loop. -1 = disabled.
-  /// Env: LOTS_KILL_IN_RECOVERY.
-  int chaos_kill_in_recovery = -1;
-  /// Rank that SIGKILLs itself the instant its recovery round COMPLETES
-  /// (rendezvous released, before any further barrier). Aimed at the
-  /// rank that just adopted a dead home's objects: the second death
-  /// lands after the re-home but before the next barrier re-seeds the
-  /// rotated ring, so the survivors must fall back on the replicas they
-  /// kept from the FIRST dead home's fan-out. -1 = disabled. Env:
-  /// LOTS_KILL_AFTER_RECOVERY.
-  int chaos_kill_after_recovery = -1;
+  /// Chaos-testing self-kills (lots_launch --kill SPEC, env LOTS_KILL).
+  /// Empty = none.
+  std::vector<KillPoint> kill_points;
 
   // -- Access fast path (ARCHITECTURE.md "fast path") ---------------------
   /// Per-app-thread Access Lookaside Buffer: a small direct-mapped cache
@@ -209,12 +195,6 @@ struct Config {
   bool alb = true;
   /// ALB entries per app thread. Must be a power of two.
   size_t alb_size = 64;
-  /// Run-length diff wire encoding (diff format v2): contiguous index
-  /// runs ship as (start, count, packed values) with a shared stamp when
-  /// the run carries one epoch, instead of per-word idx/val/ts triples.
-  /// Decoders accept both formats regardless; this gates the encoders
-  /// (kObjData/kObjDataN word diffs and kDiffBatch/kLockGrant records).
-  bool diff_rle = true;
 
   // -- Async fetch engine (src/core/fetch.hpp) ----------------------------
   /// Max outstanding kObjFetch requests in the pipelined paths

@@ -60,9 +60,7 @@ void Node::barrier_leader() {
     skip_bar_ = false;
     stats_.barriers.fetch_add(1, std::memory_order_relaxed);
     ++chaos_bars_;  // the commit counted cluster-wide; keep kill counts aligned
-    if (chaos_kill_due(/*completed=*/true)) {
-      std::raise(SIGKILL);
-    }
+    if (chaos_due(KillPoint::When::kBarrier)) std::raise(SIGKILL);
     return;
   }
 
@@ -99,7 +97,6 @@ void Node::barrier_leader() {
 
   // ---- phase 2: deliver diffs, one batch message per peer ----
   const bool write_update_everywhere = rt_.config().protocol == ProtocolMode::kWriteUpdateOnly;
-  const bool dense_ok = rt_.config().protocol == ProtocolMode::kAdaptive;
   std::vector<net::Message> outs;
   std::map<int32_t, std::vector<DiffRecord>> by_peer;
   if (write_update_everywhere) {
@@ -114,8 +111,7 @@ void Node::barrier_leader() {
       if (!rec.word_idx.empty()) merged.push_back(std::move(rec));
     }
     stats_.merge_redundant_words.fetch_add(redundant, std::memory_order_relaxed);
-    outs = CoherenceEngine::build_broadcast_batches(merged, nprocs(), rank_, dense_ok,
-                                                    rt_.config().diff_rle, stats_);
+    outs = CoherenceEngine::build_broadcast_batches(merged, nprocs(), rank_, stats_);
   } else {
     // Mixed / write-invalidate: diffs flow to the (possibly migrated)
     // home, and only for multi-writer objects — a single writer becomes
@@ -130,8 +126,7 @@ void Node::barrier_leader() {
       if (!rec.word_idx.empty()) by_peer[e.new_home].push_back(std::move(rec));
     }
     stats_.merge_redundant_words.fetch_add(redundant, std::memory_order_relaxed);
-    outs = CoherenceEngine::build_diff_batches(by_peer, dense_ok, rt_.config().diff_rle,
-                                               stats_);
+    outs = CoherenceEngine::build_diff_batches(by_peer, stats_);
   }
   for (auto& msg : outs) ep_.request(std::move(msg));  // acked delivery
 
@@ -154,16 +149,12 @@ void Node::barrier_leader() {
     ship_replicas(plan, new_epoch - 1);
   }
 
-  // ---- chaos injection, mid-barrier variant (--kill-mid-barrier) ----
+  // ---- chaos injection, mid-barrier kill point (--kill R:mid-barrier:K) ----
   // The victim dies INSIDE the two-phase protocol during its K-th
   // barrier: entered (the master holds it in in_barrier), plan applied,
   // replicas shipped — but before the done rendezvous, so survivors are
   // left with a partially completed barrier to unwind and redo.
-  // (chaos_kill_due itself gates this on --kill-mid-barrier and on
-  // being victim 1 — victim 2 never dies here.)
-  if (chaos_kill_due(/*completed=*/false)) {
-    std::raise(SIGKILL);
-  }
+  if (chaos_due(KillPoint::When::kMidBarrier)) std::raise(SIGKILL);
 
   // ---- phase 2 rendezvous: wait until everyone applied the plan ----
   // bar_unacked_ brackets the commit vote: once the done is on the wire
@@ -179,7 +170,7 @@ void Node::barrier_leader() {
   bar_unacked_ = false;
   ++bars_committed_;
   stats_.barriers.fetch_add(1, std::memory_order_relaxed);
-  ++chaos_bars_;  // the reset-immune count chaos_kill_due keys off
+  ++chaos_bars_;  // the reset-immune count chaos_due keys off
 
   // ---- optional barrier-exit bulk revalidation ----
   // Every node has applied its plan (the done rendezvous above), so the
@@ -192,43 +183,30 @@ void Node::barrier_leader() {
     fetch_.fetch_many(invalidated_mapped);
   }
 
-  // ---- chaos injection (lots_launch --kill-rank R[,R2] ...) ----
+  // ---- chaos injection, post-commit kill point (--kill R:barrier:K) ----
   // The victim dies the instant its K-th barrier fully completes —
   // replicas shipped, done acknowledged — which is exactly the cut the
   // survivors recover to. SIGKILL, not exit(): no destructors, no
   // goodbye, the coordinator sees a raw EOF and the transport sees
-  // silence, exercising both detection paths. Called unconditionally:
-  // with --kill-mid-barrier, victim 1 fired before the done rendezvous
-  // instead (chaos_kill_due arbitrates), but victim 2 ALWAYS dies here
-  // post-commit — a double-kill cell must test both deaths even when
-  // the first one is mid-barrier.
-  if (chaos_kill_due(/*completed=*/true)) {
-    std::raise(SIGKILL);
-  }
+  // silence, exercising both detection paths.
+  if (chaos_due(KillPoint::When::kBarrier)) std::raise(SIGKILL);
 }
 
-/// True when this rank is a chaos victim whose kill barrier is reached.
-/// `completed` selects the count convention: after the barrier counter
-/// ticked (post-commit kill) or while still inside the K-th barrier
-/// (mid-barrier kill). Victim 2 always dies post-commit — the
-/// mid-barrier knob applies to victim 1 only, and the arbitration
-/// lives HERE (not at the call sites) so enabling --kill-mid-barrier
-/// cannot suppress victim 2's kill. Counts chaos_bars_, NOT
-/// stats_.barriers: harnesses reset stats mid-run and the countdown
-/// must not rewind with them.
-bool Node::chaos_kill_due(bool completed) const {
+/// True when one of this rank's kill points is reached. The barrier and
+/// after-recovery points fire when the completed count reaches n; the
+/// mid-barrier and in-recovery points fire while the n-th round is
+/// still running. Counts chaos_bars_ / chaos_recoveries_, NOT the
+/// stats: harnesses reset stats mid-run and a countdown must not rewind
+/// with them.
+bool Node::chaos_due(KillPoint::When when) const {
   if (rt_.config().cluster.fabric != FabricKind::kUdp) return false;
-  const uint32_t bars = chaos_bars_;
-  const auto& cfg = rt_.config();
-  if (cfg.chaos_kill_rank == rank_ && cfg.chaos_kill_after_barrier > 0 &&
-      completed != cfg.chaos_kill_mid_barrier) {
-    const uint32_t due = completed ? cfg.chaos_kill_after_barrier
-                                   : cfg.chaos_kill_after_barrier - 1;
-    if (bars == due) return true;
-  }
-  if (completed && cfg.chaos_kill_rank2 == rank_ &&
-      cfg.chaos_kill_after_barrier2 > 0 && bars == cfg.chaos_kill_after_barrier2) {
-    return true;
+  using When = KillPoint::When;
+  const bool barrier_kind = when == When::kBarrier || when == When::kMidBarrier;
+  const uint32_t done = barrier_kind ? chaos_bars_ : chaos_recoveries_;
+  const bool inside = when == When::kMidBarrier || when == When::kInRecovery;
+  const uint32_t at = inside ? done + 1 : done;
+  for (const KillPoint& k : rt_.config().kill_points) {
+    if (k.rank == rank_ && k.when == when && k.n == at) return true;
   }
   return false;
 }
@@ -378,7 +356,10 @@ void Node::on_barrier_enter(net::Message&& m) {
   for (ObjectId id : unseen) {
     auto lk = dir_.lock_shard(id);
     ObjectMeta* obj = dir_.find(id);
-    homes[id] = obj ? obj->home : 0;
+    // A writer can enter before the master's own app thread reached the
+    // collective alloc of `id`; the object then still has the
+    // round-robin initial home alloc_object gives it.
+    homes[id] = obj ? obj->home : static_cast<int32_t>(id % static_cast<uint32_t>(nprocs()));
   }
 
   std::unique_lock lk(sync_mu_);

@@ -148,8 +148,7 @@ std::vector<DiffRecord> CoherenceEngine::flush_interval(uint32_t flush_epoch, in
 }
 
 std::vector<net::Message> CoherenceEngine::build_diff_batches(
-    const std::map<int32_t, std::vector<DiffRecord>>& by_peer, bool allow_dense,
-    bool allow_rle, NodeStats& stats) {
+    const std::map<int32_t, std::vector<DiffRecord>>& by_peer, NodeStats& stats) {
   std::vector<net::Message> msgs;
   msgs.reserve(by_peer.size());
   for (const auto& [peer, group] : by_peer) {
@@ -162,7 +161,7 @@ std::vector<net::Message> CoherenceEngine::build_diff_batches(
     uint64_t saved = 0;
     const size_t before = msg.payload.size();
     for (const DiffRecord& rec : group) {
-      saved += encode_record(w, rec, allow_dense, allow_rle);
+      saved += encode_record(w, rec);
       stats.diff_words_sent.fetch_add(rec.words(), std::memory_order_relaxed);
     }
     stats.diff_payload_bytes.fetch_add(msg.payload.size() - before,
@@ -176,8 +175,7 @@ std::vector<net::Message> CoherenceEngine::build_diff_batches(
 }
 
 std::vector<net::Message> CoherenceEngine::build_broadcast_batches(
-    std::span<const DiffRecord> records, int nprocs, int self_rank, bool allow_dense,
-    bool allow_rle, NodeStats& stats) {
+    std::span<const DiffRecord> records, int nprocs, int self_rank, NodeStats& stats) {
   std::vector<net::Message> msgs;
   if (records.empty() || nprocs <= 1) return msgs;
   std::vector<uint8_t> payload;
@@ -187,7 +185,7 @@ std::vector<net::Message> CoherenceEngine::build_broadcast_batches(
   uint64_t saved = 0;
   const size_t before = payload.size();
   for (const DiffRecord& rec : records) {
-    saved += encode_record(w, rec, allow_dense, allow_rle);
+    saved += encode_record(w, rec);
     words += rec.words();
   }
   const uint64_t payload_bytes = payload.size() - before;

@@ -95,20 +95,17 @@ class CoherenceEngine {
 
   /// Packages per-peer record groups into ONE kDiffBatch message per
   /// peer — the release/barrier paths send O(peers) messages per sync
-  /// operation regardless of how many objects changed. `allow_rle`
-  /// enables the run-length record form (Config::diff_rle). Counts
+  /// operation regardless of how many objects changed. Counts
   /// diff_batch_msgs / diff_records_batched / diff_words_sent /
   /// diff_payload_bytes / diff_bytes_saved.
   static std::vector<net::Message> build_diff_batches(
-      const std::map<int32_t, std::vector<DiffRecord>>& by_peer, bool allow_dense,
-      bool allow_rle, NodeStats& stats);
+      const std::map<int32_t, std::vector<DiffRecord>>& by_peer, NodeStats& stats);
 
   /// Broadcast form (write-update ablation): the same record set goes to
   /// every peer except `self_rank`. The payload is encoded once and the
   /// byte buffer cloned per destination — no per-peer record copies.
   static std::vector<net::Message> build_broadcast_batches(std::span<const DiffRecord> records,
                                                            int nprocs, int self_rank,
-                                                           bool allow_dense, bool allow_rle,
                                                            NodeStats& stats);
 
  private:

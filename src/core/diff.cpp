@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <optional>
 
 namespace lots::core {
 namespace {
@@ -150,26 +151,14 @@ void diff_since(std::span<const uint8_t> data, const uint32_t* word_ts, uint32_t
   }
 }
 
-bool is_contiguous_run(const DiffRecord& rec) {
-  for (size_t i = 1; i < rec.word_idx.size(); ++i) {
-    if (rec.word_idx[i] != rec.word_idx[i - 1] + 1) return false;
-  }
-  return !rec.word_idx.empty();
-}
-
 namespace {
-// DiffRecord wire forms (the form byte doubles as the format version:
-// decoders accept every form regardless of the sender's encoder knobs).
-constexpr uint8_t kSparse = 0;
-constexpr uint8_t kDense = 1;
-constexpr uint8_t kSparsePerWordTs = 2;
-constexpr uint8_t kRuns = 3;  ///< format v2: run headers + packed values
+// Body wire forms (the form byte doubles as the format version). Form 1,
+// the retired dense form, is rejected like any unknown byte.
+constexpr uint8_t kFlat = 0;         ///< count, idx[], val[]; the record epoch stamps all
+constexpr uint8_t kFlatStamped = 2;  ///< count, idx[], val[], ts[]
+constexpr uint8_t kRuns = 3;         ///< run headers + packed values
 
-// Word-diff wire tags (format v2 made the word diff self-describing).
-constexpr uint8_t kWordFlat = 0;
-constexpr uint8_t kWordRuns = 1;
-
-// Per-run stamp modes for the kRuns / kWordRuns forms.
+// Per-run stamp modes for the kRuns form.
 constexpr uint8_t kRunEpochTs = 0;    ///< record-level epoch covers the run
 constexpr uint8_t kRunSharedTs = 1;   ///< one u32 stamp covers the run
 constexpr uint8_t kRunPerWordTs = 2;  ///< count stamps follow the values
@@ -204,174 +193,127 @@ bool scan_runs(std::span<const uint32_t> idx, std::span<const uint32_t> ts,
   return true;
 }
 
-/// Emits the shared run wire layout (start, count, stamp mode, values
-/// [, stamps]) used by both the record kRuns form and the word-diff
-/// kWordRuns tag. `epoch_stamp` selects the record-only mode where the
-/// record-level epoch covers every run (word diffs always carry ts).
-void write_runs(net::Writer& w, std::span<const uint32_t> idx, std::span<const uint32_t> val,
-                std::span<const uint32_t> ts, std::span<const RunSpan> runs,
-                bool epoch_stamp) {
-  w.u32(static_cast<uint32_t>(runs.size()));
-  for (const RunSpan& run : runs) {
-    w.u32(idx[run.begin]);
-    w.u32(static_cast<uint32_t>(run.count));
-    if (epoch_stamp) {
-      w.u8(kRunEpochTs);
-    } else if (run.uniform_ts) {
-      w.u8(kRunSharedTs);
-      w.u32(ts[run.begin]);
-    } else {
-      w.u8(kRunPerWordTs);
-    }
-    w.raw(val.data() + run.begin, run.count * 4);
-    if (!epoch_stamp && !run.uniform_ts) {
-      w.raw(ts.data() + run.begin, run.count * 4);
-    }
-  }
+/// Encoded size of one run: start + count + mode + values [+ stamps].
+size_t run_wire_bytes(const RunSpan& run, bool stamped) {
+  size_t n = 4 + 4 + 1 + run.count * 4;
+  if (stamped) n += run.uniform_ts ? 4 : run.count * 4;
+  return n;
 }
 
-/// Encoded size of one run under the record/word-diff run forms.
-size_t run_wire_bytes(const RunSpan& run, bool have_ts) {
-  size_t n = 4 + 4 + 1 + run.count * 4;  // start + count + mode + values
-  if (have_ts) n += run.uniform_ts ? 4 : run.count * 4;
-  return n;
+/// Emits the smaller of the flat and runs bodies. `stamped` bodies carry
+/// per-word stamps from `ts`; unstamped ones leave every word to the
+/// record epoch. Returns the bytes saved versus the flat body.
+size_t encode_body(net::Writer& w, std::span<const uint32_t> idx, std::span<const uint32_t> val,
+                   std::span<const uint32_t> ts, bool stamped) {
+  const size_t n = idx.size();
+  const size_t flat = 1 + 4 + n * (stamped ? 12 : 8);
+  std::vector<RunSpan> runs;
+  if (n > 0 && scan_runs(idx, stamped ? ts : std::span<const uint32_t>{}, runs)) {
+    size_t rle = 1 + 4;
+    for (const RunSpan& run : runs) rle += run_wire_bytes(run, stamped);
+    if (rle < flat) {
+      w.u8(kRuns);
+      w.u32(static_cast<uint32_t>(runs.size()));
+      for (const RunSpan& run : runs) {
+        w.u32(idx[run.begin]);
+        w.u32(static_cast<uint32_t>(run.count));
+        const bool per_word = stamped && !run.uniform_ts;
+        if (!stamped) {
+          w.u8(kRunEpochTs);
+        } else if (per_word) {
+          w.u8(kRunPerWordTs);
+        } else {
+          w.u8(kRunSharedTs);
+          w.u32(ts[run.begin]);
+        }
+        w.raw(val.data() + run.begin, run.count * 4);
+        if (per_word) w.raw(ts.data() + run.begin, run.count * 4);
+      }
+      return flat - rle;
+    }
+  }
+  w.u8(stamped ? kFlatStamped : kFlat);
+  w.u32(static_cast<uint32_t>(n));
+  w.raw(idx.data(), n * 4);
+  w.raw(val.data(), n * 4);
+  if (stamped) w.raw(ts.data(), n * 4);
+  return 0;
+}
+
+/// Decodes one body into (idx, val, ts). With a record epoch, `ts` stays
+/// empty when that epoch stamps every word, and otherwise back-fills it
+/// for epoch-stamped runs; without one (word diffs), every word must
+/// carry its own stamp.
+void decode_body(net::Reader& r, std::optional<uint32_t> epoch, std::vector<uint32_t>& idx,
+                 std::vector<uint32_t>& val, std::vector<uint32_t>& ts) {
+  const uint8_t form = r.u8();
+  if (form == kFlat || form == kFlatStamped) {
+    if (form == kFlat && !epoch) throw SystemError("word diff: flat body without stamps");
+    const uint32_t n = r.u32();
+    idx.resize(n);
+    val.resize(n);
+    if (n) {
+      r.raw(idx.data(), n * 4);
+      r.raw(val.data(), n * 4);
+    }
+    if (form == kFlatStamped) {
+      ts.resize(n);
+      if (n) r.raw(ts.data(), n * 4);
+    }
+    return;
+  }
+  if (form != kRuns) throw SystemError("diff body: unknown wire form " + std::to_string(form));
+  const uint32_t nruns = r.u32();
+  bool any_ts = !epoch;  // word diffs materialize stamps from the start
+  for (uint32_t k = 0; k < nruns; ++k) {
+    const uint32_t start = r.u32();
+    const uint32_t count = r.u32();
+    const uint8_t mode = r.u8();
+    if (mode > kRunPerWordTs || (mode == kRunEpochTs && !epoch)) {
+      throw SystemError("diff body: bad run stamp mode " + std::to_string(mode));
+    }
+    uint32_t shared_ts = 0;
+    if (mode == kRunSharedTs) shared_ts = r.u32();
+    const size_t base = idx.size();
+    idx.resize(base + count);
+    val.resize(base + count);
+    for (uint32_t i = 0; i < count; ++i) idx[base + i] = start + i;
+    if (count) r.raw(val.data() + base, count * 4);
+    if (mode != kRunEpochTs && !any_ts) {
+      // First stamped run: back-fill the record epoch for prior runs.
+      any_ts = true;
+      ts.assign(base, *epoch);
+    }
+    if (!any_ts) continue;
+    ts.resize(base + count, epoch.value_or(0));
+    if (mode == kRunSharedTs) {
+      for (uint32_t i = 0; i < count; ++i) ts[base + i] = shared_ts;
+    } else if (mode == kRunPerWordTs && count) {
+      r.raw(ts.data() + base, count * 4);
+    }
+  }
 }
 
 }  // namespace
 
-size_t encode_record(net::Writer& w, const DiffRecord& rec, bool allow_dense, bool allow_rle) {
+size_t encode_record(net::Writer& w, const DiffRecord& rec) {
   w.u32(rec.object);
   w.u32(rec.epoch);
-  const size_t n = rec.word_idx.size();
-  const bool have_ts = !rec.word_ts.empty();
-
-  // Size of the legacy (pre-RLE) choice, for the saved-bytes report and
-  // the keep-whichever-is-smaller decision.
-  size_t legacy;
-  uint8_t legacy_form;
-  if (have_ts) {
-    legacy = 1 + 4 + n * 12;
-    legacy_form = kSparsePerWordTs;
-  } else if (allow_dense && n >= 4 && is_contiguous_run(rec)) {
-    legacy = 1 + 4 + 4 + n * 4;
-    legacy_form = kDense;
-  } else {
-    legacy = 1 + 4 + n * 8;
-    legacy_form = kSparse;
-  }
-
-  if (allow_rle && n > 0) {
-    std::vector<RunSpan> runs;
-    if (scan_runs(rec.word_idx, rec.word_ts, runs)) {
-      size_t rle = 1 + 4;
-      for (const RunSpan& run : runs) rle += run_wire_bytes(run, have_ts);
-      if (rle < legacy) {
-        w.u8(kRuns);
-        write_runs(w, rec.word_idx, rec.word_val, rec.word_ts, runs,
-                   /*epoch_stamp=*/!have_ts);
-        return legacy - rle;
-      }
-    }
-  }
-
-  w.u8(legacy_form);
-  if (legacy_form == kDense) {
-    w.u32(rec.word_idx.front());
-    w.u32(static_cast<uint32_t>(n));
-    w.raw(rec.word_val.data(), n * 4);
-    return 0;
-  }
-  w.u32(static_cast<uint32_t>(n));
-  w.raw(rec.word_idx.data(), n * 4);
-  w.raw(rec.word_val.data(), n * 4);
-  if (legacy_form == kSparsePerWordTs) w.raw(rec.word_ts.data(), n * 4);
-  return 0;
+  return encode_body(w, rec.word_idx, rec.word_val, rec.word_ts, !rec.word_ts.empty());
 }
 
 DiffRecord decode_record(net::Reader& r) {
   DiffRecord rec;
   rec.object = r.u32();
   rec.epoch = r.u32();
-  const uint8_t form = r.u8();
-  if (form == kDense) {
-    const uint32_t start = r.u32();
-    const uint32_t n = r.u32();
-    rec.word_idx.resize(n);
-    rec.word_val.resize(n);
-    for (uint32_t i = 0; i < n; ++i) rec.word_idx[i] = start + i;
-    if (n) r.raw(rec.word_val.data(), n * 4);
-    return rec;
-  }
-  if (form == kRuns) {
-    const uint32_t nruns = r.u32();
-    bool any_ts = false;
-    for (uint32_t k = 0; k < nruns; ++k) {
-      const uint32_t start = r.u32();
-      const uint32_t count = r.u32();
-      const uint8_t mode = r.u8();
-      uint32_t shared_ts = 0;
-      if (mode == kRunSharedTs) shared_ts = r.u32();
-      const size_t base = rec.word_idx.size();
-      rec.word_idx.resize(base + count);
-      rec.word_val.resize(base + count);
-      for (uint32_t i = 0; i < count; ++i) rec.word_idx[base + i] = start + i;
-      if (count) r.raw(rec.word_val.data() + base, count * 4);
-      if (mode != kRunEpochTs && !any_ts) {
-        // First stamped run: back-fill the record epoch for prior runs.
-        any_ts = true;
-        rec.word_ts.assign(base, rec.epoch);
-      }
-      if (any_ts) rec.word_ts.resize(base + count, rec.epoch);
-      if (mode == kRunSharedTs) {
-        for (uint32_t i = 0; i < count; ++i) rec.word_ts[base + i] = shared_ts;
-      } else if (mode == kRunPerWordTs) {
-        if (count) r.raw(rec.word_ts.data() + base, count * 4);
-      } else if (mode != kRunEpochTs) {
-        throw SystemError("diff record: unknown run stamp mode " + std::to_string(mode));
-      }
-    }
-    return rec;
-  }
-  if (form != kSparse && form != kSparsePerWordTs) {
-    throw SystemError("diff record: unknown wire form " + std::to_string(form));
-  }
-  const uint32_t n = r.u32();
-  rec.word_idx.resize(n);
-  rec.word_val.resize(n);
-  if (n) {
-    r.raw(rec.word_idx.data(), n * 4);
-    r.raw(rec.word_val.data(), n * 4);
-  }
-  if (form == kSparsePerWordTs) {
-    rec.word_ts.resize(n);
-    if (n) r.raw(rec.word_ts.data(), n * 4);
-  }
+  decode_body(r, rec.epoch, rec.word_idx, rec.word_val, rec.word_ts);
   return rec;
 }
 
 size_t encode_word_diff(net::Writer& w, std::span<const uint32_t> idx,
-                        std::span<const uint32_t> val, std::span<const uint32_t> ts,
-                        bool allow_rle) {
+                        std::span<const uint32_t> val, std::span<const uint32_t> ts) {
   LOTS_CHECK(idx.size() == val.size() && idx.size() == ts.size(), "word diff arity mismatch");
-  const size_t flat = 1 + 4 + idx.size() * 12;
-  if (allow_rle && !idx.empty()) {
-    std::vector<RunSpan> runs;
-    if (scan_runs(idx, ts, runs)) {
-      size_t rle = 1 + 4;
-      for (const RunSpan& run : runs) rle += run_wire_bytes(run, /*have_ts=*/true);
-      if (rle < flat) {
-        w.u8(kWordRuns);
-        write_runs(w, idx, val, ts, runs, /*epoch_stamp=*/false);
-        return flat - rle;
-      }
-    }
-  }
-  w.u8(kWordFlat);
-  w.u32(static_cast<uint32_t>(idx.size()));
-  w.raw(idx.data(), idx.size() * 4);
-  w.raw(val.data(), val.size() * 4);
-  w.raw(ts.data(), ts.size() * 4);
-  return 0;
+  return encode_body(w, idx, val, ts, /*stamped=*/true);
 }
 
 void decode_word_diff(net::Reader& r, std::vector<uint32_t>& idx, std::vector<uint32_t>& val,
@@ -379,45 +321,7 @@ void decode_word_diff(net::Reader& r, std::vector<uint32_t>& idx, std::vector<ui
   idx.clear();
   val.clear();
   ts.clear();
-  const uint8_t tag = r.u8();
-  if (tag == kWordFlat) {
-    const uint32_t n = r.u32();
-    idx.resize(n);
-    val.resize(n);
-    ts.resize(n);
-    if (n) {
-      r.raw(idx.data(), n * 4);
-      r.raw(val.data(), n * 4);
-      r.raw(ts.data(), n * 4);
-    }
-    return;
-  }
-  if (tag != kWordRuns) {
-    throw SystemError("word diff: unknown wire tag " + std::to_string(tag));
-  }
-  const uint32_t nruns = r.u32();
-  for (uint32_t k = 0; k < nruns; ++k) {
-    const uint32_t start = r.u32();
-    const uint32_t count = r.u32();
-    const uint8_t mode = r.u8();
-    uint32_t shared_ts = 0;
-    if (mode == kRunSharedTs) {
-      shared_ts = r.u32();
-    } else if (mode != kRunPerWordTs) {
-      throw SystemError("word diff: unknown run stamp mode " + std::to_string(mode));
-    }
-    const size_t base = idx.size();
-    idx.resize(base + count);
-    val.resize(base + count);
-    ts.resize(base + count);
-    for (uint32_t i = 0; i < count; ++i) idx[base + i] = start + i;
-    if (count) r.raw(val.data() + base, count * 4);
-    if (mode == kRunSharedTs) {
-      for (uint32_t i = 0; i < count; ++i) ts[base + i] = shared_ts;
-    } else if (count) {
-      r.raw(ts.data() + base, count * 4);
-    }
-  }
+  decode_body(r, std::nullopt, idx, val, ts);
 }
 
 size_t apply_word_diff(std::span<const uint32_t> idx, std::span<const uint32_t> val,

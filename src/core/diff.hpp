@@ -57,37 +57,25 @@ void diff_since(std::span<const uint8_t> data, const uint32_t* word_ts, uint32_t
 
 // --- wire encoding -------------------------------------------------------
 //
-// Format v2 (run-length encoding, Config::diff_rle): both codecs below
-// can ship contiguous index runs as (start, count, packed values) with a
-// shared stamp when every word of the run carries one epoch, falling
-// back to per-word stamps inside a run and to the flat form for sparse
-// shapes. Encoders CHOOSE the smaller encoding and report the bytes
-// saved; decoders understand every form unconditionally (the leading
-// form/tag byte is the version), so mixed call sites always interoperate.
+// Records and word diffs share one body codec (format v2): after the
+// form byte, a body is either FLAT (count, indices, values[, stamps]) or
+// RUNS (contiguous index runs as start, count, one stamp mode and the
+// packed values). Encoders emit whichever is smaller — runs only when
+// strictly smaller — and report the bytes saved versus flat; decoders
+// reject any other form byte with SystemError.
 
-/// Encodes one record (with a single epoch stamp for all words).
-/// With `allow_dense` (adaptive protocol, paper §5 "sending the whole
-/// object verses partial diffs"), a record whose words form one
-/// contiguous run is shipped as (start, count, raw values) at 4 B/word
-/// instead of (index, value) pairs at 8 B/word. Only exact runs qualify:
-/// padding with unchanged words would clobber concurrent writers.
-/// With `allow_rle` (format v2), MULTI-run records ship as run headers
-/// too, each run with a record-epoch / shared / per-word stamp mode.
-/// Returns the bytes saved versus the legacy encoding (0 when the
-/// legacy form was emitted).
-size_t encode_record(net::Writer& w, const DiffRecord& rec, bool allow_dense = false,
-                     bool allow_rle = false);
+/// Encodes one record: object, epoch, then the body. A record without
+/// per-word stamps lets its epoch stamp every word (flat 8 B/word);
+/// with them, flat costs 12 B/word. Returns the bytes saved versus the
+/// flat body (0 when the flat body was emitted).
+size_t encode_record(net::Writer& w, const DiffRecord& rec);
 DiffRecord decode_record(net::Reader& r);
-/// True when the record's words form one contiguous ascending run.
-bool is_contiguous_run(const DiffRecord& rec);
 
-/// Encodes a merged diff with per-word stamps. Flat form: idx/val/ts
-/// triples at 12 B/word. With `allow_rle`, contiguous runs ship as
-/// (start, count, [shared ts | per-word ts], values) when that is
-/// smaller. Returns the bytes saved versus the flat form.
+/// Encodes a merged diff with per-word stamps (the §3.5 on-demand
+/// fetch diff): the record body codec, always stamped. Returns the
+/// bytes saved versus the flat body.
 size_t encode_word_diff(net::Writer& w, std::span<const uint32_t> idx,
-                        std::span<const uint32_t> val, std::span<const uint32_t> ts,
-                        bool allow_rle = false);
+                        std::span<const uint32_t> val, std::span<const uint32_t> ts);
 void decode_word_diff(net::Reader& r, std::vector<uint32_t>& idx, std::vector<uint32_t>& val,
                       std::vector<uint32_t>& ts);
 

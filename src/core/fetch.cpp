@@ -523,8 +523,8 @@ void FetchEngine::encode_copy(ObjectMeta& obj, uint32_t req_base, bool has_base,
 
   // Prefer the on-demand diff (§3.5) when the requester kept a base and
   // the ENCODED diff is smaller than the full object — decided on the
-  // actual wire size, so a dense run the RLE encoder ships at ~4 B/word
-  // still wins where the flat 12 B/word estimate would have shipped the
+  // actual wire size, so a contiguous run shipped at ~4 B/word still
+  // wins where the flat 12 B/word estimate would have shipped the
   // whole object. The lower-bound pre-check (4 B/word + headers) skips
   // the scratch encode when even a best-case run form cannot win.
   if (has_base) {
@@ -533,7 +533,7 @@ void FetchEngine::encode_copy(ObjectMeta& obj, uint32_t req_base, bool has_base,
     if (5 + idx.size() * 4 < bytes) {
       std::vector<uint8_t> diff_wire;
       net::Writer dw(diff_wire);
-      const size_t saved = encode_word_diff(dw, idx, val, wts, node_.config().diff_rle);
+      const size_t saved = encode_word_diff(dw, idx, val, wts);
       if (diff_wire.size() < bytes) {
         w.u8(1);
         w.u32(obj.valid_epoch);

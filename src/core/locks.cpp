@@ -405,9 +405,7 @@ void Node::push_release_updates_home_based(LockToken& tok, std::vector<DiffRecor
     if (!dup) tok.chain.push_back(std::move(notice));
     if (home != rank_) by_home[home].push_back(std::move(rec));
   }
-  auto outs = CoherenceEngine::build_diff_batches(
-      by_home, rt_.config().protocol == ProtocolMode::kAdaptive, rt_.config().diff_rle,
-      stats_);
+  auto outs = CoherenceEngine::build_diff_batches(by_home, stats_);
   for (auto& msg : outs) ep_.request(std::move(msg));  // acked; no locks held
 }
 
@@ -581,8 +579,7 @@ void Node::send_grant_locked(uint32_t lock_id, int32_t to, uint32_t /*acq_epoch*
       continue;
     }
     w.u8(0);
-    saved += encode_record(w, rec, rt_.config().protocol == ProtocolMode::kAdaptive,
-                           rt_.config().diff_rle);
+    saved += encode_record(w, rec);
     stats_.diff_words_sent.fetch_add(rec.words(), std::memory_order_relaxed);
   }
   stats_.diff_payload_bytes.fetch_add(g.payload.size() - before, std::memory_order_relaxed);

@@ -143,7 +143,7 @@ void Node::on_peer_dead(int dead) {
 // --- replication: home side (barrier leader) -------------------------------
 
 void Node::ship_replicas(const std::vector<BarrierPlanEntry>& plan, uint32_t cut) {
-  const auto backups = ring_successors(rank_, rt_.config().replicas() - 1);
+  const auto backups = ring_successors(rank_, rt_.config().replication - 1);
   if (backups.empty()) return;  // no live backup left: nothing to survive for
 
   std::vector<net::Endpoint::PendingReply> acks;
@@ -307,10 +307,7 @@ void Node::recover_leader() {
   // Chaos: die at the top of our own recovery pass, while the other
   // survivors are mid-recovery for the earlier death — exercises the
   // application's recover-retry loop.
-  if (rt_.config().chaos_kill_in_recovery == rank_ &&
-      rt_.config().cluster.fabric == FabricKind::kUdp) {
-    std::raise(SIGKILL);
-  }
+  if (chaos_due(KillPoint::When::kInRecovery)) std::raise(SIGKILL);
   const auto t0 = std::chrono::steady_clock::now();
   // Fence the old view: handoffs stamped with the old barrier generation
   // die on arrival, and the epoch bump defeats every thread's ALB so no
@@ -460,10 +457,8 @@ void Node::recover_leader() {
   // re-seed still pending. Aimed at a rank that just adopted a dead
   // home's objects, this forces the NEXT repair to fall back on the
   // replicas the other survivors kept from the first fan-out.
-  if (rt_.config().chaos_kill_after_recovery == rank_ &&
-      rt_.config().cluster.fabric == FabricKind::kUdp) {
-    std::raise(SIGKILL);
-  }
+  ++chaos_recoveries_;
+  if (chaos_due(KillPoint::When::kAfterRecovery)) std::raise(SIGKILL);
 }
 
 void Node::repair_objects_after_death(int dead, int holder) {

@@ -301,10 +301,9 @@ class Node {
   /// The node's barrier body, run once by the collective's last arriver
   /// with every sibling app thread quiescent.
   void barrier_leader();
-  /// Chaos self-kill predicate (lots_launch --kill-rank): is this rank a
-  /// victim whose kill barrier is reached, at the post-commit
-  /// (completed=true) or mid-barrier (completed=false) kill point?
-  [[nodiscard]] bool chaos_kill_due(bool completed) const;
+  /// Chaos self-kill predicate (Config::kill_points): has this rank
+  /// reached one of its kill points of kind `when`?
+  [[nodiscard]] bool chaos_due(KillPoint::When when) const;
   void on_barrier_enter(net::Message&& m);  // master side
   void on_barrier_done(net::Message&& m);   // master side
   void on_run_barrier_enter(net::Message&& m);
@@ -526,13 +525,14 @@ class Node {
   /// by sync_mu_, populated only when Config::lock_migration).
   std::unordered_map<ObjectId, MigrateStreak> migrate_streaks_;
   MasterBarrier master_;  ///< used on master_rank() only (rank 0 until it dies)
-  /// Coherence barriers committed since node birth, for chaos_kill_due
-  /// ONLY. Deliberately separate from stats_.barriers: harnesses call
-  /// reset_stats() mid-run (e.g. after a warm-up/open phase), and a
-  /// --kill-after-barrier countdown that rewound with the stats would
-  /// fire at the wrong barrier. Written only inside the barrier
-  /// collective's leader body, so no atomicity needed.
+  /// Coherence barriers committed and recovery rounds completed since
+  /// node birth, for chaos_due ONLY. Deliberately separate from the
+  /// stats: harnesses call reset_stats() mid-run (e.g. after a
+  /// warm-up/open phase), and a kill countdown that rewound with the
+  /// stats would fire at the wrong point. Written only inside the
+  /// barrier / recovery collective's leader body, so no atomicity needed.
   uint32_t chaos_bars_ = 0;
+  uint32_t chaos_recoveries_ = 0;
 
   // -- collective-commit disambiguation (recovery) --------------------------
   // A death notice sweeps EVERY pending request, including the exit

@@ -1,7 +1,7 @@
 // Worker-death recovery, end to end: a 4-rank lossy-UDP cluster runs a
 // barrier-structured Jacobi-style workload with barrier-consistent
 // replication on; one rank SIGKILLs itself the instant its 2nd barrier
-// completes (the chaos knob lots_launch --kill-rank drives in CI); the
+// completes (the chaos knob lots_launch --kill drives in CI); the
 // survivors catch WorkerDied, run lots::recover(), re-partition over the
 // live set and REDO the interrupted superstep — and the final digest
 // must be BIT-IDENTICAL to a no-failure reference run. That is the whole
@@ -37,6 +37,8 @@
 
 namespace lots {
 namespace {
+
+using When = KillPoint::When;
 
 constexpr int kProcs = 4;
 constexpr int kKillRank = 2;
@@ -233,8 +235,7 @@ TEST(Recovery, KillAWorkerMatchesNoFailureDigest) {
         cfg.replication = 2;
         // Whichever process draws rank 2 SIGKILLs itself the moment its
         // 2nd barrier completes — exactly the replicated cut.
-        cfg.chaos_kill_rank = kKillRank;
-        cfg.chaos_kill_after_barrier = 2;
+        cfg.kill_points = {{kKillRank, When::kBarrier, 2}};
       },
       /*expect_dead=*/1);
   EXPECT_EQ(got, want) << "post-recovery result diverged from the no-failure reference";
@@ -249,10 +250,7 @@ TEST(Recovery, DoubleKillInOneIntervalWithTripleReplication) {
   const uint64_t got = run_chaos_cluster(
       [](Config& cfg) {
         cfg.replication = 3;
-        cfg.chaos_kill_rank = 1;
-        cfg.chaos_kill_after_barrier = 2;
-        cfg.chaos_kill_rank2 = 2;
-        cfg.chaos_kill_after_barrier2 = 2;
+        cfg.kill_points = {{1, When::kBarrier, 2}, {2, When::kBarrier, 2}};
       },
       /*expect_dead=*/2);
   EXPECT_EQ(got, want) << "double-kill recovery diverged from the no-failure reference";
@@ -271,9 +269,8 @@ TEST(Recovery, NewHomeDyingBeforeReseedFallsBackToKeptReplicas) {
   const uint64_t got = run_chaos_cluster(
       [](Config& cfg) {
         cfg.replication = 3;
-        cfg.chaos_kill_rank = 1;
-        cfg.chaos_kill_after_barrier = 2;
-        cfg.chaos_kill_after_recovery = 2;  // rank 1's lowest-alive holder
+        cfg.kill_points = {{1, When::kBarrier, 2},
+                           {2, When::kAfterRecovery, 1}};  // rank 1's lowest-alive holder
       },
       /*expect_dead=*/2);
   EXPECT_EQ(got, want) << "post-re-home death diverged from the no-failure reference";
@@ -289,8 +286,7 @@ TEST(Recovery, KillingRankZeroFailsOverMasterDuties) {
   const uint64_t got = run_chaos_cluster(
       [](Config& cfg) {
         cfg.replication = 2;
-        cfg.chaos_kill_rank = 0;
-        cfg.chaos_kill_after_barrier = 2;
+        cfg.kill_points = {{0, When::kBarrier, 2}};
       },
       /*expect_dead=*/1);
   EXPECT_EQ(got, want) << "rank-0 failover diverged from the no-failure reference";
@@ -306,9 +302,7 @@ TEST(Recovery, KillDuringRecoveryIsRetriedUntilQuiet) {
   const uint64_t got = run_chaos_cluster(
       [](Config& cfg) {
         cfg.replication = 3;
-        cfg.chaos_kill_rank = kKillRank;
-        cfg.chaos_kill_after_barrier = 2;
-        cfg.chaos_kill_in_recovery = 1;
+        cfg.kill_points = {{kKillRank, When::kBarrier, 2}, {1, When::kInRecovery, 1}};
       },
       /*expect_dead=*/2);
   EXPECT_EQ(got, want) << "kill-during-recovery diverged from the no-failure reference";
@@ -323,29 +317,23 @@ TEST(Recovery, MidBarrierDeathRecoversInsteadOfFailingFast) {
   const uint64_t got = run_chaos_cluster(
       [](Config& cfg) {
         cfg.replication = 2;
-        cfg.chaos_kill_rank = kKillRank;
-        cfg.chaos_kill_after_barrier = 2;
-        cfg.chaos_kill_mid_barrier = true;
+        cfg.kill_points = {{kKillRank, When::kMidBarrier, 2}};
       },
       /*expect_dead=*/1);
   EXPECT_EQ(got, want) << "mid-barrier death recovery diverged from the no-failure reference";
 }
 
-// Double-kill cell WITH the mid-barrier knob: the knob moves victim
-// 1's kill inside the two-phase protocol but must not suppress victim
-// 2's post-commit kill — both victims have to die (expect_dead=2), and
-// the survivors must recover through a mid-barrier death followed by a
-// clean post-commit death.
+// Double-kill cell mixing kill points: victim 1 dies inside the
+// two-phase protocol of its 2nd barrier, victim 2 post-commit of the
+// same barrier — one kill point must not suppress the other, both
+// victims have to die (expect_dead=2), and the survivors must recover
+// through a mid-barrier death followed by a clean post-commit death.
 TEST(Recovery, MidBarrierKnobStillKillsSecondVictimPostCommit) {
   const uint64_t want = no_failure_reference();
   const uint64_t got = run_chaos_cluster(
       [](Config& cfg) {
         cfg.replication = 3;
-        cfg.chaos_kill_rank = 1;
-        cfg.chaos_kill_after_barrier = 2;
-        cfg.chaos_kill_mid_barrier = true;  // applies to victim 1 only
-        cfg.chaos_kill_rank2 = 2;
-        cfg.chaos_kill_after_barrier2 = 2;
+        cfg.kill_points = {{1, When::kMidBarrier, 2}, {2, When::kBarrier, 2}};
       },
       /*expect_dead=*/2);
   EXPECT_EQ(got, want) << "mid-barrier + post-commit double kill diverged from reference";
@@ -368,9 +356,8 @@ TEST(Recovery, DeathWithoutReplicationFailsFast) {
         cfg.nprocs = kProcs;
         cfg.cluster.fabric = FabricKind::kUdp;
         cfg.cluster.coord_port = coord.port();
-        cfg.replication = false;  // the point of the test
-        cfg.chaos_kill_rank = kKillRank;
-        cfg.chaos_kill_after_barrier = 2;
+        cfg.replication = 0;  // the point of the test
+        cfg.kill_points = {{kKillRank, When::kBarrier, 2}};
         run_recovery_workload(cfg);
         code = 0;  // only the pre-death ranks... nobody should get here
       } catch (const SystemError&) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/rng.hpp"
@@ -95,42 +96,41 @@ TEST(Diff, RecordWireRoundTrip) {
   EXPECT_EQ(out.word_val, rec.word_val);
 }
 
-TEST(Diff, DenseEncodingRoundTrip) {
-  // Contiguous run -> dense form (4 B/word) when allowed.
+TEST(Diff, ContiguousRecordShipsAsRuns) {
+  // One contiguous run: header 8 B, then min(flat 5 + 8 B/word, runs
+  // 5 + one 9 B run header + 4 B/word) — the runs body wins.
   DiffRecord rec{5, 9, {10, 11, 12, 13, 14}, {1, 2, 3, 4, 5}};
-  std::vector<uint8_t> dense, sparse;
-  net::Writer wd(dense), ws(sparse);
-  encode_record(wd, rec, /*allow_dense=*/true);
-  encode_record(ws, rec, /*allow_dense=*/false);
-  EXPECT_LT(dense.size(), sparse.size());
-  net::Reader rd(dense), rs(sparse);
-  const DiffRecord d = decode_record(rd);
-  const DiffRecord s = decode_record(rs);
+  std::vector<uint8_t> buf;
+  net::Writer w(buf);
+  const size_t saved = encode_record(w, rec);
+  const size_t flat = 5 + 5 * 8;
+  const size_t runs = 5 + 9 + 5 * 4;
+  EXPECT_EQ(buf.size(), 8 + std::min(flat, runs));
+  EXPECT_EQ(saved, flat - runs);
+  net::Reader r(buf);
+  const DiffRecord d = decode_record(r);
+  EXPECT_TRUE(r.done());
   EXPECT_EQ(d.word_idx, rec.word_idx);
   EXPECT_EQ(d.word_val, rec.word_val);
-  EXPECT_EQ(s.word_idx, rec.word_idx);
+  EXPECT_TRUE(d.word_ts.empty());  // the record epoch still stamps every word
   EXPECT_EQ(d.epoch, 9u);
 }
 
-TEST(Diff, NonContiguousStaysSparseEvenWhenDenseAllowed) {
-  // Padding a gap with unchanged words would clobber concurrent writers;
-  // the encoder must refuse.
+TEST(Diff, GappyRecordStaysFlat) {
+  // Two 2-word runs cost more as run headers than as flat pairs; the
+  // encoder keeps flat (and never pads the gap with unchanged words,
+  // which would clobber concurrent writers).
   DiffRecord rec{5, 9, {10, 11, 13, 14}, {1, 2, 4, 5}};
-  EXPECT_FALSE(is_contiguous_run(rec));
   std::vector<uint8_t> buf;
   net::Writer w(buf);
-  encode_record(w, rec, /*allow_dense=*/true);
+  EXPECT_EQ(encode_record(w, rec), 0u);
+  const size_t flat = 5 + 4 * 8;
+  const size_t runs = 5 + 2 * (9 + 2 * 4);
+  EXPECT_EQ(buf.size(), 8 + std::min(flat, runs));
   net::Reader r(buf);
   const DiffRecord out = decode_record(r);
   EXPECT_EQ(out.word_idx, rec.word_idx);
   EXPECT_EQ(out.word_val, rec.word_val);
-}
-
-TEST(Diff, ContiguityPredicate) {
-  EXPECT_TRUE(is_contiguous_run(DiffRecord{1, 1, {0, 1, 2}, {0, 0, 0}}));
-  EXPECT_FALSE(is_contiguous_run(DiffRecord{1, 1, {0, 2}, {0, 0}}));
-  EXPECT_FALSE(is_contiguous_run(DiffRecord{1, 1, {}, {}}));
-  EXPECT_TRUE(is_contiguous_run(DiffRecord{1, 1, {7}, {0}}));
 }
 
 TEST(Diff, WordDiffWireRoundTrip) {

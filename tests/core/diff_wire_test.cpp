@@ -1,76 +1,100 @@
-// Round-trip and fuzz coverage for the diff wire codecs (format v2
-// run-length encoding, ISSUE 5): every encoder knob combination must
-// decode back to the same logical diff, and applying the decoded diff
-// must produce byte-identical memory — including adversarial run
-// boundaries, empty diffs, single words and full objects.
+// Round-trip and fuzz coverage for the diff wire codec (format v2):
+// records and word diffs share one body encoder, which must emit
+// exactly min(flat, runs) bytes, decode back to the same logical diff,
+// and — applied — produce byte-identical memory, including adversarial
+// run boundaries, empty diffs, single words and full objects.
 #include "core/diff.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 
 namespace lots::core {
 namespace {
 
+/// The body size the encoder must pick, derived independently of it:
+/// flat = form + count + (8 or 12) B/word; runs = form + count + per
+/// run (start, count, mode, 4 B/word values, plus one shared stamp or
+/// 4 B/word stamps when stamped). Unordered indices cannot run-encode.
+size_t expected_body_bytes(const std::vector<uint32_t>& idx, const std::vector<uint32_t>& ts,
+                           bool stamped) {
+  const size_t flat = 5 + idx.size() * (stamped ? 12 : 8);
+  if (idx.empty()) return flat;
+  size_t runs = 5;
+  for (size_t i = 0; i < idx.size();) {
+    size_t j = i + 1;
+    bool uniform = true;
+    while (j < idx.size() && idx[j] == idx[j - 1] + 1) {
+      uniform = uniform && (!stamped || ts[j] == ts[i]);
+      ++j;
+    }
+    if (j < idx.size() && idx[j] <= idx[j - 1]) return flat;
+    const size_t count = j - i;
+    runs += 9 + count * 4;
+    if (stamped) runs += uniform ? 4 : count * 4;
+    i = j;
+  }
+  return std::min(flat, runs);
+}
+
 void expect_word_diff_round_trip(const std::vector<uint32_t>& idx,
                                  const std::vector<uint32_t>& val,
                                  const std::vector<uint32_t>& ts, const char* label) {
-  for (const bool rle : {false, true}) {
-    std::vector<uint8_t> buf;
-    net::Writer w(buf);
-    const size_t saved = encode_word_diff(w, idx, val, ts, rle);
-    if (!rle) EXPECT_EQ(saved, 0u) << label;
-    net::Reader r(buf);
-    std::vector<uint32_t> i2, v2, t2;
-    decode_word_diff(r, i2, v2, t2);
-    EXPECT_TRUE(r.done()) << label << " rle=" << rle << ": trailing bytes";
-    EXPECT_EQ(i2, idx) << label << " rle=" << rle;
-    EXPECT_EQ(v2, val) << label << " rle=" << rle;
-    EXPECT_EQ(t2, ts) << label << " rle=" << rle;
-  }
+  std::vector<uint8_t> buf;
+  net::Writer w(buf);
+  const size_t saved = encode_word_diff(w, idx, val, ts);
+  EXPECT_EQ(buf.size(), expected_body_bytes(idx, ts, /*stamped=*/true)) << label;
+  EXPECT_EQ(saved, 5 + idx.size() * 12 - buf.size()) << label;
+  net::Reader r(buf);
+  std::vector<uint32_t> i2, v2, t2;
+  decode_word_diff(r, i2, v2, t2);
+  EXPECT_TRUE(r.done()) << label << ": trailing bytes";
+  EXPECT_EQ(i2, idx) << label;
+  EXPECT_EQ(v2, val) << label;
+  EXPECT_EQ(t2, ts) << label;
 }
 
 void expect_record_round_trip(const DiffRecord& rec, const char* label) {
-  for (const bool dense : {false, true}) {
-    for (const bool rle : {false, true}) {
-      std::vector<uint8_t> buf;
-      net::Writer w(buf);
-      encode_record(w, rec, dense, rle);
-      net::Reader r(buf);
-      const DiffRecord out = decode_record(r);
-      EXPECT_TRUE(r.done()) << label << ": trailing bytes";
-      EXPECT_EQ(out.object, rec.object) << label;
-      EXPECT_EQ(out.epoch, rec.epoch) << label;
-      EXPECT_EQ(out.word_idx, rec.word_idx) << label << " dense=" << dense << " rle=" << rle;
-      EXPECT_EQ(out.word_val, rec.word_val) << label << " dense=" << dense << " rle=" << rle;
-      // The stamp VECTOR may differ in representation (a decoded run
-      // record materializes per-word stamps); the per-word effective
-      // stamp must not.
-      ASSERT_EQ(out.words(), rec.words()) << label;
-      for (size_t i = 0; i < rec.words(); ++i) {
-        EXPECT_EQ(out.ts_of(i), rec.ts_of(i)) << label << " word " << i;
-      }
-    }
+  std::vector<uint8_t> buf;
+  net::Writer w(buf);
+  encode_record(w, rec);
+  EXPECT_EQ(buf.size(), 8 + expected_body_bytes(rec.word_idx, rec.word_ts, !rec.word_ts.empty()))
+      << label;
+  net::Reader r(buf);
+  const DiffRecord out = decode_record(r);
+  EXPECT_TRUE(r.done()) << label << ": trailing bytes";
+  EXPECT_EQ(out.object, rec.object) << label;
+  EXPECT_EQ(out.epoch, rec.epoch) << label;
+  EXPECT_EQ(out.word_idx, rec.word_idx) << label;
+  EXPECT_EQ(out.word_val, rec.word_val) << label;
+  // The stamp VECTOR may differ in representation (a decoded run
+  // record materializes per-word stamps); the per-word effective
+  // stamp must not.
+  ASSERT_EQ(out.words(), rec.words()) << label;
+  for (size_t i = 0; i < rec.words(); ++i) {
+    EXPECT_EQ(out.ts_of(i), rec.ts_of(i)) << label << " word " << i;
   }
 }
 
 TEST(DiffWire, WordDiffRunsShrinkDenseShapes) {
-  // One 64-word run with a shared stamp: 13 + 4*64 B vs 5 + 12*64 B.
+  // One 64-word run with a shared stamp: 5 + 9 + 4 + 4*64 B vs 5 + 12*64 B.
   std::vector<uint32_t> idx(64), val(64), ts(64, 7);
   for (uint32_t i = 0; i < 64; ++i) {
     idx[i] = 100 + i;
     val[i] = i * 3;
   }
-  std::vector<uint8_t> flat, rle;
-  net::Writer wf(flat), wr(rle);
-  encode_word_diff(wf, idx, val, ts, /*allow_rle=*/false);
-  const size_t saved = encode_word_diff(wr, idx, val, ts, /*allow_rle=*/true);
-  EXPECT_LT(rle.size(), flat.size());
-  EXPECT_EQ(saved, flat.size() - rle.size());
-  EXPECT_LE(rle.size(), idx.size() * 4 + 18);  // ~4 B/word + headers
+  std::vector<uint8_t> buf;
+  net::Writer w(buf);
+  const size_t saved = encode_word_diff(w, idx, val, ts);
+  const size_t flat = 5 + 12 * 64;
+  const size_t runs = 5 + 9 + 4 + 4 * 64;
+  EXPECT_EQ(buf.size(), std::min(flat, runs));
+  EXPECT_EQ(saved, flat - runs);
   expect_word_diff_round_trip(idx, val, ts, "dense shared-stamp");
 }
 
@@ -103,8 +127,9 @@ TEST(DiffWire, WordDiffAdversarialShapes) {
   net::Writer w(buf);
   const size_t saved =
       encode_word_diff(w, std::vector<uint32_t>{9, 3, 4}, std::vector<uint32_t>{1, 2, 3},
-                       std::vector<uint32_t>{1, 1, 1}, /*allow_rle=*/true);
+                       std::vector<uint32_t>{1, 1, 1});
   EXPECT_EQ(saved, 0u);
+  EXPECT_EQ(buf.size(), 5u + 3 * 12);
   net::Reader r(buf);
   std::vector<uint32_t> i2, v2, t2;
   decode_word_diff(r, i2, v2, t2);
@@ -122,7 +147,7 @@ TEST(DiffWire, RecordRunsRoundTripAllForms) {
   // Empty and single-word records.
   expect_record_round_trip(DiffRecord{1, 1, {}, {}}, "empty record");
   expect_record_round_trip(DiffRecord{1, 1, {3}, {4}}, "single word record");
-  // Full-object contiguous record (the dense path's home turf).
+  // Full-object contiguous record: one run, 4 B/word.
   DiffRecord full{3, 8, {}, {}};
   for (uint32_t i = 0; i < 256; ++i) {
     full.word_idx.push_back(i);
@@ -131,9 +156,8 @@ TEST(DiffWire, RecordRunsRoundTripAllForms) {
   expect_record_round_trip(full, "full object");
 }
 
-TEST(DiffWire, RecordRunsBeatLegacySparseOnMultiRunShapes) {
-  // Two dense runs with a gap: legacy dense refuses (not ONE run), so
-  // the pre-v2 encoding is 8 B/word sparse; runs get ~4 B/word.
+TEST(DiffWire, RecordRunsBeatFlatOnMultiRunShapes) {
+  // Two 64-word runs with a gap: flat is 8 B/word, runs ~4 B/word.
   DiffRecord rec{5, 9, {}, {}};
   for (uint32_t i = 0; i < 64; ++i) {
     rec.word_idx.push_back(i);
@@ -143,18 +167,57 @@ TEST(DiffWire, RecordRunsBeatLegacySparseOnMultiRunShapes) {
     rec.word_idx.push_back(i);
     rec.word_val.push_back(i);
   }
-  std::vector<uint8_t> legacy, rle;
-  net::Writer wl(legacy), wr(rle);
-  encode_record(wl, rec, /*allow_dense=*/true, /*allow_rle=*/false);
-  const size_t saved = encode_record(wr, rec, /*allow_dense=*/true, /*allow_rle=*/true);
-  EXPECT_LT(rle.size(), legacy.size() * 3 / 4);
-  EXPECT_EQ(saved, legacy.size() - rle.size());
+  std::vector<uint8_t> buf;
+  net::Writer w(buf);
+  const size_t saved = encode_record(w, rec);
+  const size_t flat = 5 + 128 * 8;
+  const size_t runs = 5 + 2 * (9 + 64 * 4);
+  EXPECT_EQ(buf.size(), 8 + std::min(flat, runs));
+  EXPECT_EQ(saved, flat - runs);
+  EXPECT_LT(buf.size(), (8 + flat) * 3 / 4);
+}
+
+TEST(DiffWire, RetiredDenseFormIsRejected) {
+  // Form byte 1 (the old dense form: start, count, raw values) is no
+  // longer a body form, for records and word diffs alike.
+  std::vector<uint8_t> rec_buf;
+  net::Writer rw(rec_buf);
+  rw.u32(5);   // object
+  rw.u32(9);   // epoch
+  rw.u8(1);    // retired dense form
+  rw.u32(10);  // start
+  rw.u32(1);   // count
+  rw.u32(42);  // value
+  net::Reader rr(rec_buf);
+  EXPECT_THROW(decode_record(rr), SystemError);
+
+  std::vector<uint8_t> word_buf;
+  net::Writer ww(word_buf);
+  ww.u8(1);
+  ww.u32(0);
+  net::Reader wr(word_buf);
+  std::vector<uint32_t> idx, val, ts;
+  EXPECT_THROW(decode_word_diff(wr, idx, val, ts), SystemError);
+}
+
+TEST(DiffWire, WordDiffsMustCarryStamps) {
+  // A record's unstamped flat body (form 0) names no per-word stamps, so
+  // it cannot stand in for a word diff.
+  std::vector<uint8_t> buf;
+  net::Writer w(buf);
+  w.u8(0);
+  w.u32(1);
+  w.u32(3);   // idx
+  w.u32(42);  // val
+  net::Reader r(buf);
+  std::vector<uint32_t> idx, val, ts;
+  EXPECT_THROW(decode_word_diff(r, idx, val, ts), SystemError);
 }
 
 TEST(DiffWire, FuzzEncodeDecodeApplyIdentical) {
   // Seeded sweep over random diffs: whatever the encoder emits, decoding
   // and applying must produce the same bytes and stamps as applying the
-  // original — in every knob combination, old format and new.
+  // original, and the encoded size must be min(flat, runs).
   Rng rng(20260726);
   for (int iter = 0; iter < 300; ++iter) {
     const size_t words = 1 + rng.below(300);
@@ -185,38 +248,35 @@ TEST(DiffWire, FuzzEncodeDecodeApplyIdentical) {
     std::vector<uint8_t> got_data = want_data;
     std::vector<uint32_t> got_ts = want_ts;
     apply_word_diff(idx, val, ts, want_data.data(), want_ts.data());
-    for (const bool rle : {false, true}) {
+    {
       std::vector<uint8_t> buf;
       net::Writer w(buf);
-      encode_word_diff(w, idx, val, ts, rle);
+      encode_word_diff(w, idx, val, ts);
+      ASSERT_EQ(buf.size(), expected_body_bytes(idx, ts, /*stamped=*/true)) << "iter " << iter;
       net::Reader r(buf);
       std::vector<uint32_t> i2, v2, t2;
       decode_word_diff(r, i2, v2, t2);
-      std::vector<uint8_t> data = got_data;
-      std::vector<uint32_t> wts = got_ts;
-      apply_word_diff(i2, v2, t2, data.data(), wts.data());
-      ASSERT_EQ(data, want_data) << "iter " << iter << " rle=" << rle;
-      ASSERT_EQ(wts, want_ts) << "iter " << iter << " rle=" << rle;
+      apply_word_diff(i2, v2, t2, got_data.data(), got_ts.data());
+      ASSERT_EQ(got_data, want_data) << "iter " << iter;
+      ASSERT_EQ(got_ts, want_ts) << "iter " << iter;
     }
 
     // --- record codec, with and without per-word stamps ---
     DiffRecord rec{static_cast<ObjectId>(1 + iter), base_epoch + 4, idx, val};
     if (!uniform_ts) rec.word_ts = ts;
-    for (const bool dense : {false, true}) {
-      for (const bool rle : {false, true}) {
-        std::vector<uint8_t> buf;
-        net::Writer w(buf);
-        encode_record(w, rec, dense, rle);
-        net::Reader r(buf);
-        const DiffRecord out = decode_record(r);
-        std::vector<uint8_t> a(words * 4, 0), b(words * 4, 0);
-        std::vector<uint32_t> ats(words, 0), bts(words, 0);
-        apply_record(rec, a.data(), ats.data());
-        apply_record(out, b.data(), bts.data());
-        ASSERT_EQ(a, b) << "iter " << iter << " dense=" << dense << " rle=" << rle;
-        ASSERT_EQ(ats, bts) << "iter " << iter << " dense=" << dense << " rle=" << rle;
-      }
-    }
+    std::vector<uint8_t> buf;
+    net::Writer w(buf);
+    encode_record(w, rec);
+    ASSERT_EQ(buf.size(), 8 + expected_body_bytes(idx, ts, !rec.word_ts.empty()))
+        << "iter " << iter;
+    net::Reader r(buf);
+    const DiffRecord out = decode_record(r);
+    std::vector<uint8_t> a(words * 4, 0), b(words * 4, 0);
+    std::vector<uint32_t> ats(words, 0), bts(words, 0);
+    apply_record(rec, a.data(), ats.data());
+    apply_record(out, b.data(), bts.data());
+    ASSERT_EQ(a, b) << "iter " << iter;
+    ASSERT_EQ(ats, bts) << "iter " << iter;
   }
 }
 

@@ -12,23 +12,24 @@
 //   lots_launch [-n N] [--threads M] [--stripes K] [--drop P] [--reorder P]
 //               [--dup P] [--seed S] [--timeout SECONDS]
 //               [--kv-shards S] [--kv-clients C]
-//               [--replicate [R]] [--kill-rank R[,R2]]
-//               [--kill-after-barrier K[,K2]] [--kill-mid-barrier]
-//               [--kill-in-recovery R]
+//               [--replicate [R]] [--kill RANK:WHEN[:N][,...]]
 //               [--] prog [args...]
+//
+// Every numeric flag is parsed strictly: malformed or out-of-range
+// input is rejected before any worker is forked.
 //
 // Chaos / recovery knobs: --replicate turns on barrier-consistent
 // replication in every worker; an optional integer sets the replication
-// factor R = total copies per object (bare --replicate keeps the
-// single-backup legacy, R=2). --kill-rank R makes the worker holding
-// rank R SIGKILL ITSELF the instant its K-th barrier completes
-// (--kill-after-barrier K, default 1) — the coordinator sees a raw EOF,
-// broadcasts the death, and the survivors recover from the replicas. A
-// second comma-separated victim/barrier pair drives double-kill cells;
-// --kill-mid-barrier moves victim 1's kill INSIDE the two-phase barrier
-// protocol (before the done rendezvous); --kill-in-recovery R makes
-// rank R die at the start of its own recovery pass (kill during
-// recovery). Every expected victim is excluded from exit-status
+// factor R >= 2 = total copies per object (bare --replicate means R=2).
+// --kill SPEC puts LOTS_KILL=SPEC in every worker's environment: each
+// RANK:WHEN[:N] item makes the worker holding that rank SIGKILL ITSELF
+// at the N-th (default 1st) occurrence of kill point WHEN — barrier
+// (the instant its N-th barrier commits), mid-barrier (inside its N-th
+// barrier, before the done rendezvous), in-recovery (at the top of its
+// N-th recovery pass) or after-recovery (the instant its N-th recovery
+// round completes). The coordinator sees a raw EOF, broadcasts the
+// death, and the survivors recover from the replicas. Every rank the
+// spec names is an expected victim, excluded from exit-status
 // accounting.
 //
 // Signal hygiene: the workers run in their own process group; SIGINT and
@@ -53,10 +54,12 @@
 //   lots_launch -n 2 --threads 2 ./example_quickstart
 //   lots_launch -n 4 --drop 0.01 --stripes 4 ./bench_fig8_sor
 //   lots_launch -n 4 --threads 2 --kv-shards 32 --kv-clients 4 ./bench_kv_load
+//   lots_launch -n 4 --replicate 3 --kill 1:barrier:2,2:barrier:2 ./example_fault_tolerant
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -80,10 +83,9 @@ uint64_t now_ms() { return lots::now_us() / 1000; }
                "usage: %s [-n N] [--threads M] [--stripes K] [--drop P] [--reorder P]\n"
                "          [--dup P] [--seed S] [--timeout SECONDS]\n"
                "          [--kv-shards S] [--kv-clients C]\n"
-               "          [--replicate [R]] [--kill-rank R[,R2]]\n"
-               "          [--kill-after-barrier K[,K2]] [--kill-mid-barrier]\n"
-               "          [--kill-in-recovery R]\n"
-               "          [--] prog [args...]\n",
+               "          [--replicate [R]] [--kill RANK:WHEN[:N][,...]]\n"
+               "          [--] prog [args...]\n"
+               "  WHEN = barrier | mid-barrier | in-recovery | after-recovery\n",
                argv0);
   std::exit(2);
 }
@@ -108,25 +110,20 @@ struct Options {
   double drop = 0.0, reorder = 0.0, dup = 0.0;
   uint64_t seed = 1;
   uint64_t timeout_s = 120;
-  int replicate = 0;       // LOTS_REPLICATE=R (0 = off, 1 = legacy single backup)
-  int kill_rank = -1;      // chaos: this rank SIGKILLs itself mid-run
-  int kill_rank2 = -1;     // optional second victim (double-kill cells)
-  int kill_after = 1;      // ... after completing this many barriers
-  int kill_after2 = -1;    // victim 2's barrier; -1 = same as victim 1's
-  bool kill_mid = false;   // victim 1 dies INSIDE the barrier protocol
-  int kill_in_recovery = -1;  // this rank dies at the start of its recovery pass
+  int replicate = 0;              // LOTS_REPLICATE=R (0 = off, else R >= 2)
+  std::string kill_spec;          // --kill SPEC, forwarded verbatim as LOTS_KILL
+  std::vector<lots::KillPoint> kills;  // its parse: the expected victims
   std::vector<char*> child_argv;  // prog + args, null-terminated later
 };
 
-/// "R" or "R,R2" — both elements bounded integers.
-void parse_int_pair(const char* s, int& a, int& b) {
-  const std::string whole(s);
-  const size_t comma = whole.find(',');
-  a = std::atoi(whole.substr(0, comma).c_str());
-  if (comma != std::string::npos) b = std::atoi(whole.substr(comma + 1).c_str());
-}
-
+/// Parses the flags. Every value goes through the strict env parsers,
+/// which throw UsageError, so bad input is rejected HERE: otherwise
+/// every forked worker would die in configure_from_env before reaching
+/// the rendezvous, and the launch would only fail at the full --timeout
+/// with a misleading "workers never arrived".
 Options parse(int argc, char** argv) {
+  using lots::cluster::env_double;
+  using lots::cluster::env_int;
   Options o;
   int i = 1;
   for (; i < argc; ++i) {
@@ -136,41 +133,38 @@ Options parse(int argc, char** argv) {
       return argv[++i];
     };
     if (a == "-n" || a == "--nprocs") {
-      o.nprocs = std::atoi(next());
+      o.nprocs = static_cast<int>(env_int("-n", next(), 1, 256));
     } else if (a == "--threads") {
-      o.threads = std::atoi(next());
+      o.threads = static_cast<int>(env_int("--threads", next(), 1, 256));
     } else if (a == "--stripes") {
-      o.stripes = std::atoi(next());
+      o.stripes = static_cast<int>(env_int("--stripes", next(), 0, 64));
     } else if (a == "--kv-shards") {
-      o.kv_shards = std::atoi(next());
+      o.kv_shards = static_cast<int>(env_int("--kv-shards", next(), 1, 1 << 16));
     } else if (a == "--kv-clients") {
-      o.kv_clients = std::atoi(next());
+      o.kv_clients = static_cast<int>(env_int("--kv-clients", next(), 1, 1024));
     } else if (a == "--drop") {
-      o.drop = std::atof(next());
+      o.drop = env_double("--drop", next(), 0.0, 0.9);
     } else if (a == "--reorder") {
-      o.reorder = std::atof(next());
+      o.reorder = env_double("--reorder", next(), 0.0, 0.9);
     } else if (a == "--dup") {
-      o.dup = std::atof(next());
+      o.dup = env_double("--dup", next(), 0.0, 0.9);
     } else if (a == "--seed") {
-      o.seed = std::strtoull(next(), nullptr, 10);
+      o.seed = static_cast<uint64_t>(env_int("--seed", next(), 0, LONG_MAX));
     } else if (a == "--timeout") {
-      o.timeout_s = std::strtoull(next(), nullptr, 10);
+      o.timeout_s = static_cast<uint64_t>(env_int("--timeout", next(), 1, 1 << 30));
     } else if (a == "--replicate") {
       // Optional integer R: consume the next argument only when it is
       // all digits (a bare --replicate may be followed by the program).
-      o.replicate = 1;
+      o.replicate = 2;
       if (i + 1 < argc && argv[i + 1][0] != '\0' &&
           std::strspn(argv[i + 1], "0123456789") == std::strlen(argv[i + 1])) {
-        o.replicate = std::atoi(argv[++i]);
+        o.replicate = static_cast<int>(env_int("--replicate", argv[++i], 0, 256));
+        if (o.replicate == 1) {
+          throw lots::UsageError("--replicate R is the copy count: 0 = off, else R >= 2");
+        }
       }
-    } else if (a == "--kill-rank") {
-      parse_int_pair(next(), o.kill_rank, o.kill_rank2);
-    } else if (a == "--kill-after-barrier") {
-      parse_int_pair(next(), o.kill_after, o.kill_after2);
-    } else if (a == "--kill-mid-barrier") {
-      o.kill_mid = true;
-    } else if (a == "--kill-in-recovery") {
-      o.kill_in_recovery = std::atoi(next());
+    } else if (a == "--kill") {
+      o.kill_spec = next();
     } else if (a == "--") {
       ++i;
       break;
@@ -181,23 +175,10 @@ Options parse(int argc, char** argv) {
     }
   }
   for (; i < argc; ++i) o.child_argv.push_back(argv[i]);
-  if (o.child_argv.empty() || o.nprocs < 1 || o.nprocs > 256 || o.threads < 1 ||
-      o.threads > 256 || o.stripes > 64 || o.kv_shards == 0 || o.kv_shards > (1 << 16) ||
-      o.kv_clients == 0 || o.kv_clients > 1024 || o.kill_rank >= o.nprocs ||
-      o.kill_rank2 >= o.nprocs || o.kill_in_recovery >= o.nprocs || o.kill_after < 1 ||
-      o.replicate < 0 || o.replicate > 256) {
-    usage(argv[0]);
-  }
-  // Reject bad fault probabilities HERE: otherwise every forked worker
-  // dies in configure_from_env before reaching the rendezvous, and the
-  // launch only fails at the full --timeout with a misleading
-  // "workers never arrived".
-  for (const double p : {o.drop, o.reorder, o.dup}) {
-    if (p < 0.0 || p > 0.9) {
-      std::fprintf(stderr, "%s: fault probabilities must be in [0, 0.9]\n", argv[0]);
-      usage(argv[0]);
-    }
-  }
+  if (o.child_argv.empty()) usage(argv[0]);
+  // After the loop: -n may follow --kill, and the ranks are checked
+  // against the final nprocs.
+  if (!o.kill_spec.empty()) o.kills = lots::cluster::parse_kill_spec(o.kill_spec, o.nprocs);
   return o;
 }
 
@@ -214,27 +195,22 @@ void set_worker_env(const Options& o, uint16_t coord_port) {
   if (o.kv_shards > 0) setenv(kEnvKvShards, std::to_string(o.kv_shards).c_str(), 1);
   if (o.kv_clients > 0) setenv(kEnvKvClients, std::to_string(o.kv_clients).c_str(), 1);
   if (o.replicate > 0) setenv(kEnvReplicate, std::to_string(o.replicate).c_str(), 1);
-  if (o.kill_rank >= 0) {
-    // Uniform across workers: each compares the knob against its own
-    // bootstrap-assigned rank, so the victim is the RANK, not a fork slot
-    // (arrival order decides which process gets which rank).
-    std::string ranks = std::to_string(o.kill_rank);
-    if (o.kill_rank2 >= 0) ranks += "," + std::to_string(o.kill_rank2);
-    std::string afters = std::to_string(o.kill_after);
-    if (o.kill_after2 >= 0) afters += "," + std::to_string(o.kill_after2);
-    setenv(kEnvKillRank, ranks.c_str(), 1);
-    setenv(kEnvKillAfter, afters.c_str(), 1);
-  }
-  if (o.kill_mid) setenv(kEnvKillMid, "1", 1);
-  if (o.kill_in_recovery >= 0) {
-    setenv(kEnvKillInRecovery, std::to_string(o.kill_in_recovery).c_str(), 1);
-  }
+  // Uniform across workers: each compares the spec against its own
+  // bootstrap-assigned rank, so the victim is the RANK, not a fork slot
+  // (arrival order decides which process gets which rank).
+  if (!o.kill_spec.empty()) setenv(kEnvKill, o.kill_spec.c_str(), 1);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt = parse(argc, argv);
+  Options opt;
+  try {
+    opt = parse(argc, argv);
+  } catch (const lots::UsageError& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    usage(argv[0]);
+  }
   const uint64_t deadline = now_ms() + opt.timeout_s * 1000;
 
   std::unique_ptr<Coordinator> coord;
@@ -299,10 +275,11 @@ int main(int argc, char** argv) {
   // from the exit-status accounting below.
   std::vector<pid_t> expected_dead_pids;
   for (const auto& r : reports) {
-    if ((opt.kill_rank >= 0 && r.rank == opt.kill_rank) ||
-        (opt.kill_rank2 >= 0 && r.rank == opt.kill_rank2) ||
-        (opt.kill_in_recovery >= 0 && r.rank == opt.kill_in_recovery)) {
-      expected_dead_pids.push_back(static_cast<pid_t>(r.pid));
+    for (const lots::KillPoint& k : opt.kills) {
+      if (k.rank == r.rank) {
+        expected_dead_pids.push_back(static_cast<pid_t>(r.pid));
+        break;
+      }
     }
   }
   const auto is_expected_dead = [&](pid_t pid) {
@@ -365,7 +342,7 @@ int main(int argc, char** argv) {
   if (rc == 0) {
     std::printf("LOTS_LAUNCH_OK n=%d threads=%d drop=%g reorder=%g dup=%g%s prog=%s\n", opt.nprocs,
                 opt.threads, opt.drop, opt.reorder, opt.dup,
-                (opt.kill_rank >= 0 || opt.kill_in_recovery >= 0) ? " chaos=kill" : "",
+                opt.kills.empty() ? "" : " chaos=kill",
                 opt.child_argv[0]);
   } else {
     std::printf("LOTS_LAUNCH_FAIL n=%d exit=%d prog=%s\n", opt.nprocs, rc, opt.child_argv[0]);
