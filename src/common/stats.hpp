@@ -83,10 +83,13 @@ struct NodeStats {
   std::atomic<uint64_t> recoveries_mid_barrier{0};  ///< of those, recoveries from
                                                     ///< a death inside the
                                                     ///< two-phase barrier
-  std::atomic<uint64_t> recoveries_commit_skips{0};  ///< collectives proven
-                                                     ///< committed behind a
-                                                     ///< swept exit reply and
-                                                     ///< skipped on redo
+  std::atomic<uint64_t> recoveries_commit_skips{0};  ///< barriers and run
+                                                     ///< barriers returned at
+                                                     ///< once because their
+                                                     ///< number was at or below
+                                                     ///< the recovery echo
+                                                     ///< (committed; exit
+                                                     ///< reply swept)
   std::atomic<uint64_t> recover_wall_us{0};  ///< wall time spent in recover()
   std::atomic<uint64_t> objects_rehomed{0};  ///< replicas materialized as
                                              ///< authoritative home copies

@@ -100,17 +100,20 @@ inline int num_procs() { return core::Runtime::self().nprocs(); }
 /// application catches it on EVERY app thread, calls recover() (a
 /// node-level collective, like barrier()), re-partitions its work over
 /// the surviving ranks — alive() below — and REDOES the interrupted
-/// superstep from the last barrier. recover() re-homes each dead
+/// superstep from the last barrier(), run_barrier() calls included. recover() re-homes each dead
 /// rank's objects to their lowest-alive replica holders, re-mints the
 /// DSM locks (managership of a dead rank's locks walks forward to the
 /// next live rank), fails over barrier-master duties to the lowest
 /// alive rank when rank 0 is among the dead, and rendezvouses
 /// cluster-wide before returning. A victim that died INSIDE the
 /// two-phase barrier protocol is handled too: survivors unwind to the
-/// last committed cut, and the redo reconverges. Throws SystemError
-/// only when the death is unrecoverable (replication off). Throws
-/// WorkerDied when ANOTHER worker dies while the repair is in flight —
-/// catch it and call recover() again until a round completes.
+/// last committed cut, and the redo reconverges; a barrier or run
+/// barrier that had committed before the death returns at once on
+/// redo. recover() is a view change: it returns at once when this node
+/// has no unrecovered death, so calling it again is harmless. Throws
+/// SystemError only when the death is unrecoverable (replication off).
+/// Throws WorkerDied when ANOTHER worker dies while the repair is in
+/// flight — catch it and call recover() again until a round completes.
 inline void recover() { core::Runtime::self().recover(); }
 
 /// Liveness of `rank` as this node currently sees it. Survivor-side

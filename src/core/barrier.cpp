@@ -43,11 +43,10 @@ void Node::barrier() {
 
 void Node::barrier_leader() {
   // A death notice that has not been recovered yet: unwind before any
-  // new protocol traffic (a request issued after fail_all_pending swept
-  // would hang out its full timeout).
+  // new protocol traffic.
   check_death();
 
-  // Committed-redo skip: the last recovery round proved that the barrier
+  // Committed redo: the last recovery's echo proved that the barrier
   // this node unwound from HAD committed cluster-wide — every live
   // rank's done was in, the master released, and only our exit reply
   // was lost to the death sweep. Our plan was applied and our replicas
@@ -56,10 +55,8 @@ void Node::barrier_leader() {
   // the commit locally and fall back in step with the survivors that
   // never unwound. Entering the protocol instead would deadlock — they
   // are already parked in the NEXT collective.
-  if (skip_bar_) {
-    skip_bar_ = false;
+  if (committed_redo(/*run=*/false)) {
     stats_.barriers.fetch_add(1, std::memory_order_relaxed);
-    ++chaos_bars_;  // the commit counted cluster-wide; keep kill counts aligned
     if (chaos_due(KillPoint::When::kBarrier)) std::raise(SIGKILL);
     return;
   }
@@ -84,7 +81,7 @@ void Node::barrier_leader() {
     w.u32(static_cast<uint32_t>(mods.size()));
     for (ObjectId id : mods) w.u32(id);
   }
-  net::Message plan_msg = ep_.request(std::move(enter));
+  net::Message plan_msg = sync_request(std::move(enter), recovered_view_);
   net::Reader pr(plan_msg.payload);
   const uint32_t new_epoch = pr.u32();
   const uint32_t nentries = pr.u32();
@@ -157,20 +154,16 @@ void Node::barrier_leader() {
   if (chaos_due(KillPoint::When::kMidBarrier)) std::raise(SIGKILL);
 
   // ---- phase 2 rendezvous: wait until everyone applied the plan ----
-  // bar_unacked_ brackets the commit vote: once the done is on the wire
-  // the master may release the barrier whether or not our exit reply
-  // survives the next death sweep. If it doesn't, the recovery
-  // rendezvous compares our commit count against the cluster maximum
-  // and arms skip_bar_ — see recover_leader.
+  // The done is our commit vote: once it is on the wire the master may
+  // release the barrier whether or not our exit reply survives the next
+  // death sweep. If it doesn't, the recovery echo settles it (see
+  // committed_redo).
   net::Message done;
   done.type = net::MsgType::kBarrierDone;
   done.dst = master_rank();
-  bar_unacked_ = true;
-  ep_.request(std::move(done));
-  bar_unacked_ = false;
-  ++bars_committed_;
+  sync_request(std::move(done), recovered_view_);
+  coll_seq_ = next_seq(/*run=*/false);
   stats_.barriers.fetch_add(1, std::memory_order_relaxed);
-  ++chaos_bars_;  // the reset-immune count chaos_due keys off
 
   // ---- optional barrier-exit bulk revalidation ----
   // Every node has applied its plan (the done rendezvous above), so the
@@ -195,14 +188,14 @@ void Node::barrier_leader() {
 /// True when one of this rank's kill points is reached. The barrier and
 /// after-recovery points fire when the completed count reaches n; the
 /// mid-barrier and in-recovery points fire while the n-th round is
-/// still running. Counts chaos_bars_ / chaos_recoveries_, NOT the
-/// stats: harnesses reset stats mid-run and a countdown must not rewind
-/// with them.
+/// still running. Counts coll_seq_'s barriers / chaos_recoveries_, NOT
+/// the stats: harnesses reset stats mid-run and a countdown must not
+/// rewind with them.
 bool Node::chaos_due(KillPoint::When when) const {
   if (rt_.config().cluster.fabric != FabricKind::kUdp) return false;
   using When = KillPoint::When;
   const bool barrier_kind = when == When::kBarrier || when == When::kMidBarrier;
-  const uint32_t done = barrier_kind ? chaos_bars_ : chaos_recoveries_;
+  const auto done = barrier_kind ? static_cast<uint32_t>(coll_seq_ >> 32) : chaos_recoveries_;
   const bool inside = when == When::kMidBarrier || when == When::kInRecovery;
   const uint32_t at = inside ? done + 1 : done;
   for (const KillPoint& k : rt_.config().kill_points) {
@@ -314,23 +307,24 @@ void Node::run_barrier() {
   // app thread of the node waits for the cluster-wide rendezvous.
   group_.collective([&] {
     check_death();
-    // Committed-redo skip — same disambiguation as barrier_leader: the
-    // run barrier this node unwound from released without our exit
-    // reply surviving the death sweep; the peers have moved on.
-    if (skip_run_) {
-      skip_run_ = false;
-      return;
-    }
+    // Committed redo — same echo check as barrier_leader: the run
+    // barrier this node unwound from released without our exit reply
+    // surviving the death sweep; the peers have moved on.
+    if (committed_redo(/*run=*/true)) return;
     net::Message enter;
     enter.type = net::MsgType::kRunBarrierEnter;
     enter.dst = master_rank();
-    // The enter IS the vote here (single-phase rendezvous): once sent,
-    // the master may release with or without our exit reply landing.
-    run_unacked_ = true;
-    ep_.request(std::move(enter));
-    run_unacked_ = false;
-    ++runs_committed_;
+    // The enter IS the vote here (single-phase rendezvous).
+    sync_request(std::move(enter), recovered_view_);
+    coll_seq_ = next_seq(/*run=*/true);
   });
+}
+
+bool Node::committed_redo(bool run) {
+  if (next_seq(run) > committed_seq_) return false;
+  coll_seq_ = next_seq(run);
+  stats_.recoveries_commit_skips.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 // --- master side (service thread of master_rank()) -------------------------

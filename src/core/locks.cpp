@@ -107,9 +107,9 @@ std::mutex& Node::local_lock_mutex(uint32_t lock_id) {
 }
 
 void Node::acquire(uint32_t lock_id) {
-  // Unrecovered death notice: unwind before issuing new protocol traffic
-  // (a request sent after fail_all_pending swept would hang out its full
-  // timeout waiting for a reply nobody will fail again).
+  // Unrecovered death notice: unwind before queueing on the local mutex
+  // (a sibling that unwound inside its critical section may still hold
+  // it until the application recovers).
   check_death();
   // Intra-node mutual exclusion first: a sibling app thread holding the
   // same DSM lock blocks us here, not inside the manager protocol. The
@@ -124,7 +124,12 @@ void Node::acquire(uint32_t lock_id) {
   const int32_t manager = static_cast<int32_t>(manager_of(lock_id));
   const uint32_t my_epoch = epoch_.load(std::memory_order_relaxed);
   {
+    // Register the wait and gate on the view in ONE sync_mu_ section:
+    // on_peer_dead moves the view before its lock-wait sweep takes this
+    // mutex, so a death is either seen by the gate or fails the slot.
+    // The gate throws before the slot exists, leaving nothing behind.
     std::lock_guard sl(sync_mu_);
+    check_death();
     lock_waits_[lock_id] = LockWait{};
   }
   net::Message req;
@@ -600,7 +605,7 @@ void Node::on_lock_grant(net::Message&& m) {
     // minted before the notice landed late. The token it carries is void
     // — recovery re-mints every lock. With no death in sight it is a
     // protocol bug, as before.
-    LOTS_CHECK(last_dead_.load(std::memory_order_relaxed) >= 0, "unsolicited lock grant");
+    LOTS_CHECK(view() > 0, "unsolicited lock grant");
     return;
   }
   it->second.grant = std::move(m);

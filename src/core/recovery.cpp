@@ -28,6 +28,15 @@
 // scope chains are redone anyway), and rendezvouses cluster-wide so no
 // survivor resumes before every holder is serving.
 //
+// Views and the collective sequence: a node's view counts the deaths it
+// noticed, and recovery is the change to that view. kRecoverEnter
+// carries (view, seq), where seq numbers the barriers and run barriers
+// the node saw commit; the exit echoes the highest seq, which tells a
+// survivor whose exit reply a death sweep ate that its collective
+// committed (committed_redo). The master keeps the last released view's
+// exit and answers a re-enter for it at once, so every recovery step is
+// safe to repeat.
+//
 // Master failover: the barrier master and recovery rendezvous live on
 // the lowest-numbered ALIVE rank (master_rank()), not on rank 0 — the
 // coordinator's kPeerDead broadcast gives every survivor the same dead
@@ -50,6 +59,7 @@
 #include <algorithm>
 #include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <cstring>
 
 #include "core/runtime.hpp"
@@ -89,26 +99,28 @@ int Node::manager_of(uint32_t lock_id) const {
   return base;
 }
 
-void Node::check_death() const {
-  if (death_pending_.load(std::memory_order_acquire)) {
-    const int dead = last_dead_.load(std::memory_order_relaxed);
-    throw WorkerDied(dead, "worker " + std::to_string(dead) +
-                               " died; the application must run lots::recover() "
-                               "before synchronizing again");
-  }
+void Node::check_view(uint32_t v) const {
+  if (view() == v) return;
+  int dead = -1;
+  for (int r = 0; r < nprocs(); ++r) dead = rank_alive(r) ? dead : r;
+  throw WorkerDied(dead, "worker " + std::to_string(dead) +
+                             " died; the application must run lots::recover() "
+                             "before synchronizing again");
+}
+
+net::Message Node::sync_request(net::Message m, uint32_t v) {
+  net::Endpoint::PendingReply pending = ep_.request_async(std::move(m));
+  check_view(v);  // the abandoned handle deregisters itself on the throw
+  return pending.wait();
 }
 
 void Node::on_peer_dead(int dead) {
   if (dead < 0 || dead >= nprocs() || dead == rank_) return;
-  if (dead_[static_cast<size_t>(dead)].exchange(1, std::memory_order_acq_rel)) {
+  // Marking the rank dead IS the view change: view() counts these bytes,
+  // so every gate that runs after this store sees the new view.
+  if (dead_[static_cast<size_t>(dead)].exchange(1)) {
     return;  // second verdict (coordinator + transport both noticed)
   }
-  {
-    std::lock_guard sl(sync_mu_);
-    dead_pending_.push_back(dead);
-  }
-  last_dead_.store(dead, std::memory_order_relaxed);
-  death_pending_.store(true, std::memory_order_release);
   // Fence the corpse at the wire: stop sending to it, release senders
   // parked on its flow-control window, and drop its late datagrams (the
   // zombie fence — a SIGKILLed worker's retransmits must not land in the
@@ -138,6 +150,7 @@ void Node::on_peer_dead(int dead) {
     std::unique_lock lk(sync_mu_);
     maybe_release_recover(lk);
   }
+  if (!rt_.in_run()) recover_departed();
 }
 
 // --- replication: home side (barrier leader) -------------------------------
@@ -292,16 +305,14 @@ void Node::recover() {
 }
 
 void Node::recover_leader() {
-  std::vector<int> deads;
-  {
-    std::lock_guard sl(sync_mu_);
-    deads.swap(dead_pending_);
-  }
-  if (deads.empty()) return;  // spurious call (or a sibling round already ran)
+  // A view change is pending when this node noticed a death it has not
+  // recovered. Otherwise the call is spurious, or a sibling round of the
+  // same view already ran: nothing to do.
+  const uint32_t v = view();
+  if (v == recovered_view_) return;
   if (!rt_.config().replication) {
     throw SystemError(
-        "worker " + std::to_string(deads.front()) +
-        " died but replication is off — run with LOTS_REPLICATE=2 to survive "
+        "a worker died but replication is off — run with LOTS_REPLICATE=2 to survive "
         "worker failures");
   }
   // Chaos: die at the top of our own recovery pass, while the other
@@ -309,98 +320,27 @@ void Node::recover_leader() {
   // application's recover-retry loop.
   if (chaos_due(KillPoint::When::kInRecovery)) std::raise(SIGKILL);
   const auto t0 = std::chrono::steady_clock::now();
-  // Fence the old view: handoffs stamped with the old barrier generation
-  // die on arrival, and the epoch bump defeats every thread's ALB so no
-  // cached pointer survives the re-homing below.
-  barrier_gen_.fetch_add(1, std::memory_order_relaxed);
-  epoch_.fetch_add(1, std::memory_order_relaxed);
-  std::vector<int> repaired;
-  for (;;) {
-    for (const int dead : deads) {
-      // The authoritative re-home target: the lowest-alive holder in the
-      // dead rank's ring order — with R total copies, any f < R deaths
-      // leave it within the shipped successor set.
-      const int holder = backup_of(dead);
-      LOTS_CHECK(holder >= 0, "recovery: no live replica holder remains");
-      repair_objects_after_death(dead, holder);
-      repaired.push_back(dead);
-    }
-    // Drain deaths noticed WHILE repairing before the rendezvous. The
-    // enter's round stamp is the cumulative count of deaths this node
-    // has noticed — if a notice landed mid-repair, entering now would
-    // stamp deaths we never repaired, and the survivors would disagree
-    // on how many rendezvous rounds this failure takes (the shorter
-    // side moves on; the longer side's extra enter parks forever).
-    // Repairing every noticed death first makes the stamp honest and
-    // the round count identical on every survivor.
-    {
-      std::lock_guard sl(sync_mu_);
-      deads.clear();
-      deads.swap(dead_pending_);
-    }
-    if (deads.empty()) break;
-  }
-  // Re-seed rotated rings: void every remaining watermark on our homed
-  // objects so the next barrier ships FULL images to the (possibly
-  // shifted) successor set. This also closes the swept-ack hole — a
-  // kReplicaUpdate whose ack was failed by the death sweep may never
-  // have reached its backup, so no pre-death watermark can be trusted.
-  uint32_t reseeded = 0;
-  dir_.for_each([&](ObjectMeta& m) {
-    if (m.home == rank_ && !m.replica_marks.empty()) {
-      m.replica_marks.clear();
-      ++reseeded;
-    }
-  });
-  stats_.rings_reseeded.fetch_add(reseeded, std::memory_order_relaxed);
-  {
-    std::lock_guard sl(sync_mu_);
-    reclaim_dead_locks();
-  }
+  repair_view();
   // Cluster-wide rendezvous at the master — the lowest-numbered ALIVE
   // rank, so the rendezvous itself survives rank 0's death: nobody
   // resumes before every survivor finished its local repair (a
   // post-recovery fetch must find the holder already serving its
   // materialized copy) and the master discarded the parked rendezvous
-  // state of the old view.
-  net::Message enter;
-  enter.type = net::MsgType::kRecoverEnter;
-  enter.dst = master_rank();
-  {
-    net::Writer w(enter.payload);
-    // Round stamp: cumulative deaths this node has noticed (all
-    // repaired, thanks to the drain loop above). The master only
-    // releases on entries carrying ITS current count, so a parked
-    // enter from before a mid-recovery death can never satisfy (or
-    // desynchronize) the next round's rendezvous.
-    w.u32(static_cast<uint32_t>(dead_count()));
-    // Commit counts, for collective-commit disambiguation: how many
-    // coherence / run barriers this node has seen COMMIT (exit reply in
-    // hand). The master echoes the cluster maxima in the exit; a
-    // survivor whose vote was in but whose count trails the maximum
-    // learns its interrupted collective committed without it.
-    w.u32(bars_committed_);
-    w.u32(runs_committed_);
-    w.u32(static_cast<uint32_t>(repaired.size()));
-    for (const int dead : repaired) w.i32(dead);
-  }
-  net::Endpoint::PendingReply pending = ep_.request_async(std::move(enter));
-  {
-    // A death noticed between the drain loop and the request landing in
-    // the pending table is swept by neither: the notice's sweep ran too
-    // early to fail our slot, and our stale stamp would park at the
-    // master forever. Re-check under the same mutex the notice pushes
-    // through — if one slipped in, unwind (the abandoned handle
-    // deregisters itself) and let the application's retry loop run
-    // another round with the full dead set.
-    std::lock_guard sl(sync_mu_);
-    if (!dead_pending_.empty()) {
-      const int dead = dead_pending_.back();
-      throw WorkerDied(dead, "worker " + std::to_string(dead) +
-                                 " died during recovery; retrying the repair");
+  // state of the old view. A death noticed after `v` was read moves the
+  // view and throws to the application's retry, which repairs again at
+  // the new view. A sweep that leaves the view at `v` came from a death
+  // this round already repaired: enter again WITHOUT redoing the repair
+  // — the master may have released the round, and re-minting the locks
+  // would wipe what the resumed survivors have done with them since.
+  net::Message exit;
+  for (;;) {
+    try {
+      exit = sync_request(recover_enter(v), v);
+      break;
+    } catch (const WorkerDied&) {
+      if (view() != v) throw;
     }
   }
-  net::Message exit = pending.wait();
   net::Reader r(exit.payload);
   if (r.u8() != 0) {
     // The victim died INSIDE the two-phase barrier protocol. The
@@ -411,47 +351,22 @@ void Node::recover_leader() {
     // longer fatal.
     stats_.recoveries_mid_barrier.fetch_add(1, std::memory_order_relaxed);
   }
-  // Collective-commit disambiguation. If this node unwound AFTER its
-  // commit vote went out (done sent / run-enter sent) it cannot tell on
-  // its own whether the collective released before the death sweep ate
-  // the exit reply. The cluster maxima settle it: commit requires every
-  // live rank's vote, so a peer counting one more commit than us proves
-  // the release happened — and proves our own vote was in it. Arm the
-  // skip so the application's redo of that collective returns instead
-  // of re-entering a protocol its peers have already left (they are
-  // parked in the NEXT collective; entering the old one would deadlock
-  // both rendezvous forever). Without an outstanding vote the maxima
-  // can never exceed our counts — a collective cannot release without
-  // us. The skew is at most one: a node cannot vote on collective N+2
-  // before consuming N+1's exit.
-  {
-    const uint32_t cluster_bars = r.u32();
-    const uint32_t cluster_runs = r.u32();
-    if (bar_unacked_ && cluster_bars > bars_committed_) {
-      bars_committed_ = cluster_bars;
-      skip_bar_ = true;
-      stats_.recoveries_commit_skips.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (run_unacked_ && cluster_runs > runs_committed_) {
-      runs_committed_ = cluster_runs;
-      skip_run_ = true;
-      stats_.recoveries_commit_skips.fetch_add(1, std::memory_order_relaxed);
-    }
-    bar_unacked_ = false;
-    run_unacked_ = false;
-  }
+  // The echo: the highest collective number any survivor entered with.
+  // It exceeds ours only when our vote for our next collective was in
+  // and that collective released without our exit reply — commit needs
+  // every live rank's vote, and no node votes on the collective after
+  // that before it consumed its exit. The application redoes
+  // everything since its last barrier(), run barriers included, so the
+  // numbering restarts there; the redo skips whatever the echo covers.
+  committed_seq_ = r.u64();
+  coll_seq_ = coll_seq_ >> 32 << 32;
+  recovered_view_ = v;
   stats_.recoveries.fetch_add(1, std::memory_order_relaxed);
   const auto dt = std::chrono::steady_clock::now() - t0;
   stats_.recover_wall_us.fetch_add(
       static_cast<uint64_t>(
           std::chrono::duration_cast<std::chrono::microseconds>(dt).count()),
       std::memory_order_relaxed);
-  {
-    std::lock_guard sl(sync_mu_);
-    // A death noticed DURING recovery stays pending: the gate re-arms and
-    // the application's next sync throws again, driving another round.
-    if (dead_pending_.empty()) death_pending_.store(false, std::memory_order_release);
-  }
   // Chaos: die the instant the recovery round completes — rendezvous
   // released, objects re-homed to us, but the next barrier's full-image
   // re-seed still pending. Aimed at a rank that just adopted a dead
@@ -461,79 +376,129 @@ void Node::recover_leader() {
   if (chaos_due(KillPoint::When::kAfterRecovery)) std::raise(SIGKILL);
 }
 
-void Node::repair_objects_after_death(int dead, int holder) {
+void Node::repair_view() {
+  // Fence the old view: handoffs stamped with the old barrier generation
+  // die on arrival, and the epoch bump defeats every thread's ALB so no
+  // cached pointer survives the re-homing below.
+  barrier_gen_.fetch_add(1, std::memory_order_relaxed);
+  epoch_.fetch_add(1, std::memory_order_relaxed);
+  // One idempotent pass over the directory. Every object whose home is
+  // dead moves to the lowest-alive holder in its home's ring order —
+  // with R total copies, any f < R deaths leave it within the shipped
+  // successor set; a holder that died since is itself a dead home, so a
+  // rerun after a mid-recovery death converges. Then every watermark on
+  // our homed objects is voided so the next barrier ships FULL images
+  // to the (possibly shifted) successor set. That also closes the
+  // swept-ack hole: a kReplicaUpdate whose ack a death sweep failed may
+  // never have reached its backup, so no pre-death watermark is trusted.
+  uint32_t reseeded = 0;
   dir_.for_each([&](ObjectMeta& m) {
-    if (m.home == dead) {
-      if (rank_ == holder) {
-        // Materialize the replica as the authoritative home copy at the
-        // last barrier cut. Our own live copy — whatever its state — is
-        // discarded first: it may hold post-cut words that died with the
-        // home's unshipped interval, and the cut is the one consistent
-        // line every survivor can rejoin on.
-        Replica rep;
-        bool have = false;
-        {
-          std::lock_guard rl(replica_mu_);
-          auto it = replicas_.find(m.id);
-          if (it != replicas_.end()) {
-            rep = std::move(it->second);
-            replicas_.erase(it);
-            have = true;
-          }
-        }
-        drop_mapping(m, /*keep_disk_image=*/false);
-        m.home = rank_;
-        m.share = ShareState::kValid;
-        m.twinned = false;
-        m.twin_writers = 0;
-        m.pending.clear();
-        m.local_writes.clear();
-        m.replica_marks.clear();  // full-ship to OUR successors next barrier
-        stats_.objects_rehomed.fetch_add(1, std::memory_order_relaxed);
-        if (have) {
-          const size_t bytes = word_bytes(m);
-          std::vector<uint8_t> image(2 * bytes, 0);
-          std::memcpy(image.data(), rep.data.data(), std::min(bytes, rep.data.size()));
-          std::memcpy(image.data() + bytes, rep.ts.data(),
-                      std::min(bytes, rep.ts.size() * 4));
-          disk_->write_object(m.id, image);
-          m.on_disk = true;
-          m.valid_epoch = rep.epoch;
-        } else {
-          // Never shipped: the object was never dirty at any barrier, so
-          // its content at the cut is all-zero — exactly what a fresh
-          // map-in provides.
-          m.valid_epoch = 0;
-        }
-      } else {
-        // Point at the holder and drop every trace of our copy. Our
-        // valid_epoch may run AHEAD of the replica cut (post-cut updates
-        // died with the home), so a diff-since-base fetch would miss
-        // words: force the next access to take a FULL copy.
-        drop_mapping(m, /*keep_disk_image=*/false);
-        m.home = holder;
-        m.share = ShareState::kInvalid;
-        m.twinned = false;
-        m.twin_writers = 0;
-        m.pending.clear();
-        m.local_writes.clear();
-        m.replica_marks.clear();
-        // We may hold a replica of this object from the dead home's
-        // fan-out. KEEP it: it sits exactly at the recovery cut — the
-        // same cut the holder just materialized — and it is the only
-        // surviving fallback if the new home dies again before the next
-        // barrier re-seeds the ring (still f < R deaths in one barrier
-        // interval). backup_of always lands on the nearest ring
-        // successor of the failed home, so within f < R the chosen
-        // holder's replica is never staler than the committed cut; the
-        // new home's full-image re-seed overwrites ours at the next
-        // barrier.
-      }
-      dir_.bump_generation(m.id);
+    if (m.home >= 0 && !rank_alive(m.home)) {
+      const int holder = backup_of(m.home);
+      LOTS_CHECK(holder >= 0, "recovery: no live replica holder remains");
+      rehome_object(m, holder);
     }
-    // Our own homed objects' watermarks (including any naming the
-    // corpse) are voided wholesale by recover_leader's re-seed pass.
+    if (m.home == rank_ && !m.replica_marks.empty()) {
+      m.replica_marks.clear();
+      ++reseeded;
+    }
   });
+  stats_.rings_reseeded.fetch_add(reseeded, std::memory_order_relaxed);
+  std::lock_guard sl(sync_mu_);
+  reclaim_dead_locks();
+}
+
+net::Message Node::recover_enter(uint32_t v) const {
+  net::Message enter;
+  enter.type = net::MsgType::kRecoverEnter;
+  enter.dst = master_rank();
+  net::Writer w(enter.payload);
+  w.u32(v);
+  w.u64(coll_seq_);
+  return enter;
+}
+
+void Node::recover_departed() noexcept {
+  // Pairs with the seq_cst exchange in on_peer_dead: a death noticed
+  // concurrently with leaving run() is seen by at least one side.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  const uint32_t v = view();
+  if (v == recovered_view_ || !rt_.config().replication) return;
+  try {
+    repair_view();
+    ep_.send(recover_enter(v));  // nobody waits for the exit
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "lots: rank %d could not answer recovery after run(): %s\n", rank_,
+                 e.what());
+  }
+}
+
+void Node::rehome_object(ObjectMeta& m, int holder) {
+  if (rank_ == holder) {
+    // Materialize the replica as the authoritative home copy at the
+    // last barrier cut. Our own live copy — whatever its state — is
+    // discarded first: it may hold post-cut words that died with the
+    // home's unshipped interval, and the cut is the one consistent
+    // line every survivor can rejoin on.
+    Replica rep;
+    bool have = false;
+    {
+      std::lock_guard rl(replica_mu_);
+      auto it = replicas_.find(m.id);
+      if (it != replicas_.end()) {
+        rep = std::move(it->second);
+        replicas_.erase(it);
+        have = true;
+      }
+    }
+    drop_mapping(m, /*keep_disk_image=*/false);
+    m.home = rank_;
+    m.share = ShareState::kValid;
+    m.twinned = false;
+    m.twin_writers = 0;
+    m.pending.clear();
+    m.local_writes.clear();
+    m.replica_marks.clear();  // full-ship to OUR successors next barrier
+    stats_.objects_rehomed.fetch_add(1, std::memory_order_relaxed);
+    if (have) {
+      const size_t bytes = word_bytes(m);
+      std::vector<uint8_t> image(2 * bytes, 0);
+      std::memcpy(image.data(), rep.data.data(), std::min(bytes, rep.data.size()));
+      std::memcpy(image.data() + bytes, rep.ts.data(), std::min(bytes, rep.ts.size() * 4));
+      disk_->write_object(m.id, image);
+      m.on_disk = true;
+      m.valid_epoch = rep.epoch;
+    } else {
+      // Never shipped: the object was never dirty at any barrier, so
+      // its content at the cut is all-zero — exactly what a fresh
+      // map-in provides.
+      m.valid_epoch = 0;
+    }
+  } else {
+    // Point at the holder and drop every trace of our copy. Our
+    // valid_epoch may run AHEAD of the replica cut (post-cut updates
+    // died with the home), so a diff-since-base fetch would miss
+    // words: force the next access to take a FULL copy.
+    drop_mapping(m, /*keep_disk_image=*/false);
+    m.home = holder;
+    m.share = ShareState::kInvalid;
+    m.twinned = false;
+    m.twin_writers = 0;
+    m.pending.clear();
+    m.local_writes.clear();
+    m.replica_marks.clear();
+    // We may hold a replica of this object from the dead home's
+    // fan-out. KEEP it: it sits exactly at the recovery cut — the
+    // same cut the holder just materialized — and it is the only
+    // surviving fallback if the new home dies again before the next
+    // barrier re-seeds the ring (still f < R deaths in one barrier
+    // interval). backup_of always lands on the nearest ring
+    // successor of the failed home, so within f < R the chosen
+    // holder's replica is never staler than the committed cut; the
+    // new home's full-image re-seed overwrites ours at the next
+    // barrier.
+  }
+  dir_.bump_generation(m.id);
 }
 
 /// Caller holds sync_mu_. Re-mints EVERY lock this node manages, not
@@ -565,33 +530,48 @@ void Node::reclaim_dead_locks() {
 
 void Node::on_recover_enter(net::Message&& m) {
   net::Reader r(m.payload);
-  const uint32_t cum = r.u32();  // sender's round stamp
+  const uint32_t v = r.u32();  // sender's view
   std::unique_lock lk(sync_mu_);
+  if (v == master_.released.first && !master_.released.second.empty()) {
+    // A re-enter for the round already released: the sender's exit
+    // reply was swept by a notice for a death it had already counted
+    // (see recover_leader). Answer with that round's exit; the other
+    // survivors have left.
+    net::Message resp;
+    resp.type = net::MsgType::kRecoverExit;
+    resp.payload = master_.released.second;
+    lk.unlock();
+    ep_.reply(m, std::move(resp));
+    return;
+  }
   // Latest entry per rank wins: a survivor that unwound (its parked
-  // enter swept by a mid-recovery death) re-enters with a higher stamp,
-  // superseding the stale round's request. The old parked reply is owed
-  // to a seq its sender already failed, so dropping it loses nothing.
-  master_.recover_entries[m.src] = {cum, std::move(m)};
+  // enter swept by a mid-recovery death) re-enters at a higher view,
+  // superseding the stale request. The old parked reply is owed to a
+  // seq its sender already failed, so dropping it loses nothing.
+  master_.recover_entries[m.src] = std::move(m);
   maybe_release_recover(lk);
 }
 
 void Node::maybe_release_recover(std::unique_lock<std::mutex>& lk) {
   if (master_.recover_entries.empty()) return;
   // Release only when every LIVE rank has entered at EXACTLY this
-  // master's round: its stamp must equal our own cumulative dead count.
-  // A smaller stamp is a stale round — its sender has been unwound and
-  // will re-enter. A LARGER stamp means that survivor noticed a death
-  // (transport verdict) the master has not seen yet: releasing now
-  // would resume the lagging survivors without repairing it, and the
-  // ahead survivor — already counting that death in this round — would
-  // never re-enter the next rendezvous, parking it forever. Hold the
-  // round instead; our own on_peer_dead re-evaluates here once the
+  // master's view. A smaller view is a stale round — its sender has been
+  // unwound and will re-enter. A LARGER view means that survivor noticed
+  // a death (transport verdict) the master has not seen yet: releasing
+  // now would resume the lagging survivors without repairing it, and
+  // the ahead survivor — already counting that death in this round —
+  // would never re-enter the next rendezvous, parking it forever. Hold
+  // the round instead; our own on_peer_dead re-evaluates here once the
   // coordinator's broadcast (or our transport) catches us up.
-  const auto my_cum = static_cast<uint32_t>(dead_count());
+  const uint32_t v = view();
+  uint64_t max_seq = 0;
   for (int rnk = 0; rnk < nprocs(); ++rnk) {
     if (!rank_alive(rnk)) continue;
     auto it = master_.recover_entries.find(rnk);
-    if (it == master_.recover_entries.end() || it->second.first != my_cum) return;
+    if (it == master_.recover_entries.end()) return;
+    net::Reader er(it->second.payload);
+    if (er.u32() != v) return;
+    max_seq = std::max(max_seq, er.u64());
   }
 
   // Every survivor finished local repair. A DEAD rank still registered
@@ -606,20 +586,13 @@ void Node::maybe_release_recover(std::unique_lock<std::mutex>& lk) {
   for (const int32_t member : master_.in_barrier) {
     if (!rank_alive(member)) mid_barrier = true;
   }
-  // Cluster commit maxima for collective-commit disambiguation: the
-  // largest coherence / run barrier commit counts any survivor reported
-  // this round. Echoed in every exit so a survivor whose vote was in
-  // but whose exit reply was swept can recognize its collective as
-  // committed (see recover_leader). Re-parsed from the parked payloads
-  // so master failover needs no carried-over state.
-  uint32_t max_bars = 0;
-  uint32_t max_runs = 0;
-  for (const auto& [rnk, entry] : master_.recover_entries) {
-    (void)rnk;
-    net::Reader er(entry.second.payload);
-    er.u32();  // round stamp, already matched above
-    max_bars = std::max(max_bars, er.u32());
-    max_runs = std::max(max_runs, er.u32());
+  // The exit: the mid-barrier verdict and the collective-sequence echo
+  // (the highest count any survivor entered with; see recover_leader).
+  std::vector<uint8_t> payload;
+  {
+    net::Writer w(payload);
+    w.u8(mid_barrier ? 1 : 0);
+    w.u64(max_seq);
   }
   // Discard the old view's parked rendezvous state. The parked
   // requesters were already failed by their own nodes' fail_all_pending,
@@ -635,21 +608,19 @@ void Node::maybe_release_recover(std::unique_lock<std::mutex>& lk) {
   master_.run_arrived = 0;
   master_.run_reqs.clear();
   master_.in_barrier.clear();
+  master_.released = {v, payload};
   std::vector<net::Message> reqs;
   reqs.reserve(master_.recover_entries.size());
-  for (auto& [rnk, entry] : master_.recover_entries) {
+  for (auto& [rnk, req] : master_.recover_entries) {
     (void)rnk;
-    reqs.push_back(std::move(entry.second));
+    reqs.push_back(std::move(req));
   }
   master_.recover_entries.clear();
   lk.unlock();
   for (auto& req : reqs) {
     net::Message resp;
     resp.type = net::MsgType::kRecoverExit;
-    net::Writer w(resp.payload);
-    w.u8(mid_barrier ? 1 : 0);
-    w.u32(max_bars);
-    w.u32(max_runs);
+    resp.payload = payload;
     ep_.reply(req, std::move(resp));
   }
 }

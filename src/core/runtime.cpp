@@ -125,6 +125,17 @@ void Runtime::run(const std::function<void(int)>& fn) {
   const int threads = cfg_.threads_per_node;
   if (!single_process()) {
     Node* n = nodes_.front().get();
+    // However run() ends, the node then answers recovery rounds itself.
+    struct Leave {
+      Runtime& rt;
+      Node& n;
+      ~Leave() {
+        rt.in_run_.store(false);
+        n.recover_departed();
+      }
+    };
+    in_run_.store(true);
+    Leave leave{*this, *n};
     if (threads == 1) {  // historical path: the single rank runs inline
       Bind bind(n, 0);
       fn(n->rank());

@@ -125,20 +125,22 @@ class Node {
   // ---- worker-death recovery (recovery.cpp) ----
   /// Death notice entry point: wired to the bootstrap watcher thread and
   /// the transport's peer-unreachable verdict. Fences the dead rank
-  /// (transport + endpoint), fails every outstanding request and lock
-  /// wait with WorkerDied, and arms the sync-entry gate so no thread
-  /// issues new protocol traffic before recover() runs. Idempotent per
-  /// rank; callable from any thread.
+  /// (transport + endpoint), moves the view (which closes the sync-entry
+  /// gate until recover() runs), and fails every outstanding request
+  /// and lock wait with WorkerDied. Idempotent per rank; callable from
+  /// any thread.
   void on_peer_dead(int dead);
   /// Collective recovery point (lots::recover()): every app thread of
-  /// every SURVIVING node must call it after catching WorkerDied. The
-  /// node re-homes each dead rank's objects to their lowest-alive ring
-  /// holder, materializes replicas it holds as authoritative home
-  /// copies, breaks the dead ranks' locks, voids its replica watermarks
-  /// (the next barrier re-seeds the rotated ring with full images), and
-  /// rendezvouses cluster-wide (kRecoverEnter / kRecoverExit at the
-  /// lowest-numbered ALIVE rank — master duties fail over with the dead
-  /// set). Requires Config::replication: with R total copies any
+  /// every SURVIVING node must call it after catching WorkerDied. A view
+  /// change: when view() moved past the last recovered view, the node
+  /// makes one idempotent pass re-homing every object whose home is dead
+  /// to backup_of(home) (the holder materializes its replica as the
+  /// authoritative copy), breaks the dead ranks' locks, voids its replica
+  /// watermarks (the next barrier re-seeds the rotated ring with full
+  /// images), and rendezvouses cluster-wide (kRecoverEnter(view, seq) /
+  /// kRecoverExit at the lowest-numbered ALIVE rank — master duties fail
+  /// over with the dead set). Returns at once when no view change is
+  /// pending. Requires Config::replication: with R total copies any
   /// f < R deaths per barrier interval recover, including rank 0 and
   /// deaths inside the two-phase barrier protocol; replication off
   /// throws SystemError.
@@ -148,9 +150,11 @@ class Node {
     return r >= 0 && r < 256 &&
            dead_[static_cast<size_t>(r)].load(std::memory_order_acquire) == 0;
   }
-  /// Cumulative deaths this node has ever noticed (monotonic) — the
-  /// recovery-round stamp carried in kRecoverEnter.
-  [[nodiscard]] int dead_count() const { return nprocs() - live_count(); }
+  /// The membership view: deaths this node has noticed (monotonic).
+  /// check_death throws while it differs from the last recovered view;
+  /// kRecoverEnter carries it, and the master releases a recovery round
+  /// only when every live rank entered at the master's own view.
+  [[nodiscard]] uint32_t view() const { return static_cast<uint32_t>(nprocs() - live_count()); }
   /// Number of ranks not declared dead.
   [[nodiscard]] int live_count() const {
     int n = 0;
@@ -285,12 +289,15 @@ class Node {
     /// it (survivors count it and their redone superstep re-converges
     /// every copy the plan moved).
     std::unordered_set<int32_t> in_barrier;
-    /// Recovery rendezvous: rank -> (sender's cumulative dead count, its
-    /// parked kRecoverEnter). Keyed per rank so a retried enter after a
-    /// second death REPLACES the stale round's entry instead of
-    /// double-counting, and the count lets the master ignore entries from
-    /// a round that predates a death it already knows about.
-    std::unordered_map<int32_t, std::pair<uint32_t, net::Message>> recover_entries;
+    /// Recovery rendezvous: rank -> its parked kRecoverEnter(view, seq).
+    /// Keyed per rank so a retried enter REPLACES the stale one instead
+    /// of double-counting; the view lets the master ignore entries from
+    /// a view it has moved past.
+    std::unordered_map<int32_t, net::Message> recover_entries;
+    /// The last released recovery view and its exit payload. A survivor
+    /// whose exit reply was swept by a death notice it had already
+    /// counted re-enters at the same view; it is answered at once.
+    std::pair<uint32_t, std::vector<uint8_t>> released;
     /// Adaptive protocol (paper §5): last two single-writer ranks per
     /// object, persisted across barriers. When an object's lone writer
     /// alternates between two nodes (ping-pong), migrating the home
@@ -353,19 +360,32 @@ class Node {
   void on_replica_update(net::Message&& m);  // backup side (service thread)
   void on_recover_enter(net::Message&& m);   // master side (service thread)
   /// Releases the recovery rendezvous if every live rank has entered
-  /// with the CURRENT round's dead count. Caller holds sync_mu_ via
-  /// `lk`; the lock is released before replies go out. Re-run on every
-  /// death notice too: a death can shrink the live set (and grow the
-  /// required count) after the last enter arrived.
+  /// at the master's CURRENT view. Caller holds sync_mu_ via `lk`; the
+  /// lock is released before replies go out. Re-run on every death
+  /// notice too: a death can shrink the live set (and move the view)
+  /// after the last enter arrived.
   void maybe_release_recover(std::unique_lock<std::mutex>& lk);
   /// The node's recovery body (collective last arriver, siblings parked).
   void recover_leader();
-  /// Re-homes every object homed at `dead`: the chosen holder
+  /// The local half of a view change: fences the old view, re-homes in
+  /// one idempotent directory pass every object whose home is dead to
+  /// backup_of(home), voids this node's replica watermarks and re-mints
+  /// its locks.
+  void repair_view();
+  /// kRecoverEnter(v, coll_seq_) addressed to the current master.
+  [[nodiscard]] net::Message recover_enter(uint32_t v) const;
+  /// For a node whose application has left Runtime::run() and so can no
+  /// longer call recover(): on an unrecovered death it repairs locally
+  /// and enters the round itself, so a survivor whose exit reply of the
+  /// last collective was swept can finish recovery and skip that
+  /// collective. Called when run() returns and on later death notices.
+  void recover_departed() noexcept;
+  /// Re-homes one object whose home died to `holder`: the holder
   /// materializes its replica as the authoritative copy, everyone else
   /// invalidates toward the holder while KEEPING any replica it held of
   /// the dead home's fan-out (the fallback if the holder dies before
   /// the next barrier re-seeds the ring).
-  void repair_objects_after_death(int dead, int holder);
+  void rehome_object(ObjectMeta& m, int holder);
   /// Breaks the dead rank's locks by re-minting EVERY lock this node
   /// manages (fresh token parked at the manager, queues dropped): at the
   /// recovery point all parked tokens, queued waiters and in-flight
@@ -373,10 +393,26 @@ class Node {
   /// their scope chains carry only post-cut records (barriers clear
   /// them) which the redo regenerates. Caller holds sync_mu_.
   void reclaim_dead_locks();
-  /// Sync-entry gate: throws WorkerDied when a death notice has not been
-  /// recovered yet, so no thread starts new protocol traffic (a request
-  /// issued after fail_all_pending would hang out its full timeout).
-  void check_death() const;
+  /// View gate: throws WorkerDied when this node's view is not `v`.
+  /// Sync entries call it AFTER registering their wait: a death noticed
+  /// earlier shows here as a moved view, one noticed later finds the
+  /// registration in on_peer_dead's sweep.
+  void check_view(uint32_t v) const;
+  /// Sync-entry gate: check_view(recovered_view_) — throws while a death
+  /// notice has not been recovered yet.
+  void check_death() const { check_view(recovered_view_); }
+  /// Barrier enter/done, run-barrier enter and recover enter: registers
+  /// the request, THEN gates on view `v`, then waits for the reply.
+  net::Message sync_request(net::Message m, uint32_t v);
+  /// The number of this node's next barrier (`run` false) or run
+  /// barrier (see coll_seq_).
+  [[nodiscard]] uint64_t next_seq(bool run) const {
+    return run ? coll_seq_ + 1 : ((coll_seq_ >> 32) + 1) << 32;
+  }
+  /// True (and the collective counted) when this barrier's or run
+  /// barrier's number is at or below committed_seq_: it committed
+  /// cluster-wide and only our exit reply was lost to a death sweep.
+  bool committed_redo(bool run);
 
   // -- swap protocol (runtime.cpp; fetch protocol lives in fetch.cpp) --
   void on_swap_put(net::Message&& m);
@@ -525,49 +561,37 @@ class Node {
   /// by sync_mu_, populated only when Config::lock_migration).
   std::unordered_map<ObjectId, MigrateStreak> migrate_streaks_;
   MasterBarrier master_;  ///< used on master_rank() only (rank 0 until it dies)
-  /// Coherence barriers committed and recovery rounds completed since
-  /// node birth, for chaos_due ONLY. Deliberately separate from the
-  /// stats: harnesses call reset_stats() mid-run (e.g. after a
+  /// Recovery rounds completed since node birth, for chaos_due ONLY
+  /// (its barrier count is coll_seq_'s high half). Deliberately separate
+  /// from the stats: harnesses call reset_stats() mid-run (e.g. after a
   /// warm-up/open phase), and a kill countdown that rewound with the
   /// stats would fire at the wrong point. Written only inside the
-  /// barrier / recovery collective's leader body, so no atomicity needed.
-  uint32_t chaos_bars_ = 0;
+  /// recovery collective's leader body, so no atomicity needed.
   uint32_t chaos_recoveries_ = 0;
 
-  // -- collective-commit disambiguation (recovery) --------------------------
-  // A death notice sweeps EVERY pending request, including the exit
-  // reply of a collective that had already committed cluster-wide (the
-  // master released it; only this node's reply was lost to the sweep).
-  // Without a verdict the unwound survivor redoes the collective while
-  // the acked survivors have moved past it — two rendezvous each waiting
-  // for all live ranks, a permanent deadlock. So every node counts the
-  // collectives it has seen commit, reports the counts at the recovery
-  // rendezvous, and the master's exit echoes the cluster-wide maxima: a
-  // survivor whose own vote was in (unacked_* below) and whose count
-  // trails the maximum KNOWS its collective committed — it arms skip_*_
-  // and the redo returns without re-entering the protocol. Commit of
-  // barrier N+1 requires every live rank's done (enter, for the run
-  // barrier), so max > mine implies mine landed: skipping is sound, and
-  // the skew can never exceed one. All written only inside collective
-  // leader bodies / the recovery leader — no atomicity needed.
-  uint32_t bars_committed_ = 0;  ///< kBarrierExit replies received
-  uint32_t runs_committed_ = 0;  ///< kRunBarrierExit replies received
-  bool bar_unacked_ = false;  ///< kBarrierDone sent, exit not yet seen
-  bool run_unacked_ = false;  ///< kRunBarrierEnter sent, exit not yet seen
-  bool skip_bar_ = false;     ///< next barrier() is a committed redo: skip
-  bool skip_run_ = false;     ///< next run_barrier() likewise
+  // -- views and the collective sequence (recovery) ------------------------
+  /// The last view this node finished recovering (recover_leader sets
+  /// it to the view it entered with). Written only by the recovery
+  /// leader with every sibling app thread parked in the collective.
+  uint32_t recovered_view_ = 0;
+  /// The number of the last barrier or run barrier this node saw commit
+  /// (exit reply in hand, or proven by a recovery echo): coherence
+  /// barriers in the high half, run barriers since the last of them in
+  /// the low half, so SPMD order numbers both kinds in one increasing
+  /// sequence. The low half restarts at every barrier and at recovery
+  /// exit, because the application redoes everything since its last
+  /// barrier(). Collective-leader / recovery-leader only.
+  uint64_t coll_seq_ = 0;
+  /// The last recovery exit's echo: the highest coll_seq_ any survivor
+  /// entered with. A death sweep can eat the exit reply of a collective
+  /// that had already released; commit needs every live rank's vote, so
+  /// an echo above our number proves our interrupted collective
+  /// committed, and committed_redo() consumes its redo.
+  uint64_t committed_seq_ = 0;
 
   /// Ranks this node has seen a death notice for (watcher broadcast or
   /// transport verdict). Atomic bytes: read lock-free on hot paths.
   std::array<std::atomic<uint8_t>, 256> dead_{};
-  /// Armed by on_peer_dead, cleared when recover_leader completes: the
-  /// sync-entry gate (check_death) and the app's WorkerDied handler key
-  /// off it.
-  std::atomic<bool> death_pending_{false};
-  std::atomic<int> last_dead_{-1};
-  /// Deaths noticed but not yet recovered (drained by recover_leader).
-  /// Guarded by sync_mu_.
-  std::vector<int> dead_pending_;
   /// Replica store (backup side): objects this node backs up for the
   /// home(s) whose ring successor it is. replica_mu_ is a leaf mutex —
   /// taken inside shard locks, never the other way around.
@@ -612,6 +636,8 @@ class Runtime {
   static int thread_index();
 
   [[nodiscard]] const Config& config() const { return cfg_; }
+  /// True while the application runs inside run() (multi-process only).
+  [[nodiscard]] bool in_run() const { return in_run_.load(); }
   /// True when this process hosts every rank (the in-proc fabric).
   [[nodiscard]] bool single_process() const {
     return cfg_.cluster.fabric == FabricKind::kInProc;
@@ -635,6 +661,7 @@ class Runtime {
 
  private:
   Config cfg_;
+  std::atomic<bool> in_run_{false};  ///< see in_run(); Node::recover_departed
   std::unique_ptr<TempDir> scratch_;  ///< when cfg.disk_dir is empty
   std::unique_ptr<net::InProcFabric> fabric_;         ///< kInProc only
   std::unique_ptr<cluster::WorkerBootstrap> boot_;    ///< kUdp only

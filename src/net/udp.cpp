@@ -37,8 +37,11 @@ sockaddr_in loopback_addr(uint16_t port) {
 int bind_udp(uint16_t port, uint16_t& actual) {
   const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (fd < 0) throw SystemError("socket() failed");
+  // Never on an ephemeral bind: Linux treats two SO_REUSEADDR sockets as
+  // compatible, so port 0 could land on a port a live socket holds, and
+  // the two owners would split its datagrams (a rank deaf to its peers).
   int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  if (port != 0) ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   // Generous buffers: a whole window of max datagrams per peer.
   int buf = 4 << 20;
   ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &buf, sizeof(buf));

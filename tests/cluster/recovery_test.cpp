@@ -50,8 +50,11 @@ constexpr int kIters = 6;
 /// digest of the final array). Deterministic in the CONTENT sense: every
 /// cell's final value depends only on (row, index, iteration), never on
 /// which rank computed it — so a run that loses a worker mid-flight must
-/// still digest identically.
-std::pair<int, uint64_t> run_recovery_workload(const Config& cfg) {
+/// still digest identically. `paced` puts a run_barrier() in front of
+/// every superstep's barrier(): run barriers have no memory effect, so
+/// the digest is unchanged, but deaths then land across both collective
+/// kinds.
+std::pair<int, uint64_t> run_recovery_workload(const Config& cfg, bool paced = false) {
   uint64_t digest = 0;
   core::Runtime rt(cfg);
   rt.run([&](int rank) {
@@ -95,6 +98,7 @@ std::pair<int, uint64_t> run_recovery_workload(const Config& cfg) {
                 self * 2654435761u + next + static_cast<uint32_t>(it);
           }
         }
+        if (paced) lots::run_barrier();
         lots::barrier();
         ++it;
       } catch (const WorkerDied&) {
@@ -142,7 +146,8 @@ std::pair<int, uint64_t> run_recovery_workload(const Config& cfg) {
 /// `expect_dead` SIGKILLed victims (every other worker must exit 0 and
 /// report clean), and returns the digest written by the LOWEST surviving
 /// rank — the callers compare it to the no-failure in-proc reference.
-uint64_t run_chaos_cluster(const std::function<void(Config&)>& mutate, int expect_dead) {
+uint64_t run_chaos_cluster(const std::function<void(Config&)>& mutate, int expect_dead,
+                           bool paced = false) {
   TempDir scratch;
   const std::string digest_path = scratch.path() + "/digest";
 
@@ -162,7 +167,7 @@ uint64_t run_chaos_cluster(const std::function<void(Config&)>& mutate, int expec
         cfg.cluster.reorder_prob = 0.03;
         cfg.cluster.fault_seed = 7;
         mutate(cfg);
-        const auto [rank, digest] = run_recovery_workload(cfg);
+        const auto [rank, digest] = run_recovery_workload(cfg, paced);
         std::ofstream(digest_path + "." + std::to_string(rank)) << digest;
         code = 0;
       } catch (const std::exception& e) {
@@ -337,6 +342,24 @@ TEST(Recovery, MidBarrierKnobStillKillsSecondVictimPostCommit) {
       },
       /*expect_dead=*/2);
   EXPECT_EQ(got, want) << "mid-barrier + post-commit double kill diverged from reference";
+}
+
+// Deaths across both collective kinds: every superstep is paced by a
+// run_barrier() before its barrier(), so the collective sequence the
+// recovery echo numbers interleaves the two kinds. Rank 2 dies the
+// instant its 2nd barrier commits (survivors may lose that barrier's
+// exit reply to the sweep, or unwind in the next run barrier), and rank
+// 1 dies at the top of its first recovery pass — a view change during
+// recovery, retried until a round completes.
+TEST(Recovery, DeathAcrossRunBarrierAndBarrierMatchesDigest) {
+  const uint64_t want = no_failure_reference();
+  const uint64_t got = run_chaos_cluster(
+      [](Config& cfg) {
+        cfg.replication = 3;
+        cfg.kill_points = {{kKillRank, When::kBarrier, 2}, {1, When::kInRecovery, 1}};
+      },
+      /*expect_dead=*/2, /*paced=*/true);
+  EXPECT_EQ(got, want) << "run-barrier-paced recovery diverged from the no-failure reference";
 }
 
 // Without replication a worker death must be FATAL but CLEAN: every

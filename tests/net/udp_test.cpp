@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <set>
 #include <thread>
 
 #include "common/rng.hpp"
@@ -135,6 +136,21 @@ TEST(Udp, ReorderPlusDupDeliversExactlyOnceInOrder) {
   sender.join();
   // Exactly once: nothing may trail behind the expected count.
   EXPECT_FALSE(b.recv(100'000).has_value()) << "a duplicated datagram was delivered twice";
+}
+
+// Workers bind ephemeral ports and publish them through the coordinator,
+// so no two live sockets may share one: a shared port splits its
+// datagrams between the owners and leaves a rank deaf to its peers.
+// 900 binds would give ~14 duplicates if ports could be shared.
+TEST(Udp, EphemeralPortsAreNeverShared) {
+  std::vector<int> fds;
+  std::set<uint16_t> ports;
+  for (int i = 0; i < 900; ++i) {
+    uint16_t port = 0;
+    fds.push_back(UdpTransport::bind_ephemeral(port));
+    EXPECT_TRUE(ports.insert(port).second) << "port " << port << " handed out twice";
+  }
+  for (const int fd : fds) ::close(fd);
 }
 
 // A datagram arriving from a port outside the cluster's table must be
