@@ -201,11 +201,12 @@ struct OpDone {
   std::mutex m;
   std::condition_variable cv;
   bool done = false;
+  /// Notifies while holding the mutex: the waiting client may see `done`
+  /// the moment the lock drops, return and destroy this OpDone, so an
+  /// unlocked notify could touch a dead condition variable.
   void signal() {
-    {
-      std::lock_guard lk(m);
-      done = true;
-    }
+    std::lock_guard lk(m);
+    done = true;
     cv.notify_one();
   }
   void wait_and_reset() {

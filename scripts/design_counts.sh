@@ -1,0 +1,67 @@
+#!/usr/bin/env bash
+# Prints the design-size counts tracked in ROADMAP.md:
+#   src_lines        lines in src/**/*.{cpp,hpp}
+#   runtime_hpp      lines in src/core/runtime.hpp
+#   config_fields    top-level fields of struct Config (common/config.hpp)
+#   env_knobs        kEnv* constants (cluster/env.hpp)
+#   msg_types        MsgType enumerators, kInvalid included (net/message.hpp)
+#   sync_mu_outside  files naming sync_mu_ other than core/sync.{hpp,cpp}
+#
+# Usage: scripts/design_counts.sh [--check]
+# With --check it exits 1 when any count exceeds its ceiling below.
+# Lower a ceiling when a change shrinks its count; raise one only with a
+# reason recorded in CHANGES.md.
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+
+declare -A ceiling=(
+  [src_lines]=12652
+  [runtime_hpp]=517
+  [config_fields]=22
+  [env_knobs]=26
+  [msg_types]=31
+  [sync_mu_outside]=0
+)
+
+declare -A count
+count[src_lines]=$(find src -type f \( -name '*.cpp' -o -name '*.hpp' \) -print0 |
+  xargs -0 cat | wc -l)
+count[runtime_hpp]=$(wc -l < src/core/runtime.hpp)
+# Fields: two-space-indented declarations ending in ';' inside
+# `struct Config { ... };`, skipping member functions.
+count[config_fields]=$(awk '
+  /^struct Config \{/ { in_cfg = 1; next }
+  in_cfg && /^\};/ { in_cfg = 0 }
+  in_cfg {
+    line = $0
+    sub(/ *\/\/.*/, "", line)
+    if (line ~ /^  [A-Za-z_][A-Za-z0-9_:<>, ]* [a-z_][a-z0-9_]*( = [^;]*)?;$/ && line !~ /\(/) n++
+  }
+  END { print n + 0 }' src/common/config.hpp)
+count[env_knobs]=$(grep -c 'inline constexpr const char\* kEnv' src/cluster/env.hpp)
+count[msg_types]=$(awk '
+  /^enum class MsgType/ { in_enum = 1; next }
+  in_enum && /^\};/ { in_enum = 0 }
+  in_enum && /^ *k[A-Z][A-Za-z0-9]*( = [0-9]+)?,/ { n++ }
+  END { print n + 0 }' src/net/message.hpp)
+count[sync_mu_outside]=$(grep -rl 'sync_mu_' src |
+  grep -cv -e '^src/core/sync\.hpp$' -e '^src/core/sync\.cpp$' || true)
+
+status=0
+for key in src_lines runtime_hpp config_fields env_knobs msg_types sync_mu_outside; do
+  mark=""
+  if (( count[$key] > ceiling[$key] )); then
+    mark="  ABOVE CEILING ${ceiling[$key]}"
+    status=1
+  fi
+  printf '%-16s %6d%s\n' "$key" "${count[$key]}" "$mark"
+done
+
+if [[ "${1:-}" == "--check" ]]; then
+  if (( status )); then
+    echo "DESIGN_COUNTS_FAIL" >&2
+    exit 1
+  fi
+  echo "DESIGN_COUNTS_OK"
+fi

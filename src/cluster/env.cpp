@@ -110,24 +110,14 @@ bool configure_fetch_from_env(Config& cfg) {
     cfg.prefetch_degree = static_cast<size_t>(env_int(kEnvPrefetch, s, 0, 64));
     any = true;
   }
-  if (const char* s = std::getenv(kEnvBarrierReval); s && *s) {
-    cfg.barrier_revalidate = std::string(s) != "0";
-    any = true;
-  }
   return any;
 }
 
 bool configure_fastpath_from_env(Config& cfg) {
-  bool any = false;
-  if (const char* s = std::getenv(kEnvAlb); s && *s) {
-    cfg.alb = std::string(s) != "0";
-    any = true;
-  }
-  if (const char* s = std::getenv(kEnvAlbSize); s && *s) {
-    cfg.alb_size = static_cast<size_t>(env_int(kEnvAlbSize, s, 2, 1 << 20));
-    any = true;
-  }
-  return any;
+  const char* s = std::getenv(kEnvAlb);
+  if (!s || !*s) return false;
+  cfg.alb = std::string(s) != "0";
+  return true;
 }
 
 bool configure_migrate_from_env(Config& cfg) {

@@ -33,15 +33,10 @@ inline constexpr const char* kEnvThreads = "LOTS_THREADS";
 /// `LOTS_FETCH_WINDOW=8 LOTS_PREFETCH=4 ./bench_fig8_sor`.
 inline constexpr const char* kEnvFetchWindow = "LOTS_FETCH_WINDOW";
 inline constexpr const char* kEnvPrefetch = "LOTS_PREFETCH";
-/// Barrier-exit bulk revalidation (Config::barrier_revalidate): any
-/// non-empty value other than "0" enables it.
-inline constexpr const char* kEnvBarrierReval = "LOTS_BARRIER_REVALIDATE";
-/// Fast-path knobs (fabric-independent): the per-thread access
-/// lookaside buffer (Config::alb — "0" disables, anything else enables)
-/// and its per-thread entry count (Config::alb_size, power of two), e.g.
-/// `LOTS_ALB=0 ./bench_fig8_sor`.
+/// Fast-path knob (fabric-independent): the per-thread access
+/// lookaside buffer (Config::alb — "0" disables, anything else
+/// enables), e.g. `LOTS_ALB=0 ./bench_fig8_sor`.
 inline constexpr const char* kEnvAlb = "LOTS_ALB";
-inline constexpr const char* kEnvAlbSize = "LOTS_ALB_SIZE";
 /// Adaptive-migration knobs (fabric-independent): lock-release-driven
 /// home migration (Config::lock_migration — any non-empty value other
 /// than "0" enables) and its dominance threshold in consecutive
@@ -95,12 +90,12 @@ bool configure_from_env(Config& cfg);
 /// true when the variable was present.
 bool configure_threads_from_env(Config& cfg);
 
-/// Applies LOTS_FETCH_WINDOW / LOTS_PREFETCH / LOTS_BARRIER_REVALIDATE
-/// to the async fetch engine knobs (any fabric). Returns true when any
-/// of them was present.
+/// Applies LOTS_FETCH_WINDOW / LOTS_PREFETCH to the async fetch engine
+/// knobs (any fabric). Returns true when any of them was present.
 bool configure_fetch_from_env(Config& cfg);
 
-/// Applies LOTS_ALB / LOTS_ALB_SIZE to the access fast-path knobs (any fabric). Returns true when any was present.
+/// Applies LOTS_ALB to the access fast-path knob (any fabric). Returns
+/// true when it was present.
 bool configure_fastpath_from_env(Config& cfg);
 
 /// Applies LOTS_MIGRATE / LOTS_MIGRATE_K to the adaptive-migration

@@ -35,9 +35,6 @@ void Config::validate() const {
   if (prefetch_degree > 64) {
     throw UsageError("Config.prefetch_degree must be in [0,64]");
   }
-  if (alb_size < 2 || alb_size > (1u << 20) || (alb_size & (alb_size - 1)) != 0) {
-    throw UsageError("Config.alb_size must be a power of two in [2, 1M]");
-  }
   if (migrate_streak < 1 || migrate_streak > 1024) {
     throw UsageError("Config.migrate_streak must be in [1,1024]");
   }

@@ -192,13 +192,12 @@ struct Config {
   /// node's interval epoch (acquire/release/barrier), so a hit can never
   /// serve a copy the protocol has since withdrawn. Disable to get the
   /// pre-ALB check (ablation bench abl_fastpath measures the difference).
+  /// Each app thread's buffer has 64 slots.
   bool alb = true;
-  /// ALB entries per app thread. Must be a power of two.
-  size_t alb_size = 64;
 
   // -- Async fetch engine (src/core/fetch.hpp) ----------------------------
   /// Max outstanding kObjFetch requests in the pipelined paths
-  /// (lots::touch / lots::prefetch and the barrier-exit revalidation).
+  /// (lots::touch / lots::prefetch).
   /// 1 degenerates to one blocking round trip at a time — the
   /// historical behavior (abl_prefetch's baseline).
   size_t fetch_window = 8;
@@ -208,10 +207,6 @@ struct Config {
   /// (kObjDataN). 0 disables prefetching (default: demand fetches only,
   /// exactly the pre-engine protocol).
   size_t prefetch_degree = 0;
-  /// Barrier-exit bulk revalidation: refetch the objects the barrier
-  /// just invalidated that are still mapped (= recently hot), through
-  /// the pipelined window, before application threads resume.
-  bool barrier_revalidate = false;
 
   // -- Concurrency --------------------------------------------------------
   /// Stripe count of the per-node object directory. Per-object protocol

@@ -120,8 +120,7 @@ struct NodeStats {
 
   // async fetch engine (src/core/fetch.hpp)
   std::atomic<uint64_t> fetch_pipelined{0};  ///< fetches issued through the
-                                             ///< async window (touch/prefetch
-                                             ///< + barrier revalidation)
+                                             ///< async window (touch/prefetch)
   std::atomic<uint64_t> prefetch_issued{0};  ///< neighbor diffs requested on
                                              ///< kObjFetch piggyback lists
   std::atomic<uint64_t> prefetch_hits{0};    ///< accesses served warm from a

@@ -5,8 +5,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 #include <unordered_set>
@@ -37,13 +35,6 @@ constexpr int kMaxRedirectRetries = 64;
 /// enough for an in-flight handoff's pointer flips to land.
 void redirect_backoff(int retries) {
   std::this_thread::sleep_for(std::chrono::microseconds(100 * std::min(retries, 16)));
-}
-
-/// LOTS_DEBUG_HOME=1: trace redirect hops (same env as the lock-side
-/// migration trace — the two interleave into one event order).
-bool fetch_debug() {
-  static const bool on = std::getenv("LOTS_DEBUG_HOME") != nullptr;
-  return on;
 }
 
 }  // namespace
@@ -271,10 +262,6 @@ void FetchEngine::fetch_object(ObjectMeta& m, std::unique_lock<std::mutex>& lk) 
     const int32_t redirect = apply_primary(m, r);
     if (redirect >= 0) {
       hopped = true;
-      if (fetch_debug()) {
-        fprintf(stderr, "[home r%d] redirect obj=%u asked=%d got=%d retries=%d\n", node_.rank_, id,
-                target, redirect, retries);
-      }
       if (visited.count(redirect)) {
         // Every home in the cycle redirected us: a migration is mid
         // handoff. Back off and restart the chase with a clean slate.
@@ -305,7 +292,7 @@ void FetchEngine::fetch_object(ObjectMeta& m, std::unique_lock<std::mutex>& lk) 
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined fetch (lots::touch / lots::prefetch, barrier revalidation)
+// Pipelined fetch (lots::touch / lots::prefetch)
 // ---------------------------------------------------------------------------
 
 size_t FetchEngine::fetch_many(std::span<const ObjectId> ids) {

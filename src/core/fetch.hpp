@@ -11,13 +11,13 @@
 //    Config::prefetch_degree > 0, the request carries a *wish-list* of
 //    neighbor ids (+ their retained base epochs) and the home piggybacks
 //    their diffs on the reply (kObjDataN) — the sequential prefetcher.
-//  * fetch_many — the pipelined path behind lots::touch / lots::prefetch
-//    and the barrier-exit bulk revalidation: up to Config::fetch_window
-//    kObjFetch requests outstanding at once (Endpoint::request_async),
-//    each holding its object's in-flight guard so sibling threads
-//    coordinate exactly as they do with a demand fault. Batch ids that
-//    ride a piggyback wish-list are not issued separately; a second
-//    no-piggyback pass picks up any neighbor whose landing was dropped.
+//  * fetch_many — the pipelined path behind lots::touch / lots::prefetch:
+//    up to Config::fetch_window kObjFetch requests outstanding at once
+//    (Endpoint::request_async), each holding its object's in-flight
+//    guard so sibling threads coordinate exactly as they do with a
+//    demand fault. Batch ids that ride a piggyback wish-list are not
+//    issued separately; a second no-piggyback pass picks up any
+//    neighbor whose landing was dropped.
 //  * serve — the home side (service thread): answers with a redirect,
 //    a per-word diff against the requester's base, or a full copy, plus
 //    up to the wished number of neighbor sections for objects this node

@@ -38,13 +38,13 @@
 // safe to repeat.
 //
 // Master failover: the barrier master and recovery rendezvous live on
-// the lowest-numbered ALIVE rank (master_rank()), not on rank 0 — the
-// coordinator's kPeerDead broadcast gives every survivor the same dead
-// set, so they deterministically agree on the new master, whose
+// the lowest-numbered ALIVE rank (SyncEngine::master_rank), not rank 0
+// — the coordinator's kPeerDead broadcast gives every survivor the same
+// dead set, so they deterministically agree on the new master, whose
 // rendezvous state starts fresh (the interrupted barrier is replayed by
 // the survivors' redone supersteps). Static lock managership fails over
-// the same way: manager_of(lock) walks the hash rank forward to the
-// next live rank, which mints the lock's state on first touch.
+// the same way: SyncEngine::manager_of walks the hash rank forward to
+// the next live rank, which mints the lock's state on first touch.
 //
 // A death INSIDE the two-phase barrier protocol is recoverable too: the
 // interrupted plan may have partially applied cluster-wide, but every
@@ -83,37 +83,6 @@ std::vector<int> Node::ring_successors(int home, int count) const {
   return out;
 }
 
-int Node::master_rank() const {
-  for (int r = 0; r < nprocs(); ++r) {
-    if (rank_alive(r)) return r;
-  }
-  return 0;  // unreachable: this node is alive
-}
-
-int Node::manager_of(uint32_t lock_id) const {
-  const int base = static_cast<int>(lock_id % static_cast<uint32_t>(nprocs()));
-  for (int i = 0; i < nprocs(); ++i) {
-    const int r = (base + i) % nprocs();
-    if (rank_alive(r)) return r;
-  }
-  return base;
-}
-
-void Node::check_view(uint32_t v) const {
-  if (view() == v) return;
-  int dead = -1;
-  for (int r = 0; r < nprocs(); ++r) dead = rank_alive(r) ? dead : r;
-  throw WorkerDied(dead, "worker " + std::to_string(dead) +
-                             " died; the application must run lots::recover() "
-                             "before synchronizing again");
-}
-
-net::Message Node::sync_request(net::Message m, uint32_t v) {
-  net::Endpoint::PendingReply pending = ep_.request_async(std::move(m));
-  check_view(v);  // the abandoned handle deregisters itself on the throw
-  return pending.wait();
-}
-
 void Node::on_peer_dead(int dead) {
   if (dead < 0 || dead >= nprocs() || dead == rank_) return;
   // Marking the rank dead IS the view change: view() counts these bytes,
@@ -135,21 +104,8 @@ void Node::on_peer_dead(int dead) {
   // it; fail_all_pending marks the rank dead and drains atomically.
   ep_.transport().mark_peer_dead(dead);
   ep_.fail_all_pending(dead);
-  {
-    std::lock_guard sl(sync_mu_);
-    for (auto& [id, wslot] : lock_waits_) {
-      (void)id;
-      if (!wslot.granted) wslot.failed = dead;
-    }
-    lock_cv_.notify_all();
-  }
-  // If we are (or just became) the recovery master, re-evaluate the
-  // rendezvous under the shrunk live set: the survivors may ALL have
-  // entered already, parked waiting on the rank that just died.
-  {
-    std::unique_lock lk(sync_mu_);
-    maybe_release_recover(lk);
-  }
+  // Lock waits fail too, and a master re-evaluates the recovery round.
+  sync_.on_death(dead);
   if (!rt_.in_run()) recover_departed();
 }
 
@@ -309,7 +265,7 @@ void Node::recover_leader() {
   // recovered. Otherwise the call is spurious, or a sibling round of the
   // same view already ran: nothing to do.
   const uint32_t v = view();
-  if (v == recovered_view_) return;
+  if (v == sync_.recovered_view()) return;
   if (!rt_.config().replication) {
     throw SystemError(
         "a worker died but replication is off — run with LOTS_REPLICATE=2 to survive "
@@ -322,27 +278,8 @@ void Node::recover_leader() {
   const auto t0 = std::chrono::steady_clock::now();
   repair_view();
   // Cluster-wide rendezvous at the master — the lowest-numbered ALIVE
-  // rank, so the rendezvous itself survives rank 0's death: nobody
-  // resumes before every survivor finished its local repair (a
-  // post-recovery fetch must find the holder already serving its
-  // materialized copy) and the master discarded the parked rendezvous
-  // state of the old view. A death noticed after `v` was read moves the
-  // view and throws to the application's retry, which repairs again at
-  // the new view. A sweep that leaves the view at `v` came from a death
-  // this round already repaired: enter again WITHOUT redoing the repair
-  // — the master may have released the round, and re-minting the locks
-  // would wipe what the resumed survivors have done with them since.
-  net::Message exit;
-  for (;;) {
-    try {
-      exit = sync_request(recover_enter(v), v);
-      break;
-    } catch (const WorkerDied&) {
-      if (view() != v) throw;
-    }
-  }
-  net::Reader r(exit.payload);
-  if (r.u8() != 0) {
+  // rank, so the rendezvous itself survives rank 0's death.
+  if (sync_.recover(v)) {
     // The victim died INSIDE the two-phase barrier protocol. The
     // interrupted plan may have partially applied, but everything it
     // moved belongs to the superstep the survivors now redo: per-word
@@ -351,16 +288,6 @@ void Node::recover_leader() {
     // longer fatal.
     stats_.recoveries_mid_barrier.fetch_add(1, std::memory_order_relaxed);
   }
-  // The echo: the highest collective number any survivor entered with.
-  // It exceeds ours only when our vote for our next collective was in
-  // and that collective released without our exit reply — commit needs
-  // every live rank's vote, and no node votes on the collective after
-  // that before it consumed its exit. The application redoes
-  // everything since its last barrier(), run barriers included, so the
-  // numbering restarts there; the redo skips whatever the echo covers.
-  committed_seq_ = r.u64();
-  coll_seq_ = coll_seq_ >> 32 << 32;
-  recovered_view_ = v;
   stats_.recoveries.fetch_add(1, std::memory_order_relaxed);
   const auto dt = std::chrono::steady_clock::now() - t0;
   stats_.recover_wall_us.fetch_add(
@@ -404,18 +331,7 @@ void Node::repair_view() {
     }
   });
   stats_.rings_reseeded.fetch_add(reseeded, std::memory_order_relaxed);
-  std::lock_guard sl(sync_mu_);
-  reclaim_dead_locks();
-}
-
-net::Message Node::recover_enter(uint32_t v) const {
-  net::Message enter;
-  enter.type = net::MsgType::kRecoverEnter;
-  enter.dst = master_rank();
-  net::Writer w(enter.payload);
-  w.u32(v);
-  w.u64(coll_seq_);
-  return enter;
+  sync_.remint_locks();
 }
 
 void Node::recover_departed() noexcept {
@@ -423,10 +339,10 @@ void Node::recover_departed() noexcept {
   // concurrently with leaving run() is seen by at least one side.
   std::atomic_thread_fence(std::memory_order_seq_cst);
   const uint32_t v = view();
-  if (v == recovered_view_ || !rt_.config().replication) return;
+  if (v == sync_.recovered_view() || !rt_.config().replication) return;
   try {
     repair_view();
-    ep_.send(recover_enter(v));  // nobody waits for the exit
+    sync_.send_recover_enter(v);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "lots: rank %d could not answer recovery after run(): %s\n", rank_,
                  e.what());
@@ -499,130 +415,6 @@ void Node::rehome_object(ObjectMeta& m, int holder) {
     // barrier.
   }
   dir_.bump_generation(m.id);
-}
-
-/// Caller holds sync_mu_. Re-mints EVERY lock this node manages, not
-/// just those the dead rank held: at the recovery point all in-flight
-/// grants, queued waiters and parked tokens belong to intervals the
-/// survivors are about to redo — their scope chains carry only post-cut
-/// records (barriers clear them), which the redo regenerates. Locally
-/// parked tokens for remotely managed locks are dropped for the same
-/// reason (their managers re-mint them on their own recovery pass).
-void Node::reclaim_dead_locks() {
-  tokens_.clear();
-  lock_waits_.clear();
-  for (auto& [lock_id, s] : managed_locks_) {
-    s.busy = false;
-    s.token_at = rank_;
-    s.granted_to = -1;
-    s.waiters.clear();
-    tokens_[lock_id] = LockToken{};
-  }
-  for (auto& [id, st] : migrate_streaks_) {
-    (void)id;
-    st.last_writer = -1;
-    st.streak = 0;
-    st.hist = {-1, -1};
-  }
-}
-
-// --- recovery rendezvous (master side, service thread) ---------------------
-
-void Node::on_recover_enter(net::Message&& m) {
-  net::Reader r(m.payload);
-  const uint32_t v = r.u32();  // sender's view
-  std::unique_lock lk(sync_mu_);
-  if (v == master_.released.first && !master_.released.second.empty()) {
-    // A re-enter for the round already released: the sender's exit
-    // reply was swept by a notice for a death it had already counted
-    // (see recover_leader). Answer with that round's exit; the other
-    // survivors have left.
-    net::Message resp;
-    resp.type = net::MsgType::kRecoverExit;
-    resp.payload = master_.released.second;
-    lk.unlock();
-    ep_.reply(m, std::move(resp));
-    return;
-  }
-  // Latest entry per rank wins: a survivor that unwound (its parked
-  // enter swept by a mid-recovery death) re-enters at a higher view,
-  // superseding the stale request. The old parked reply is owed to a
-  // seq its sender already failed, so dropping it loses nothing.
-  master_.recover_entries[m.src] = std::move(m);
-  maybe_release_recover(lk);
-}
-
-void Node::maybe_release_recover(std::unique_lock<std::mutex>& lk) {
-  if (master_.recover_entries.empty()) return;
-  // Release only when every LIVE rank has entered at EXACTLY this
-  // master's view. A smaller view is a stale round — its sender has been
-  // unwound and will re-enter. A LARGER view means that survivor noticed
-  // a death (transport verdict) the master has not seen yet: releasing
-  // now would resume the lagging survivors without repairing it, and
-  // the ahead survivor — already counting that death in this round —
-  // would never re-enter the next rendezvous, parking it forever. Hold
-  // the round instead; our own on_peer_dead re-evaluates here once the
-  // coordinator's broadcast (or our transport) catches us up.
-  const uint32_t v = view();
-  uint64_t max_seq = 0;
-  for (int rnk = 0; rnk < nprocs(); ++rnk) {
-    if (!rank_alive(rnk)) continue;
-    auto it = master_.recover_entries.find(rnk);
-    if (it == master_.recover_entries.end()) return;
-    net::Reader er(it->second.payload);
-    if (er.u32() != v) return;
-    max_seq = std::max(max_seq, er.u64());
-  }
-
-  // Every survivor finished local repair. A DEAD rank still registered
-  // inside the two-phase barrier means the victim died mid-protocol and
-  // the master's plan may have partially applied cluster-wide. That is
-  // no longer fatal — the survivors' redone superstep re-flushes every
-  // value the plan moved and the re-seeded rings restore coverage — but
-  // the verdict is reported so survivors can count the mid-barrier
-  // recovery. (Live ranks parked in in_barrier are just the survivors
-  // whose interrupted barrier never completed — harmless.)
-  bool mid_barrier = false;
-  for (const int32_t member : master_.in_barrier) {
-    if (!rank_alive(member)) mid_barrier = true;
-  }
-  // The exit: the mid-barrier verdict and the collective-sequence echo
-  // (the highest count any survivor entered with; see recover_leader).
-  std::vector<uint8_t> payload;
-  {
-    net::Writer w(payload);
-    w.u8(mid_barrier ? 1 : 0);
-    w.u64(max_seq);
-  }
-  // Discard the old view's parked rendezvous state. The parked
-  // requesters were already failed by their own nodes' fail_all_pending,
-  // so no reply is owed; their redone supersteps re-enter against the
-  // fresh counters below.
-  master_.arrived = 0;
-  master_.done = 0;
-  master_.max_epoch = 0;
-  master_.enter_reqs.clear();
-  master_.done_reqs.clear();
-  master_.writers.clear();
-  master_.old_homes.clear();
-  master_.run_arrived = 0;
-  master_.run_reqs.clear();
-  master_.in_barrier.clear();
-  master_.released = {v, payload};
-  std::vector<net::Message> reqs;
-  reqs.reserve(master_.recover_entries.size());
-  for (auto& [rnk, req] : master_.recover_entries) {
-    (void)rnk;
-    reqs.push_back(std::move(req));
-  }
-  master_.recover_entries.clear();
-  lk.unlock();
-  for (auto& req : reqs) {
-    net::Message resp;
-    resp.type = net::MsgType::kRecoverExit;
-    resp.payload = payload;
-    ep_.reply(req, std::move(resp));
-  }
 }
 
 }  // namespace lots::core

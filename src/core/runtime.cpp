@@ -1,7 +1,8 @@
-// Node lifecycle, the access check, the dynamic memory mapper
-// (map-in / swap-out / eviction) and the object fetch protocol.
-// Lock and barrier protocols live in locks.cpp / barrier.cpp; twin /
-// flush / diff-application mechanics live in coherence.cpp.
+// Node lifecycle, the access check and the dynamic memory mapper
+// (map-in / swap-out / eviction). The lock, barrier and recovery
+// protocols live in SyncEngine (sync.cpp) with the node's sides in
+// locks.cpp / barrier.cpp / recovery.cpp; object fetches in fetch.cpp;
+// twin / flush / diff-application mechanics in coherence.cpp.
 //
 // Locking discipline (see runtime.hpp): per-object work holds only the
 // object's directory-shard lock; nothing here ever holds two shard
@@ -219,12 +220,12 @@ Node::Node(Runtime& rt, int rank, std::unique_ptr<net::Transport> transport)
       dir_(rt.config().dir_shards),
       coherence_(dir_, space_, *disk_, stats_),
       fetch_(*this),
+      sync_(*this),
       group_(rt.config().threads_per_node),
       stmt_pins_(static_cast<size_t>(rt.config().threads_per_node)),
       albs_(rt.config().alb ? static_cast<size_t>(rt.config().threads_per_node) : 0),
-      alb_on_(rt.config().alb),
-      alb_mask_(static_cast<uint32_t>(rt.config().alb_size - 1)) {
-  for (Alb& a : albs_) a.slots.resize(rt.config().alb_size);
+      alb_on_(rt.config().alb) {
+  for (Alb& a : albs_) a.slots.resize(kAlbSlots);
   dir_.set_stats(&stats_);
   ep_.start([this](net::Message&& m) { dispatch(std::move(m)); });
 }
@@ -245,7 +246,7 @@ void Node::fold_alb_stats() {
 
 void Node::alb_insert(ObjectMeta& m, uint8_t* data) {
   AlbEntry& e =
-      albs_[static_cast<size_t>(Runtime::thread_index())].slots[m.id & alb_mask_];
+      albs_[static_cast<size_t>(Runtime::thread_index())].slots[m.id & (kAlbSlots - 1)];
   if (e.id != kNullObject && e.id != m.id) {
     stats_.alb_evictions.fetch_add(1, std::memory_order_relaxed);
   }
@@ -285,15 +286,15 @@ void Node::dispatch(net::Message&& m) {
     case MsgType::kHomeMigrate: on_home_migrate(std::move(m)); break;
     case MsgType::kHomeMigrateAck: on_home_migrate_ack(std::move(m)); break;
     case MsgType::kDiffBatch: on_diff_batch(std::move(m)); break;
-    case MsgType::kLockAcquire: on_lock_acquire(std::move(m)); break;
-    case MsgType::kLockForward: on_lock_forward(std::move(m)); break;
-    case MsgType::kLockGrant: on_lock_grant(std::move(m)); break;
-    case MsgType::kLockRelease: on_lock_release(std::move(m)); break;
-    case MsgType::kBarrierEnter: on_barrier_enter(std::move(m)); break;
-    case MsgType::kBarrierDone: on_barrier_done(std::move(m)); break;
-    case MsgType::kRunBarrierEnter: on_run_barrier_enter(std::move(m)); break;
     case MsgType::kReplicaUpdate: on_replica_update(std::move(m)); break;
-    case MsgType::kRecoverEnter: on_recover_enter(std::move(m)); break;
+    case MsgType::kLockAcquire:
+    case MsgType::kLockForward:
+    case MsgType::kLockGrant:
+    case MsgType::kLockRelease:
+    case MsgType::kBarrierEnter:
+    case MsgType::kBarrierDone:
+    case MsgType::kRunBarrierEnter:
+    case MsgType::kRecoverEnter: sync_.handle(std::move(m)); break;
     default:
       LOTS_CHECK(false, std::string("unexpected message type ") + net::to_string(m.type));
   }
@@ -388,7 +389,7 @@ void* Node::access(ObjectId id) {
     // rings (alloc_dmm_or_evict), so either we see its bump and miss,
     // or it sees our pin and skips the victim — never both blind.
     Alb& alb = albs_[static_cast<size_t>(Runtime::thread_index())];
-    const AlbEntry& e = alb.slots[id & alb_mask_];
+    const AlbEntry& e = alb.slots[id & (kAlbSlots - 1)];
     if (e.id == id && e.epoch == epoch_.load(std::memory_order_relaxed)) {
       std::atomic_thread_fence(std::memory_order_seq_cst);
       if (e.gen->load(std::memory_order_relaxed) == e.gen_val) {
@@ -714,7 +715,8 @@ bool Node::is_valid(ObjectId id) {
 
 int32_t Node::home_of(ObjectId id) {
   auto lk = dir_.lock_shard(id);
-  return dir_.get(id).home;
+  const ObjectMeta* m = dir_.find(id);
+  return m ? m->home : -1;
 }
 
 void Node::set_home_for_test(ObjectId id, int32_t home) {

@@ -1,45 +1,34 @@
-// The LOTS runtime: node lifecycle, the dynamic memory mapping mechanism
-// (paper §3.1-3.3), and the scope-consistency engine with the mixed
-// coherence protocol (§3.4-3.5).
+// The LOTS runtime: node lifecycle, the access check and the dynamic
+// memory mapping mechanism (paper §3.1-3.3). The coherence mechanics
+// live in CoherenceEngine (coherence.hpp), every object fetch flow in
+// FetchEngine (fetch.hpp), and the lock, barrier and recovery-rendezvous
+// protocols in SyncEngine (sync.hpp); Node hosts the three engines.
 //
-// A Runtime owns one in-process "cluster": `nprocs` nodes, each hosting
+// A Runtime owns one in-process "cluster" (or, under kUdp, one rank of
+// a multi-process one): `nprocs` nodes, each hosting
 // `Config::threads_per_node` application threads (all running the
-// user's SPMD function) plus a service thread (answers remote requests —
-// the paper's SIGIO role). Every node has a private process-space
-// partition (SpaceLayout), DMM allocator, disk store and object
-// directory shared by its app threads; all cross-node traffic flows
-// through the message layer.
+// user's SPMD function) plus a service thread that answers remote
+// requests (the paper's SIGIO role). Every node has a private
+// process-space partition (SpaceLayout), DMM allocator, disk store and
+// object directory shared by its app threads.
 //
-// Concurrency model (N app threads per node): there is no whole-node
-// data lock and no app-thread-only state.
+// Concurrency model (N app threads per node, ARCHITECTURE.md):
 //  * Per-object state lives in the striped ObjectDirectory; app and
 //    service threads take only the owning shard's lock for per-object
-//    work, so traffic on object A never blocks an access check on B.
-//  * Mapping transitions (map-in, fetch, swap-out, eviction) are
+//    work. Mapping transitions (map-in, fetch, swap-out, eviction) are
 //    serialized PER OBJECT by the in-flight guard (ObjectMeta::inflight
-//    + the shard's condition variable): two threads faulting the same
-//    object coordinate — one maps, the other waits — while threads
-//    faulting different objects map in parallel. The guard holder may
-//    drop the shard lock around blocking requests; the flag keeps the
-//    object's mapping state single-writer across those windows.
-//  * The DMM allocator is internally synchronized (its own leaf mutex);
-//    the interval epoch is an atomic counter. Eviction scans skip
-//    in-flight objects and re-validate the victim under its shard lock,
-//    so concurrent evictors race benignly (NodeStats::evict_races).
+//    + the shard's condition variable); the guard holder may drop the
+//    shard lock around blocking requests.
+//  * The DMM allocator is internally synchronized; the interval epoch
+//    is an atomic counter.
 //  * Node-level collectives — alloc_object, free_object, barrier,
-//    run_barrier — rendezvous ALL of the node's app threads
+//    run_barrier, recover — rendezvous ALL of the node's app threads
 //    (CollectiveGroup): the last arriver executes the operation once,
-//    with every sibling thread quiescent, and broadcasts the result.
-//    This keeps the SPMD object-ID sequence deterministic and gives the
-//    barrier flush a stable view of the node's twins.
-//  * acquire/release stay per-thread; same-lock acquires from one node
-//    serialize on a node-local per-lock mutex before entering the
-//    manager protocol, so the single-slot grant bookkeeping still holds.
-//  * Lock/barrier protocol state (tokens, managed locks, the master's
-//    rendezvous bookkeeping) sits under the small node-level sync_mu_.
-//  * No thread holds more than one shard lock, never acquires a shard
-//    lock while holding sync_mu_, and never blocks on a network request
-//    while holding either (the service thread routes replies).
+//    with every sibling thread quiescent.
+//  * Lock/barrier protocol state sits under SyncEngine's own mutex,
+//    never held while a shard lock is taken (sync.hpp).
+//  * No thread holds more than one shard lock or blocks on a network
+//    request while holding one (the service thread routes replies).
 //
 // The application-facing API is Pointer<T> (pointer.hpp) plus the free
 // functions in api.hpp (lots::acquire/release/barrier/my_thread/...).
@@ -65,6 +54,7 @@
 #include "core/diff.hpp"
 #include "core/fetch.hpp"
 #include "core/object.hpp"
+#include "core/sync.hpp"
 #include "mem/dmm_allocator.hpp"
 #include "mem/eviction.hpp"
 #include "mem/space_layout.hpp"
@@ -116,11 +106,14 @@ class Node {
   /// of fetch requests issued.
   size_t touch(std::span<const ObjectId> ids);
 
-  // ---- synchronization (paper §3.4-3.6) ----
-  void acquire(uint32_t lock_id);
-  void release(uint32_t lock_id);
+  // ---- synchronization (paper §3.4-3.6; protocol in SyncEngine) ----
+  void acquire(uint32_t lock_id) { sync_.acquire(lock_id); }
+  void release(uint32_t lock_id) { sync_.release(lock_id); }
   void barrier();
-  void run_barrier();  ///< event-only, no memory effect
+  /// Event-only, no memory effect.
+  void run_barrier() {
+    group_.collective([&] { sync_.run_barrier(); });
+  }
 
   // ---- worker-death recovery (recovery.cpp) ----
   /// Death notice entry point: wired to the bootstrap watcher thread and
@@ -137,9 +130,9 @@ class Node {
   /// to backup_of(home) (the holder materializes its replica as the
   /// authoritative copy), breaks the dead ranks' locks, voids its replica
   /// watermarks (the next barrier re-seeds the rotated ring with full
-  /// images), and rendezvouses cluster-wide (kRecoverEnter(view, seq) /
-  /// kRecoverExit at the lowest-numbered ALIVE rank — master duties fail
-  /// over with the dead set). Returns at once when no view change is
+  /// images), and rendezvouses cluster-wide (kRecoverEnter(view, seq)
+  /// at the lowest-numbered ALIVE rank — master duties fail over with
+  /// the dead set). Returns at once when no view change is
   /// pending. Requires Config::replication: with R total copies any
   /// f < R deaths per barrier interval recover, including rank 0 and
   /// deaths inside the two-phase barrier protocol; replication off
@@ -151,7 +144,7 @@ class Node {
            dead_[static_cast<size_t>(r)].load(std::memory_order_acquire) == 0;
   }
   /// The membership view: deaths this node has noticed (monotonic).
-  /// check_death throws while it differs from the last recovered view;
+  /// Sync entries throw while it differs from the last recovered view;
   /// kRecoverEnter carries it, and the master releases a recovery round
   /// only when every live rank entered at the master's own view.
   [[nodiscard]] uint32_t view() const { return static_cast<uint32_t>(nprocs() - live_count()); }
@@ -194,6 +187,7 @@ class Node {
   /// outside any in-flight transition, so the answer is a settled state.
   bool is_mapped(ObjectId id);
   bool is_valid(ObjectId id);
+  /// This node's home view for `id`; -1 when it has no such object.
   int32_t home_of(ObjectId id);
   /// Test hook: overwrite this node's home view for `id` (shard lock +
   /// generation bump). Lets tests manufacture the stale-home window the
@@ -205,6 +199,9 @@ class Node {
   /// The fetch engine implements every kObjFetch flow (demand, pipelined
   /// and home side) against the node's mapper internals.
   friend class FetchEngine;
+  /// The sync engine reaches the endpoint, stats, epoch and coherence
+  /// engine; object effects go through the calls below.
+  friend class SyncEngine;
 
   // -- mapper internals (called with the object's shard lock held via
   // `lk` AND the object's in-flight guard owned by the calling thread;
@@ -227,83 +224,28 @@ class Node {
     return (static_cast<uint64_t>(owner) + 1) << 32 | id;
   }
 
-  // -- lock protocol (locks.cpp) --
-  struct LockToken {
-    std::vector<DiffRecord> chain;  ///< scope update history (homeless)
-    uint32_t epoch = 0;             ///< epoch of the last release
-  };
-  struct LockWait {
-    bool granted = false;
-    net::Message grant;
-    int failed = -1;  ///< >= 0: a death notice failed this wait — acquire
-                      ///< unwinds with WorkerDied instead of parking forever
-  };
-  struct ManagerState {
-    bool busy = false;
-    int32_t token_at = -1;  ///< node where the token (and chain) parks
-    int32_t granted_to = -1;  ///< rank a grant is in flight to while busy
-                              ///< (recovery: a grantee that dies takes the
-                              ///< token with it — reclaim from here)
-    std::vector<net::Message> waiters;  ///< queued kLockAcquire messages
-  };
-  void on_lock_acquire(net::Message&& m);   // manager side
-  void on_lock_forward(net::Message&& m);   // token-holder side
-  void on_lock_release(net::Message&& m);   // manager side
-  void on_lock_grant(net::Message&& m);     // acquirer side
-  void send_grant_locked(uint32_t lock_id, int32_t to, uint32_t acq_epoch);
-  void push_release_updates_home_based(LockToken& tok, std::vector<DiffRecord>&& recs);
-
-  // -- lock-driven adaptive home migration (locks.cpp) --
-  /// Per-object single-writer streak, tracked by the lock manager from
-  /// the modified-object ids piggybacked on kLockRelease. `hist` is the
-  /// same two-slot recent-writer memory the barrier master keeps
-  /// (MasterBarrier::writer_hist): an A/B/A alternation is ping-pong and
-  /// is damped, not migrated. Guarded by sync_mu_; cleared at barriers.
-  struct MigrateStreak {
-    int32_t last_writer = -1;
-    uint32_t streak = 0;
-    std::pair<int32_t, int32_t> hist{-1, -1};
-  };
+  // -- the object side of the lock protocol (locks.cpp), called by
+  //    SyncEngine with its mutex released --
+  /// Applies one record of a lock grant's chain under its shard lock: a
+  /// home-commit notice repairs or cedes the home view, a write-
+  /// invalidate notice (`invalidate_only`) drops the copy, a diff
+  /// record lands in place (or pending while unmapped).
+  void apply_grant_record(const DiffRecord& rec, bool invalidate_only);
+  /// Lock-driven migration's home-commit conversion: each release
+  /// record of an object this node homes with a settled copy becomes a
+  /// notice naming this node as the committing home.
+  void commit_in_place(std::vector<DiffRecord>& recs);
+  /// Write-invalidate ablation: pushes the release's records to each
+  /// object's home, one acked kDiffBatch per peer.
+  void push_to_homes(std::vector<DiffRecord>&& recs);
   void on_home_migrate(net::Message&& m);      // chased along the home chain
   void on_home_migrate_ack(net::Message&& m);  // old-home side
 
-  // -- barrier protocol (barrier.cpp) --
+  // -- barrier (barrier.cpp) --
   struct BarrierPlanEntry {
     ObjectId object;
     int32_t new_home;
     uint8_t multi_writer;
-  };
-  struct MasterBarrier {
-    uint32_t arrived = 0;
-    uint32_t done = 0;
-    uint32_t max_epoch = 0;
-    std::vector<net::Message> enter_reqs;
-    std::vector<net::Message> done_reqs;
-    std::unordered_map<ObjectId, std::vector<int32_t>> writers;
-    std::unordered_map<ObjectId, int32_t> old_homes;
-    uint32_t run_arrived = 0;
-    std::vector<net::Message> run_reqs;
-    /// Ranks currently inside the two-phase barrier protocol (entered,
-    /// not yet released by the exit). A rank that dies while a member
-    /// left a partially applied plan behind; the recovery exit reports
-    /// it (survivors count it and their redone superstep re-converges
-    /// every copy the plan moved).
-    std::unordered_set<int32_t> in_barrier;
-    /// Recovery rendezvous: rank -> its parked kRecoverEnter(view, seq).
-    /// Keyed per rank so a retried enter REPLACES the stale one instead
-    /// of double-counting; the view lets the master ignore entries from
-    /// a view it has moved past.
-    std::unordered_map<int32_t, net::Message> recover_entries;
-    /// The last released recovery view and its exit payload. A survivor
-    /// whose exit reply was swept by a death notice it had already
-    /// counted re-enters at the same view; it is answered at once.
-    std::pair<uint32_t, std::vector<uint8_t>> released;
-    /// Adaptive protocol (paper §5): last two single-writer ranks per
-    /// object, persisted across barriers. When an object's lone writer
-    /// alternates between two nodes (ping-pong), migrating the home
-    /// "gives little benefit, since the [object] will be requested next
-    /// by the process that originally owns it" — so the master pins it.
-    std::unordered_map<ObjectId, std::pair<int32_t, int32_t>> writer_hist;
   };
   /// The node's barrier body, run once by the collective's last arriver
   /// with every sibling app thread quiescent.
@@ -311,15 +253,9 @@ class Node {
   /// Chaos self-kill predicate (Config::kill_points): has this rank
   /// reached one of its kill points of kind `when`?
   [[nodiscard]] bool chaos_due(KillPoint::When when) const;
-  void on_barrier_enter(net::Message&& m);  // master side
-  void on_barrier_done(net::Message&& m);   // master side
-  void on_run_barrier_enter(net::Message&& m);
   void on_diff_batch(net::Message&& m);
-  /// Applies the master's plan (new homes, invalidations). Returns the
-  /// ids it invalidated that are still mapped — the recently-hot set the
-  /// barrier-exit bulk revalidation refetches (Config::barrier_revalidate).
-  std::vector<ObjectId> apply_barrier_plan(const std::vector<BarrierPlanEntry>& plan,
-                                           uint32_t new_epoch);
+  /// Applies the master's plan (new homes, invalidations).
+  void apply_barrier_plan(const std::vector<BarrierPlanEntry>& plan, uint32_t new_epoch);
 
   // -- barrier-consistent replication + worker-death recovery
   //    (recovery.cpp) --
@@ -338,33 +274,14 @@ class Node {
   /// The first `count` LIVE ranks after `home` in ring order — the
   /// backup set a home with R = count+1 copies ships to.
   [[nodiscard]] std::vector<int> ring_successors(int home, int count) const;
-  /// Barrier-master / recovery-rendezvous rank: the lowest-numbered
-  /// ALIVE rank. Rank 0 while it lives; fails over deterministically
-  /// (every survivor shares the dead set via the coordinator broadcast).
-  [[nodiscard]] int master_rank() const;
-  /// Live-aware lock managership: the static hash rank (lock_id %
-  /// nprocs) walked forward to the next ALIVE rank. The failover
-  /// manager mints the lock's state on first touch (recovery re-mints
-  /// all managed locks, so no pre-death chain survives).
-  [[nodiscard]] int manager_of(uint32_t lock_id) const;
-  /// Home side, run by barrier_leader between apply_barrier_plan and the
-  /// done rendezvous: ships one acked kReplicaUpdate to each of this
-  /// rank's R-1 live ring successors carrying, for every object this
-  /// node is (now) home of that was modified this barrier (plus every
-  /// homed object that successor has no watermark for, shipped as a
-  /// full image), the words stamped after the last shipped
-  /// cut (full image on a fresh object or a new backup). `cut` is
-  /// new_epoch - 1: every current word ts is <= cut, every future one is
-  /// > cut.
+  /// Home side, between apply_barrier_plan and the done rendezvous: one
+  /// acked kReplicaUpdate per live ring successor (R-1 of them) with the
+  /// words of this barrier's modified homed objects stamped after that
+  /// successor's last shipped cut, and full images of homed objects it
+  /// has no watermark for. `cut` = new_epoch - 1: every current word ts
+  /// is <= cut, every future one is > cut.
   void ship_replicas(const std::vector<BarrierPlanEntry>& plan, uint32_t cut);
   void on_replica_update(net::Message&& m);  // backup side (service thread)
-  void on_recover_enter(net::Message&& m);   // master side (service thread)
-  /// Releases the recovery rendezvous if every live rank has entered
-  /// at the master's CURRENT view. Caller holds sync_mu_ via `lk`; the
-  /// lock is released before replies go out. Re-run on every death
-  /// notice too: a death can shrink the live set (and move the view)
-  /// after the last enter arrived.
-  void maybe_release_recover(std::unique_lock<std::mutex>& lk);
   /// The node's recovery body (collective last arriver, siblings parked).
   void recover_leader();
   /// The local half of a view change: fences the old view, re-homes in
@@ -372,8 +289,6 @@ class Node {
   /// backup_of(home), voids this node's replica watermarks and re-mints
   /// its locks.
   void repair_view();
-  /// kRecoverEnter(v, coll_seq_) addressed to the current master.
-  [[nodiscard]] net::Message recover_enter(uint32_t v) const;
   /// For a node whose application has left Runtime::run() and so can no
   /// longer call recover(): on an unrecovered death it repairs locally
   /// and enters the round itself, so a survivor whose exit reply of the
@@ -386,33 +301,6 @@ class Node {
   /// the dead home's fan-out (the fallback if the holder dies before
   /// the next barrier re-seeds the ring).
   void rehome_object(ObjectMeta& m, int holder);
-  /// Breaks the dead rank's locks by re-minting EVERY lock this node
-  /// manages (fresh token parked at the manager, queues dropped): at the
-  /// recovery point all parked tokens, queued waiters and in-flight
-  /// grants belong to intervals the survivors are about to redo, and
-  /// their scope chains carry only post-cut records (barriers clear
-  /// them) which the redo regenerates. Caller holds sync_mu_.
-  void reclaim_dead_locks();
-  /// View gate: throws WorkerDied when this node's view is not `v`.
-  /// Sync entries call it AFTER registering their wait: a death noticed
-  /// earlier shows here as a moved view, one noticed later finds the
-  /// registration in on_peer_dead's sweep.
-  void check_view(uint32_t v) const;
-  /// Sync-entry gate: check_view(recovered_view_) — throws while a death
-  /// notice has not been recovered yet.
-  void check_death() const { check_view(recovered_view_); }
-  /// Barrier enter/done, run-barrier enter and recover enter: registers
-  /// the request, THEN gates on view `v`, then waits for the reply.
-  net::Message sync_request(net::Message m, uint32_t v);
-  /// The number of this node's next barrier (`run` false) or run
-  /// barrier (see coll_seq_).
-  [[nodiscard]] uint64_t next_seq(bool run) const {
-    return run ? coll_seq_ + 1 : ((coll_seq_ >> 32) + 1) << 32;
-  }
-  /// True (and the collective counted) when this barrier's or run
-  /// barrier's number is at or below committed_seq_: it committed
-  /// cluster-wide and only our exit reply was lost to a death sweep.
-  bool committed_redo(bool run);
 
   // -- swap protocol (runtime.cpp; fetch protocol lives in fetch.cpp) --
   void on_swap_put(net::Message&& m);
@@ -437,11 +325,6 @@ class Node {
       dir.shard_cv(m.id).notify_all();
     }
   };
-
-  /// The node-local intra-node mutex for DSM lock `lock_id` (created on
-  /// first use, under sync_mu_). Serializes same-lock acquires from this
-  /// node's app threads ahead of the manager protocol.
-  std::mutex& local_lock_mutex(uint32_t lock_id);
 
   /// Statement pins, the deterministic successor of the paper's
   /// recency-window pinning for the N-app-thread node: every access
@@ -518,9 +401,10 @@ class Node {
   ObjectDirectory dir_;    ///< striped: per-shard locks
   CoherenceEngine coherence_;
   FetchEngine fetch_;      ///< all kObjFetch flows (demand/pipelined/home)
+  SyncEngine sync_;        ///< lock, barrier and recovery-rendezvous protocol
 
   /// Rendezvous of this node's app threads for the node-level
-  /// collectives (alloc/free/barrier/run_barrier).
+  /// collectives (alloc/free/barrier/run_barrier/recover).
   CollectiveGroup group_;
 
   /// One statement-pin ring per app thread (see stmt_pin above).
@@ -529,20 +413,13 @@ class Node {
   /// One ALB per app thread (see AlbEntry above); empty when disabled.
   std::vector<Alb> albs_;
   bool alb_on_ = false;
-  uint32_t alb_mask_ = 0;   ///< alb_size - 1 (power of two)
+  static constexpr uint32_t kAlbSlots = 64;  ///< per thread, power of two
   std::mutex alb_fold_mu_;  ///< serializes fold_alb_stats (leaf mutex)
-
-  /// Guards the synchronization-protocol state below (lock tokens,
-  /// manager queues, barrier master bookkeeping, the local per-lock
-  /// mutex table). Never held while taking a shard lock or blocking on
-  /// a request.
-  std::mutex sync_mu_;
 
   /// Interval clock. Atomic because any app thread may advance it at
   /// its own acquire/release; the barrier's store runs with all app
   /// threads quiescent in the collective.
   std::atomic<uint32_t> epoch_{1};
-  uint32_t last_barrier_epoch_ = 0;  ///< barrier-leader only
   /// Barrier generation: bumped once per barrier (apply_barrier_plan).
   /// kHomeMigrate/kHomeMigrateAck messages are stamped with the sender's
   /// generation and dropped on mismatch, so a lock-driven handoff can
@@ -550,44 +427,13 @@ class Node {
   /// modified object's home from its own global view).
   std::atomic<uint32_t> barrier_gen_{0};
 
-  std::unordered_map<uint32_t, LockToken> tokens_;
-  std::unordered_map<uint32_t, ManagerState> managed_locks_;
-  std::unordered_map<uint32_t, LockWait> lock_waits_;
-  std::condition_variable lock_cv_;
-  /// Intra-node serialization of same-lock acquires (see
-  /// local_lock_mutex). unique_ptr: mutexes must not move on rehash.
-  std::unordered_map<uint32_t, std::unique_ptr<std::mutex>> local_lock_mu_;
-  /// Lock-manager dominance tracking for lock-driven migration (guarded
-  /// by sync_mu_, populated only when Config::lock_migration).
-  std::unordered_map<ObjectId, MigrateStreak> migrate_streaks_;
-  MasterBarrier master_;  ///< used on master_rank() only (rank 0 until it dies)
   /// Recovery rounds completed since node birth, for chaos_due ONLY
-  /// (its barrier count is coll_seq_'s high half). Deliberately separate
+  /// (its barrier count is SyncEngine::barriers_done). Deliberately separate
   /// from the stats: harnesses call reset_stats() mid-run (e.g. after a
   /// warm-up/open phase), and a kill countdown that rewound with the
   /// stats would fire at the wrong point. Written only inside the
   /// recovery collective's leader body, so no atomicity needed.
   uint32_t chaos_recoveries_ = 0;
-
-  // -- views and the collective sequence (recovery) ------------------------
-  /// The last view this node finished recovering (recover_leader sets
-  /// it to the view it entered with). Written only by the recovery
-  /// leader with every sibling app thread parked in the collective.
-  uint32_t recovered_view_ = 0;
-  /// The number of the last barrier or run barrier this node saw commit
-  /// (exit reply in hand, or proven by a recovery echo): coherence
-  /// barriers in the high half, run barriers since the last of them in
-  /// the low half, so SPMD order numbers both kinds in one increasing
-  /// sequence. The low half restarts at every barrier and at recovery
-  /// exit, because the application redoes everything since its last
-  /// barrier(). Collective-leader / recovery-leader only.
-  uint64_t coll_seq_ = 0;
-  /// The last recovery exit's echo: the highest coll_seq_ any survivor
-  /// entered with. A death sweep can eat the exit reply of a collective
-  /// that had already released; commit needs every live rank's vote, so
-  /// an echo above our number proves our interrupted collective
-  /// committed, and committed_redo() consumes its redo.
-  uint64_t committed_seq_ = 0;
 
   /// Ranks this node has seen a death notice for (watcher broadcast or
   /// transport verdict). Atomic bytes: read lock-free on hot paths.

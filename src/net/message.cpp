@@ -17,11 +17,8 @@ const char* to_string(MsgType t) {
     case MsgType::kLockGrant: return "LockGrant";
     case MsgType::kLockRelease: return "LockRelease";
     case MsgType::kBarrierEnter: return "BarrierEnter";
-    case MsgType::kBarrierPlan: return "BarrierPlan";
     case MsgType::kBarrierDone: return "BarrierDone";
-    case MsgType::kBarrierExit: return "BarrierExit";
     case MsgType::kRunBarrierEnter: return "RunBarrierEnter";
-    case MsgType::kRunBarrierExit: return "RunBarrierExit";
     case MsgType::kSwapPut: return "SwapPut";
     case MsgType::kSwapGet: return "SwapGet";
     case MsgType::kSwapDrop: return "SwapDrop";
@@ -29,7 +26,6 @@ const char* to_string(MsgType t) {
     case MsgType::kHomeMigrateAck: return "HomeMigrateAck";
     case MsgType::kReplicaUpdate: return "ReplicaUpdate";
     case MsgType::kRecoverEnter: return "RecoverEnter";
-    case MsgType::kRecoverExit: return "RecoverExit";
     case MsgType::kPageFetch: return "PageFetch";
     case MsgType::kPageData: return "PageData";
     case MsgType::kPageDiff: return "PageDiff";

@@ -43,12 +43,11 @@ enum class MsgType : uint16_t {
   kLockForward,   ///< manager -> current holder: forward token on release
   kLockGrant,     ///< holder/manager -> next acquirer (+ scope update chain)
   kLockRelease,   ///< holder -> manager: token returned, nobody waiting
-  kBarrierEnter,  ///< node -> master: write summaries (object ids, sizes)
-  kBarrierPlan,   ///< master -> node: new homes + diff destinations
-  kBarrierDone,   ///< node -> master: phase 2 diffs delivered
-  kBarrierExit,   ///< master -> node: release + invalidation epoch
+  kBarrierEnter,  ///< node -> master: write summaries (object ids); the
+                  ///< kReply carries the plan (new homes, new epoch)
+  kBarrierDone,   ///< node -> master: phase 2 diffs delivered; the kReply
+                  ///< releases the barrier
   kRunBarrierEnter,  ///< event-only barrier (paper §3.6), no memory effect
-  kRunBarrierExit,
   kSwapPut,   ///< §5 remote swapping: park an object image on a peer disk
   kSwapGet,   ///< retrieve a remotely parked image
   kSwapDrop,  ///< release a remotely parked image
@@ -64,10 +63,10 @@ enum class MsgType : uint16_t {
                     ///< dirty objects so the backup always holds every homed
                     ///< object at the last completed barrier (acked request —
                     ///< barrier completion implies a consistent replica cut)
-  kRecoverEnter,    ///< survivor -> rank 0: recovery rendezvous after a peer
+  kRecoverEnter,    ///< survivor -> master: recovery rendezvous after a peer
                     ///< death — all survivors finish re-homing/lock
-                    ///< reclamation before anyone resumes computing
-  kRecoverExit,     ///< rank 0 -> survivors: recovery rendezvous release
+                    ///< reclamation before anyone resumes computing; the
+                    ///< kReply releases it
 
   // --- JIAJIA baseline (page-based, home-based) ---
   kPageFetch,     ///< fetch whole page from its fixed home

@@ -13,8 +13,7 @@
 //    multi-thread PR, re-proven for the prefetch path);
 //  * home redirects while a pipelined window is outstanding (the home
 //    migrated or the requester's view was stale) resolve without
-//    losing the window or its in-flight guards;
-//  * barrier-exit bulk revalidation re-warms the invalidated mapped set.
+//    losing the window or its in-flight guards.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -311,45 +310,6 @@ TEST(FetchEngine, RedirectMidPipelineChasesMigratedHome) {
     }
     lots::barrier();
   });
-}
-
-// ---------------------------------------------------------------------------
-// Barrier-exit bulk revalidation
-// ---------------------------------------------------------------------------
-
-TEST(FetchEngine, BarrierRevalidateRewarmsInvalidatedMappedSet) {
-  constexpr int kObjs = 20;
-  constexpr int kInts = 64;
-  Config cfg = engine_cfg(2, 8, 0);
-  cfg.barrier_revalidate = true;
-  Runtime rt(cfg);
-  rt.run([&](int rank) {
-    std::vector<Pointer<int>> objs(kObjs);
-    for (auto& o : objs) o.alloc(kInts);
-    for (int round = 1; round <= 3; ++round) {
-      if (rank == 0) {
-        for (int k = 0; k < kObjs; ++k) {
-          for (int i = 0; i < kInts; ++i) {
-            objs[static_cast<size_t>(k)][static_cast<size_t>(i)] = round * 10000 + k * 100 + i;
-          }
-        }
-      }
-      lots::barrier();
-      // Rank 1's copies were invalidated-but-mapped after round 1; the
-      // barrier exit refetched them through the pipelined window, so
-      // these reads are warm hits, not demand round trips.
-      int sum = 0;
-      for (int k = 0; k < kObjs; ++k) sum += objs[static_cast<size_t>(k)][3];
-      int want = 0;
-      for (int k = 0; k < kObjs; ++k) want += round * 10000 + k * 100 + 3;
-      ASSERT_EQ(sum, want) << "revalidated copy served stale data in round " << round;
-      lots::barrier();
-    }
-  });
-  NodeStats total;
-  rt.aggregate_stats(total);
-  EXPECT_GT(total.fetch_pipelined.load(), 0u) << "barrier revalidation never used the window";
-  EXPECT_GT(total.prefetch_hits.load(), 0u) << "no post-barrier read was served warm";
 }
 
 // ---------------------------------------------------------------------------

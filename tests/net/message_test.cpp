@@ -108,7 +108,7 @@ TEST(MessageWire, LengthMismatchThrows) {
 
 TEST(MessageWire, TypeNamesCoverProtocol) {
   EXPECT_STREQ(to_string(MsgType::kObjFetch), "ObjFetch");
-  EXPECT_STREQ(to_string(MsgType::kBarrierExit), "BarrierExit");
+  EXPECT_STREQ(to_string(MsgType::kBarrierDone), "BarrierDone");
   EXPECT_STREQ(to_string(MsgType::kJiaBarrierEnter), "JiaBarrierEnter");
 }
 
