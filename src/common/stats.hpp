@@ -93,7 +93,7 @@ struct NodeStats {
   std::atomic<uint64_t> recover_wall_us{0};  ///< wall time spent in recover()
   std::atomic<uint64_t> objects_rehomed{0};  ///< replicas materialized as
                                              ///< authoritative home copies
-  std::atomic<uint64_t> rings_reseeded{0};   ///< homed objects whose watermarks
+  std::atomic<uint64_t> rings_reseeded{0};   ///< homed objects whose replica cuts
                                              ///< were voided for a full re-ship
                                              ///< after a ring rotation
 

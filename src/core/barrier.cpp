@@ -134,15 +134,13 @@ void Node::barrier_leader() {
   // the serving home always has a complete, current copy.
   apply_barrier_plan(plan, new_epoch);
 
-  // ---- barrier-consistent replication (recovery.cpp) ----
+  // ---- barrier-consistent replication (RecoveryEngine) ----
   // Ship AFTER the plan applied (this node knows which objects it now
   // homes) and BEFORE the done rendezvous: the ship is acked, so barrier
   // completion implies the backup holds every homed object at the cut.
   // cut = new_epoch - 1: every word timestamp flushed up to and
   // including this barrier is <= cut, every future flush is > cut.
-  if (rt_.config().replication && nprocs() > 1) {
-    ship_replicas(plan, new_epoch - 1);
-  }
+  if (rt_.config().replication && nprocs() > 1) recovery_.ship_replicas(plan, new_epoch - 1);
 
   // ---- chaos injection, mid-barrier kill point (--kill R:mid-barrier:K) ----
   // The victim dies INSIDE the two-phase protocol during its K-th
@@ -172,14 +170,14 @@ void Node::barrier_leader() {
 /// True when one of this rank's kill points is reached. The barrier and
 /// after-recovery points fire when the completed count reaches n; the
 /// mid-barrier and in-recovery points fire while the n-th round is
-/// still running. Counts committed barriers / chaos_recoveries_, NOT
+/// still running. Counts committed barriers / recovery rounds, NOT
 /// the stats: harnesses reset stats mid-run and a countdown must not
 /// rewind with them.
 bool Node::chaos_due(KillPoint::When when) const {
   if (rt_.config().cluster.fabric != FabricKind::kUdp) return false;
   using When = KillPoint::When;
   const bool barrier_kind = when == When::kBarrier || when == When::kMidBarrier;
-  const auto done = barrier_kind ? sync_.barriers_done() : chaos_recoveries_;
+  const auto done = barrier_kind ? sync_.barriers_done() : recovery_.recoveries_done();
   const bool inside = when == When::kMidBarrier || when == When::kInRecovery;
   const uint32_t at = inside ? done + 1 : done;
   for (const KillPoint& k : rt_.config().kill_points) {
@@ -221,7 +219,7 @@ void Node::apply_barrier_plan(const std::vector<BarrierPlanEntry>& plan, uint32_
         // Adopted home: the predecessor's replicas (wherever they live)
         // are void — this barrier's ship_replicas sends OUR successors
         // full images.
-        m->replica_marks.clear();
+        m->replica_cut = 0;
       }
       m->share = ShareState::kValid;
       m->valid_epoch = new_epoch;

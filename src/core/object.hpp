@@ -93,6 +93,13 @@ struct DiffRecord {
   }
 };
 
+/// One entry of a barrier plan: a modified object and its new home.
+struct BarrierPlanEntry {
+  ObjectId object;
+  int32_t new_home;
+  uint8_t multi_writer;
+};
+
 struct ObjectMeta {
   ObjectId id = kNullObject;
   uint32_t size_bytes = 0;  ///< exact object size (word-aligned internally)
@@ -132,28 +139,15 @@ struct ObjectMeta {
   /// the object. Guarded by the shard lock.
   bool migrating = false;
   /// Home-side replication bookkeeping (barrier-consistent replication,
-  /// Config::replication = R total copies): one watermark per ring
-  /// successor this home has shipped a replica to. `epoch` is the
-  /// word-ts cut of the last kReplicaUpdate that backup acked — only
-  /// words newer than it ride the next diff ship. A successor with no
-  /// mark (fresh object, just-adopted home, or a ring rotated by a
-  /// death) gets a FULL image instead of a diff. Guarded by the shard
-  /// lock. Empty = object never replicated (or marks voided so the
-  /// next barrier re-seeds the ring with full images).
-  struct ReplicaMark {
-    int32_t to = -1;      ///< backup rank holding the replica
-    uint32_t epoch = 0;   ///< word-ts watermark of its last acked ship
-  };
-  std::vector<ReplicaMark> replica_marks;
-
-  /// The watermark for backup `r`, or nullptr when `r` was never
-  /// shipped to. Caller holds the shard lock.
-  [[nodiscard]] ReplicaMark* replica_mark(int32_t r) {
-    for (auto& m : replica_marks) {
-      if (m.to == r) return &m;
-    }
-    return nullptr;
-  }
+  /// Config::replication = R total copies): the word-ts cut of the last
+  /// kReplicaUpdate this home shipped; only words newer than it ride the
+  /// next diff ship. One cut covers every successor because the ring
+  /// holds still between deaths: a ship made while a death is still
+  /// unrecovered treats every cut as void, and the recovery voids them.
+  /// 0 = no replica (a fresh object, a just-adopted home, a voided cut):
+  /// the next barrier ships a FULL image. Cuts are >= 2, so 0 is free.
+  /// Guarded by the shard lock.
+  uint32_t replica_cut = 0;
   /// Pinning / LRU recency (paper §3.3). Atomic because an ALB hit
   /// refreshes it WITHOUT the shard lock (the pin clock must keep
   /// ticking on cached accesses or the eviction recency window sees a

@@ -1,14 +1,17 @@
-// Barrier-consistent replication and worker-death recovery.
+// RecoveryEngine: barrier-consistent replication and worker-death
+// recovery. See recovery.hpp for what the engine owns and its lock
+// order.
 //
 // Replication: at every barrier, after apply_barrier_plan and before the
 // done rendezvous, each (possibly freshly migrated) home ships the words
 // of its modified homed objects to its R-1 *backups* — the next R-1 live
-// ranks in ring order (Config::replication = R total copies) — in one
-// acked kReplicaUpdate per backup. Because every update is acked before
-// kBarrierDone, barrier completion implies each backup holds every
-// object at the just-committed cut: the cluster can always fall back to
-// the state of the last barrier, and any f < R deaths per barrier
-// interval leave at least one live holder per object.
+// ranks in ring order (Config::replication = R total copies). The ship
+// encodes one payload and sends a copy of it, acked, to every backup.
+// Because every update is acked before kBarrierDone, barrier completion
+// implies each backup holds every object at the just-committed cut: the
+// cluster can always fall back to the state of the last barrier, and
+// any f < R deaths per barrier interval leave at least one live holder
+// per object.
 //
 // Failure detection feeds on_peer_dead from two directions: the
 // lots_launch coordinator broadcasts kPeerDead when a worker's TCP
@@ -38,168 +41,168 @@
 // safe to repeat.
 //
 // Master failover: the barrier master and recovery rendezvous live on
-// the lowest-numbered ALIVE rank (SyncEngine::master_rank), not rank 0
-// — the coordinator's kPeerDead broadcast gives every survivor the same
-// dead set, so they deterministically agree on the new master, whose
-// rendezvous state starts fresh (the interrupted barrier is replayed by
-// the survivors' redone supersteps). Static lock managership fails over
-// the same way: SyncEngine::manager_of walks the hash rank forward to
-// the next live rank, which mints the lock's state on first touch.
+// the lowest ALIVE rank (SyncEngine::master_rank), and a dead manager's
+// locks walk forward to the next live rank (SyncEngine::manager_of). The
+// coordinator's kPeerDead broadcast gives every survivor the same dead
+// set, so they agree on both.
 //
 // A death INSIDE the two-phase barrier protocol is recoverable too: the
 // interrupted plan may have partially applied cluster-wide, but every
 // value it moved belongs to the superstep the survivors are about to
 // redo — per-word newest-wins timestamps make the redone flush converge
 // every copy, and the dead rank's objects rejoin at their replica cut.
-// After any recovery, every home voids its replica watermarks so the
-// next barrier re-seeds the (possibly rotated) ring with full images.
+// After any recovery, every home voids its replica cuts so the next
+// barrier re-seeds the (possibly rotated) ring with full images.
 //
 // Remaining limitation (documented in ARCHITECTURE.md): f >= R deaths
 // within one barrier interval can erase every holder of an object.
+#include "core/recovery.hpp"
+
 #include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <unordered_set>
 
 #include "core/runtime.hpp"
 
 namespace lots::core {
 
-int Node::backup_of(int home) const {
-  for (int i = 1; i < nprocs(); ++i) {
-    const int r = (home + i) % nprocs();
-    if (r != home && rank_alive(r)) return r;
-  }
-  return -1;
+RecoveryEngine::RecoveryEngine(Node& node) : node_(node) {}
+
+uint32_t RecoveryEngine::view() const {
+  uint32_t dead = 0;
+  for (int r = 0; r < node_.nprocs(); ++r) dead += node_.rank_alive(r) ? 0 : 1;
+  return dead;
 }
 
-std::vector<int> Node::ring_successors(int home, int count) const {
+std::vector<int> RecoveryEngine::ring_successors(int home, int count) const {
   std::vector<int> out;
-  for (int i = 1; i < nprocs() && static_cast<int>(out.size()) < count; ++i) {
-    const int r = (home + i) % nprocs();
-    if (r != home && rank_alive(r)) out.push_back(r);
+  for (int i = 1; i < node_.nprocs() && static_cast<int>(out.size()) < count; ++i) {
+    const int r = (home + i) % node_.nprocs();
+    if (node_.rank_alive(r)) out.push_back(r);
   }
   return out;
 }
 
-void Node::on_peer_dead(int dead) {
-  if (dead < 0 || dead >= nprocs() || dead == rank_) return;
-  // Marking the rank dead IS the view change: view() counts these bytes,
-  // so every gate that runs after this store sees the new view.
-  if (dead_[static_cast<size_t>(dead)].exchange(1)) {
+void RecoveryEngine::on_peer_dead(int dead) {
+  Node& n = node_;
+  if (dead < 0 || dead >= n.nprocs() || dead == n.rank_) return;
+  // Fence the corpse at the wire (idempotent): stop sending to it,
+  // release senders parked on its flow-control window, and drop its late
+  // datagrams (the zombie fence — a SIGKILLed worker's retransmits must
+  // not land in the new view). Then mark it dead and fail EVERY pending
+  // request in one sweep: a request parked at a live peer (a barrier
+  // enter at the master, a fetch the dead rank was supposed to unblock)
+  // can never complete once a participant died, so all waiters unwind to
+  // the recovery path instead of timing out one by one. Marking the rank
+  // dead IS the view change — view() counts the endpoint's table — and
+  // the sweep must be the ONLY step that wakes waiters: a thread released
+  // early would sprint into recover(), park its kRecoverEnter in the
+  // pending table, and have this very sweep kill it. fail_all_pending
+  // marks the rank dead and drains atomically.
+  n.ep_.transport().mark_peer_dead(dead);
+  if (!n.ep_.fail_all_pending(dead)) {
     return;  // second verdict (coordinator + transport both noticed)
   }
-  // Fence the corpse at the wire: stop sending to it, release senders
-  // parked on its flow-control window, and drop its late datagrams (the
-  // zombie fence — a SIGKILLed worker's retransmits must not land in the
-  // new view). Then fail EVERY pending request in one sweep: a request
-  // parked at a live peer (a barrier enter at the master, a fetch the
-  // dead rank was supposed to unblock) can never complete once a
-  // participant died, so all waiters unwind to the recovery path instead
-  // of timing out one by one. The sweep must be the ONLY step that wakes
-  // waiters — a thread released early (say, by failing just the dead
-  // rank's requests first) would sprint into recover(), park its
-  // kRecoverEnter in the pending table, and have this very sweep kill
-  // it; fail_all_pending marks the rank dead and drains atomically.
-  ep_.transport().mark_peer_dead(dead);
-  ep_.fail_all_pending(dead);
   // Lock waits fail too, and a master re-evaluates the recovery round.
-  sync_.on_death(dead);
-  if (!rt_.in_run()) recover_departed();
+  n.sync_.on_death(dead);
+  if (!n.rt_.in_run()) recover_departed();
 }
 
 // --- replication: home side (barrier leader) -------------------------------
 
-void Node::ship_replicas(const std::vector<BarrierPlanEntry>& plan, uint32_t cut) {
-  const auto backups = ring_successors(rank_, rt_.config().replication - 1);
+void RecoveryEngine::ship_replicas(const std::vector<BarrierPlanEntry>& plan, uint32_t cut) {
+  Node& n = node_;
+  const auto backups = ring_successors(n.rank_, n.rt_.config().replication - 1);
   if (backups.empty()) return;  // no live backup left: nothing to survive for
+  // A death noticed since the last recovery may have rotated the ring
+  // (a new successor holds none of our cuts), and this barrier can still
+  // commit: every cut is void, so every homed object ships in full. Read
+  // after the ring, so a death landing in between errs toward full.
+  const bool rotated = view() != n.sync_.recovered_view();
+
+  // The ship list: the barrier's modified homed objects, plus every homed
+  // object with no valid cut (fresh, voided, rotated ring), since the
+  // backups must cover the whole homed set. All get one payload.
+  std::vector<ObjectId> ship;
+  std::unordered_set<ObjectId> seen;
+  for (const auto& e : plan) {
+    if (e.new_home == n.rank_ && seen.insert(e.object).second) ship.push_back(e.object);
+  }
+  n.dir_.for_each([&](ObjectMeta& m) {
+    if (m.home == n.rank_ && (rotated || m.replica_cut == 0) && seen.insert(m.id).second) {
+      ship.push_back(m.id);
+    }
+  });
+  if (ship.empty()) return;
+
+  std::vector<uint8_t> payload;
+  net::Writer w(payload);
+  w.u32(cut);
+  w.u32(static_cast<uint32_t>(ship.size()));
+  for (ObjectId id : ship) {
+    auto lk = n.dir_.lock_shard(id);
+    ObjectMeta* pm = n.dir_.find(id);
+    if (!pm || pm->home != n.rank_) {  // freed / re-homed under us: empty record
+      w.u32(id);
+      w.u32(0);
+      w.u8(0);
+      w.u32(0);
+      continue;
+    }
+    ObjectMeta& m = *pm;
+    // The sibling app threads are parked in the barrier collective, but
+    // the service thread may still be finishing a home-side flow on this
+    // object: wait its guard out, then own the mapping state ourselves.
+    n.dir_.shard_cv(id).wait(lk, [&] { return !m.inflight; });
+    m.inflight = true;
+    Node::InflightGuard guard{n.dir_, m, lk};
+    // The home's authoritative image: mapped data with pending diffs
+    // (phase-2 deliveries that landed while unmapped) applied.
+    if (m.map != MapState::kMapped) n.map_in(m, lk);
+    if (!m.pending.empty()) n.coherence_.apply_pending(m);
+    const uint32_t* vals = reinterpret_cast<const uint32_t*>(n.space_.dmm(m.dmm_offset));
+    const uint32_t* ts = n.space_.ctrl_words(m.dmm_offset);
+    const uint32_t words = m.words();
+    const bool full = rotated || m.replica_cut == 0;
+    w.u32(id);
+    w.u32(m.size_bytes);
+    w.u8(full ? 1 : 0);
+    if (full) {
+      w.bytes({reinterpret_cast<const uint8_t*>(vals), static_cast<size_t>(words) * 4});
+      w.bytes({reinterpret_cast<const uint8_t*>(ts), static_cast<size_t>(words) * 4});
+    } else {
+      // Diff since the last shipped cut: exactly the words stamped after
+      // it (every word changed since then carries a newer flush epoch;
+      // nothing older can have changed).
+      uint32_t changed = 0;
+      for (uint32_t i = 0; i < words; ++i) changed += ts[i] > m.replica_cut ? 1 : 0;
+      w.u32(changed);
+      for (uint32_t i = 0; i < words; ++i) {
+        if (ts[i] <= m.replica_cut) continue;
+        w.u32(i);
+        w.u32(vals[i]);
+        w.u32(ts[i]);
+      }
+    }
+    // Advance the cut at encode time. If an ack is later swept by a death
+    // notice, recovery voids every cut (full re-seed), so a ship a backup
+    // never saw cannot leave a silent diff hole.
+    m.replica_cut = cut;
+  }
 
   std::vector<net::Endpoint::PendingReply> acks;
   acks.reserve(backups.size());
   for (const int b : backups) {
-    // Per-backup ship list: the barrier's modified homed objects, plus
-    // every homed object THIS backup has no watermark for (fresh
-    // allocations, a voided mark, a ring rotated by a death) — each
-    // backup must cover the whole homed set, not just the write
-    // frontier, and a new ring member needs full images even for
-    // objects untouched this barrier.
-    std::vector<ObjectId> ship;
-    std::unordered_set<ObjectId> seen;
-    for (const auto& e : plan) {
-      if (e.new_home == rank_ && seen.insert(e.object).second) ship.push_back(e.object);
-    }
-    dir_.for_each([&](ObjectMeta& m) {
-      if (m.home == rank_ && !m.replica_mark(b) && seen.insert(m.id).second) {
-        ship.push_back(m.id);
-      }
-    });
-    if (ship.empty()) continue;
-
     net::Message up;
     up.type = net::MsgType::kReplicaUpdate;
     up.dst = b;
-    net::Writer w(up.payload);
-    w.u32(cut);
-    w.u32(static_cast<uint32_t>(ship.size()));
-    for (ObjectId id : ship) {
-      auto lk = dir_.lock_shard(id);
-      ObjectMeta* pm = dir_.find(id);
-      if (!pm || pm->home != rank_) {  // freed / re-homed under us: empty record
-        w.u32(id);
-        w.u32(0);
-        w.u8(0);
-        w.u32(0);
-        continue;
-      }
-      ObjectMeta& m = *pm;
-      // The sibling app threads are parked in the barrier collective, but
-      // the service thread may still be finishing a home-side flow on this
-      // object: wait its guard out, then own the mapping state ourselves.
-      dir_.shard_cv(id).wait(lk, [&] { return !m.inflight; });
-      m.inflight = true;
-      InflightGuard guard{dir_, m, lk};
-      // The home's authoritative image: mapped data with pending diffs
-      // (phase-2 deliveries that landed while unmapped) applied.
-      if (m.map != MapState::kMapped) map_in(m, lk);
-      if (!m.pending.empty()) coherence_.apply_pending(m);
-      const uint32_t* vals = reinterpret_cast<const uint32_t*>(space_.dmm(m.dmm_offset));
-      const uint32_t* ts = space_.ctrl_words(m.dmm_offset);
-      const uint32_t words = m.words();
-      ObjectMeta::ReplicaMark* mark = m.replica_mark(b);
-      const bool full = mark == nullptr;  // fresh object or new ring member
-      w.u32(id);
-      w.u32(m.size_bytes);
-      w.u8(full ? 1 : 0);
-      if (full) {
-        w.bytes({reinterpret_cast<const uint8_t*>(vals), static_cast<size_t>(words) * 4});
-        w.bytes({reinterpret_cast<const uint8_t*>(ts), static_cast<size_t>(words) * 4});
-      } else {
-        // Diff since this backup's last shipped cut: exactly the words
-        // stamped after its watermark (every word changed since then
-        // carries a newer flush epoch; nothing older can have changed).
-        uint32_t n = 0;
-        for (uint32_t i = 0; i < words; ++i) n += ts[i] > mark->epoch ? 1 : 0;
-        w.u32(n);
-        for (uint32_t i = 0; i < words; ++i) {
-          if (ts[i] <= mark->epoch) continue;
-          w.u32(i);
-          w.u32(vals[i]);
-          w.u32(ts[i]);
-        }
-      }
-      // Advance the watermark at encode time. If the ack is later swept
-      // by a death notice, recovery voids every mark (full re-seed), so
-      // a ship the backup never saw cannot leave a silent diff hole.
-      if (mark) {
-        mark->epoch = cut;
-      } else {
-        m.replica_marks.push_back({b, cut});
-      }
-    }
-    stats_.replica_msgs.fetch_add(1, std::memory_order_relaxed);
-    stats_.replica_bytes.fetch_add(up.payload.size(), std::memory_order_relaxed);
-    acks.push_back(ep_.request_async(std::move(up)));
+    up.payload = payload;  // byte clone, not a re-encode
+    n.stats_.replica_msgs.fetch_add(1, std::memory_order_relaxed);
+    n.stats_.replica_bytes.fetch_add(up.payload.size(), std::memory_order_relaxed);
+    acks.push_back(n.ep_.request_async(std::move(up)));
   }
   // All fan-out updates acked BEFORE kBarrierDone: barrier completion
   // implies every live backup holds the cut.
@@ -208,7 +211,7 @@ void Node::ship_replicas(const std::vector<BarrierPlanEntry>& plan, uint32_t cut
 
 // --- replication: backup side (service thread) -----------------------------
 
-void Node::on_replica_update(net::Message&& m) {
+void RecoveryEngine::on_replica_update(net::Message&& m) {
   net::Reader r(m.payload);
   const uint32_t cut = r.u32();
   const uint32_t count = r.u32();
@@ -251,22 +254,29 @@ void Node::on_replica_update(net::Message&& m) {
   }
   net::Message ack;
   ack.type = net::MsgType::kReply;
-  ep_.reply(m, std::move(ack));
+  node_.ep_.reply(m, std::move(ack));
+}
+
+void RecoveryEngine::drop_replica(ObjectId id) {
+  std::lock_guard rl(replica_mu_);
+  replicas_.erase(id);
+}
+
+size_t RecoveryEngine::replica_count() {
+  std::lock_guard rl(replica_mu_);
+  return replicas_.size();
 }
 
 // --- recovery (app threads, collective) ------------------------------------
 
-void Node::recover() {
-  group_.collective([&] { recover_leader(); });
-}
-
-void Node::recover_leader() {
+void RecoveryEngine::recover_leader() {
+  Node& n = node_;
   // A view change is pending when this node noticed a death it has not
   // recovered. Otherwise the call is spurious, or a sibling round of the
   // same view already ran: nothing to do.
   const uint32_t v = view();
-  if (v == sync_.recovered_view()) return;
-  if (!rt_.config().replication) {
+  if (v == n.sync_.recovered_view()) return;
+  if (!n.rt_.config().replication) {
     throw SystemError(
         "a worker died but replication is off — run with LOTS_REPLICATE=2 to survive "
         "worker failures");
@@ -274,23 +284,23 @@ void Node::recover_leader() {
   // Chaos: die at the top of our own recovery pass, while the other
   // survivors are mid-recovery for the earlier death — exercises the
   // application's recover-retry loop.
-  if (chaos_due(KillPoint::When::kInRecovery)) std::raise(SIGKILL);
+  if (n.chaos_due(KillPoint::When::kInRecovery)) std::raise(SIGKILL);
   const auto t0 = std::chrono::steady_clock::now();
   repair_view();
   // Cluster-wide rendezvous at the master — the lowest-numbered ALIVE
   // rank, so the rendezvous itself survives rank 0's death.
-  if (sync_.recover(v)) {
+  if (n.sync_.recover(v)) {
     // The victim died INSIDE the two-phase barrier protocol. The
     // interrupted plan may have partially applied, but everything it
     // moved belongs to the superstep the survivors now redo: per-word
     // newest-wins stamps converge every copy at the redone barrier, and
     // the full re-seed above restores replica coverage. Count it; no
     // longer fatal.
-    stats_.recoveries_mid_barrier.fetch_add(1, std::memory_order_relaxed);
+    n.stats_.recoveries_mid_barrier.fetch_add(1, std::memory_order_relaxed);
   }
-  stats_.recoveries.fetch_add(1, std::memory_order_relaxed);
+  n.stats_.recoveries.fetch_add(1, std::memory_order_relaxed);
   const auto dt = std::chrono::steady_clock::now() - t0;
-  stats_.recover_wall_us.fetch_add(
+  n.stats_.recover_wall_us.fetch_add(
       static_cast<uint64_t>(
           std::chrono::duration_cast<std::chrono::microseconds>(dt).count()),
       std::memory_order_relaxed);
@@ -300,90 +310,89 @@ void Node::recover_leader() {
   // home's objects, this forces the NEXT repair to fall back on the
   // replicas the other survivors kept from the first fan-out.
   ++chaos_recoveries_;
-  if (chaos_due(KillPoint::When::kAfterRecovery)) std::raise(SIGKILL);
+  if (n.chaos_due(KillPoint::When::kAfterRecovery)) std::raise(SIGKILL);
 }
 
-void Node::repair_view() {
+void RecoveryEngine::repair_view() {
+  Node& n = node_;
   // Fence the old view: handoffs stamped with the old barrier generation
   // die on arrival, and the epoch bump defeats every thread's ALB so no
   // cached pointer survives the re-homing below.
-  barrier_gen_.fetch_add(1, std::memory_order_relaxed);
-  epoch_.fetch_add(1, std::memory_order_relaxed);
+  n.barrier_gen_.fetch_add(1, std::memory_order_relaxed);
+  n.epoch_.fetch_add(1, std::memory_order_relaxed);
   // One idempotent pass over the directory. Every object whose home is
   // dead moves to the lowest-alive holder in its home's ring order —
   // with R total copies, any f < R deaths leave it within the shipped
   // successor set; a holder that died since is itself a dead home, so a
-  // rerun after a mid-recovery death converges. Then every watermark on
-  // our homed objects is voided so the next barrier ships FULL images
+  // rerun after a mid-recovery death converges. Then the replica cut of
+  // every object we home is voided so the next barrier ships FULL images
   // to the (possibly shifted) successor set. That also closes the
   // swept-ack hole: a kReplicaUpdate whose ack a death sweep failed may
-  // never have reached its backup, so no pre-death watermark is trusted.
+  // never have reached its backup, so no pre-death cut is trusted.
   uint32_t reseeded = 0;
-  dir_.for_each([&](ObjectMeta& m) {
-    if (m.home >= 0 && !rank_alive(m.home)) {
-      const int holder = backup_of(m.home);
-      LOTS_CHECK(holder >= 0, "recovery: no live replica holder remains");
-      rehome_object(m, holder);
+  n.dir_.for_each([&](ObjectMeta& m) {
+    if (m.home >= 0 && !n.rank_alive(m.home)) {
+      const auto holder = ring_successors(m.home, 1);
+      LOTS_CHECK(!holder.empty(), "recovery: no live replica holder remains");
+      rehome_object(m, holder.front());
     }
-    if (m.home == rank_ && !m.replica_marks.empty()) {
-      m.replica_marks.clear();
+    if (m.home == n.rank_ && m.replica_cut != 0) {
+      m.replica_cut = 0;
       ++reseeded;
     }
   });
-  stats_.rings_reseeded.fetch_add(reseeded, std::memory_order_relaxed);
-  sync_.remint_locks();
+  n.stats_.rings_reseeded.fetch_add(reseeded, std::memory_order_relaxed);
+  n.sync_.remint_locks();
 }
 
-void Node::recover_departed() noexcept {
-  // Pairs with the seq_cst exchange in on_peer_dead: a death noticed
-  // concurrently with leaving run() is seen by at least one side.
+void RecoveryEngine::recover_departed() noexcept {
+  Node& n = node_;
+  // Pairs with the seq_cst exchange in Endpoint::fail_all_pending: a
+  // death noticed concurrently with leaving run() is seen by at least
+  // one side.
   std::atomic_thread_fence(std::memory_order_seq_cst);
   const uint32_t v = view();
-  if (v == sync_.recovered_view() || !rt_.config().replication) return;
+  if (v == n.sync_.recovered_view() || !n.rt_.config().replication) return;
   try {
     repair_view();
-    sync_.send_recover_enter(v);
+    n.sync_.send_recover_enter(v);
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "lots: rank %d could not answer recovery after run(): %s\n", rank_,
+    std::fprintf(stderr, "lots: rank %d could not answer recovery after run(): %s\n", n.rank_,
                  e.what());
   }
 }
 
-void Node::rehome_object(ObjectMeta& m, int holder) {
-  if (rank_ == holder) {
+void RecoveryEngine::rehome_object(ObjectMeta& m, int holder) {
+  Node& n = node_;
+  // Drop every trace of our copy, whatever its state: it may hold
+  // post-cut words that died with the home's unshipped interval, and
+  // the cut is the one consistent line every survivor can rejoin on.
+  n.drop_mapping(m, /*keep_disk_image=*/false);
+  m.home = holder;
+  m.twinned = false;
+  m.twin_writers = 0;
+  m.pending.clear();
+  m.local_writes.clear();
+  m.replica_cut = 0;  // the home full-ships to its successors next barrier
+  if (n.rank_ == holder) {
     // Materialize the replica as the authoritative home copy at the
-    // last barrier cut. Our own live copy — whatever its state — is
-    // discarded first: it may hold post-cut words that died with the
-    // home's unshipped interval, and the cut is the one consistent
-    // line every survivor can rejoin on.
-    Replica rep;
-    bool have = false;
+    // last barrier cut.
+    decltype(replicas_)::node_type rep;
     {
       std::lock_guard rl(replica_mu_);
-      auto it = replicas_.find(m.id);
-      if (it != replicas_.end()) {
-        rep = std::move(it->second);
-        replicas_.erase(it);
-        have = true;
-      }
+      rep = replicas_.extract(m.id);
     }
-    drop_mapping(m, /*keep_disk_image=*/false);
-    m.home = rank_;
     m.share = ShareState::kValid;
-    m.twinned = false;
-    m.twin_writers = 0;
-    m.pending.clear();
-    m.local_writes.clear();
-    m.replica_marks.clear();  // full-ship to OUR successors next barrier
-    stats_.objects_rehomed.fetch_add(1, std::memory_order_relaxed);
-    if (have) {
+    n.stats_.objects_rehomed.fetch_add(1, std::memory_order_relaxed);
+    if (rep) {
+      const Replica& r = rep.mapped();
       const size_t bytes = word_bytes(m);
       std::vector<uint8_t> image(2 * bytes, 0);
-      std::memcpy(image.data(), rep.data.data(), std::min(bytes, rep.data.size()));
-      std::memcpy(image.data() + bytes, rep.ts.data(), std::min(bytes, rep.ts.size() * 4));
-      disk_->write_object(m.id, image);
+      std::memcpy(image.data(), r.data.data(), std::min(bytes, r.data.size()));
+      std::memcpy(image.data() + bytes, r.ts.data(), std::min(bytes, r.ts.size() * 4));
+      n.disk_->write_object(m.id, image);
       m.on_disk = true;
-      m.valid_epoch = rep.epoch;
+      m.valid_epoch = r.epoch;
     } else {
       // Never shipped: the object was never dirty at any barrier, so
       // its content at the cut is all-zero — exactly what a fresh
@@ -391,30 +400,17 @@ void Node::rehome_object(ObjectMeta& m, int holder) {
       m.valid_epoch = 0;
     }
   } else {
-    // Point at the holder and drop every trace of our copy. Our
-    // valid_epoch may run AHEAD of the replica cut (post-cut updates
-    // died with the home), so a diff-since-base fetch would miss
-    // words: force the next access to take a FULL copy.
-    drop_mapping(m, /*keep_disk_image=*/false);
-    m.home = holder;
+    // Point at the holder. Our valid_epoch may run AHEAD of the replica
+    // cut (post-cut updates died with the home), so a diff-since-base
+    // fetch would miss words: force the next access to take a FULL copy.
     m.share = ShareState::kInvalid;
-    m.twinned = false;
-    m.twin_writers = 0;
-    m.pending.clear();
-    m.local_writes.clear();
-    m.replica_marks.clear();
     // We may hold a replica of this object from the dead home's
-    // fan-out. KEEP it: it sits exactly at the recovery cut — the
-    // same cut the holder just materialized — and it is the only
-    // surviving fallback if the new home dies again before the next
-    // barrier re-seeds the ring (still f < R deaths in one barrier
-    // interval). backup_of always lands on the nearest ring
-    // successor of the failed home, so within f < R the chosen
-    // holder's replica is never staler than the committed cut; the
-    // new home's full-image re-seed overwrites ours at the next
-    // barrier.
+    // fan-out. KEEP it: it sits exactly at the recovery cut the holder
+    // just materialized, and it is the only fallback if the new home
+    // dies before the next barrier re-seeds the ring (still f < R
+    // deaths in one barrier interval). That re-seed overwrites it.
   }
-  dir_.bump_generation(m.id);
+  n.dir_.bump_generation(m.id);
 }
 
 }  // namespace lots::core

@@ -1,8 +1,9 @@
 // Node lifecycle, the access check and the dynamic memory mapper
-// (map-in / swap-out / eviction). The lock, barrier and recovery
-// protocols live in SyncEngine (sync.cpp) with the node's sides in
-// locks.cpp / barrier.cpp / recovery.cpp; object fetches in fetch.cpp;
-// twin / flush / diff-application mechanics in coherence.cpp.
+// (map-in / swap-out / eviction). The lock and barrier protocols live in
+// SyncEngine (sync.cpp) with the node's sides in locks.cpp / barrier.cpp;
+// replication and recovery in RecoveryEngine (recovery.cpp); object
+// fetches in fetch.cpp; twin / flush / diff-application mechanics in
+// coherence.cpp.
 //
 // Locking discipline (see runtime.hpp): per-object work holds only the
 // object's directory-shard lock; nothing here ever holds two shard
@@ -132,7 +133,7 @@ void Runtime::run(const std::function<void(int)>& fn) {
       Node& n;
       ~Leave() {
         rt.in_run_.store(false);
-        n.recover_departed();
+        n.recovery_.recover_departed();
       }
     };
     in_run_.store(true);
@@ -221,6 +222,7 @@ Node::Node(Runtime& rt, int rank, std::unique_ptr<net::Transport> transport)
       coherence_(dir_, space_, *disk_, stats_),
       fetch_(*this),
       sync_(*this),
+      recovery_(*this),
       group_(rt.config().threads_per_node),
       stmt_pins_(static_cast<size_t>(rt.config().threads_per_node)),
       albs_(rt.config().alb ? static_cast<size_t>(rt.config().threads_per_node) : 0),
@@ -286,7 +288,7 @@ void Node::dispatch(net::Message&& m) {
     case MsgType::kHomeMigrate: on_home_migrate(std::move(m)); break;
     case MsgType::kHomeMigrateAck: on_home_migrate_ack(std::move(m)); break;
     case MsgType::kDiffBatch: on_diff_batch(std::move(m)); break;
-    case MsgType::kReplicaUpdate: on_replica_update(std::move(m)); break;
+    case MsgType::kReplicaUpdate: recovery_.on_replica_update(std::move(m)); break;
     case MsgType::kLockAcquire:
     case MsgType::kLockForward:
     case MsgType::kLockGrant:
@@ -353,6 +355,9 @@ void Node::free_object(ObjectId id) {
     // then orphans.
     drop_mapping(*m, /*keep_disk_image=*/false);
     dir_.remove_locked(id);
+    // Every node frees collectively, so each backup drops its replica
+    // here too (the backup store's mutex is a leaf under shard locks).
+    recovery_.drop_replica(id);
   });
 }
 

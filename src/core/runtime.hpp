@@ -1,8 +1,9 @@
 // The LOTS runtime: node lifecycle, the access check and the dynamic
 // memory mapping mechanism (paper §3.1-3.3). The coherence mechanics
 // live in CoherenceEngine (coherence.hpp), every object fetch flow in
-// FetchEngine (fetch.hpp), and the lock, barrier and recovery-rendezvous
-// protocols in SyncEngine (sync.hpp); Node hosts the three engines.
+// FetchEngine (fetch.hpp), the lock, barrier and recovery-rendezvous
+// protocols in SyncEngine (sync.hpp), and replication and worker-death
+// recovery in RecoveryEngine (recovery.hpp); Node hosts the four engines.
 //
 // A Runtime owns one in-process "cluster" (or, under kUdp, one rank of
 // a multi-process one): `nprocs` nodes, each hosting
@@ -27,6 +28,8 @@
 //    with every sibling thread quiescent.
 //  * Lock/barrier protocol state sits under SyncEngine's own mutex,
 //    never held while a shard lock is taken (sync.hpp).
+//  * The backup store sits under RecoveryEngine's leaf mutex, taken
+//    inside shard locks, never the other way around (recovery.hpp).
 //  * No thread holds more than one shard lock or blocks on a network
 //    request while holding one (the service thread routes replies).
 //
@@ -54,6 +57,7 @@
 #include "core/diff.hpp"
 #include "core/fetch.hpp"
 #include "core/object.hpp"
+#include "core/recovery.hpp"
 #include "core/sync.hpp"
 #include "mem/dmm_allocator.hpp"
 #include "mem/eviction.hpp"
@@ -115,45 +119,15 @@ class Node {
     group_.collective([&] { sync_.run_barrier(); });
   }
 
-  // ---- worker-death recovery (recovery.cpp) ----
-  /// Death notice entry point: wired to the bootstrap watcher thread and
-  /// the transport's peer-unreachable verdict. Fences the dead rank
-  /// (transport + endpoint), moves the view (which closes the sync-entry
-  /// gate until recover() runs), and fails every outstanding request
-  /// and lock wait with WorkerDied. Idempotent per rank; callable from
-  /// any thread.
-  void on_peer_dead(int dead);
-  /// Collective recovery point (lots::recover()): every app thread of
-  /// every SURVIVING node must call it after catching WorkerDied. A view
-  /// change: when view() moved past the last recovered view, the node
-  /// makes one idempotent pass re-homing every object whose home is dead
-  /// to backup_of(home) (the holder materializes its replica as the
-  /// authoritative copy), breaks the dead ranks' locks, voids its replica
-  /// watermarks (the next barrier re-seeds the rotated ring with full
-  /// images), and rendezvouses cluster-wide (kRecoverEnter(view, seq)
-  /// at the lowest-numbered ALIVE rank — master duties fail over with
-  /// the dead set). Returns at once when no view change is
-  /// pending. Requires Config::replication: with R total copies any
-  /// f < R deaths per barrier interval recover, including rank 0 and
-  /// deaths inside the two-phase barrier protocol; replication off
-  /// throws SystemError.
-  void recover();
-  /// Liveness of `r` as this node currently sees it.
-  [[nodiscard]] bool rank_alive(int r) const {
-    return r >= 0 && r < 256 &&
-           dead_[static_cast<size_t>(r)].load(std::memory_order_acquire) == 0;
+  // ---- worker-death recovery (RecoveryEngine, recovery.hpp) ----
+  void on_peer_dead(int dead) { recovery_.on_peer_dead(dead); }
+  /// Collective recovery point (lots::recover(); RecoveryEngine::recover_leader).
+  void recover() {
+    group_.collective([&] { recovery_.recover_leader(); });
   }
-  /// The membership view: deaths this node has noticed (monotonic).
-  /// Sync entries throw while it differs from the last recovered view;
-  /// kRecoverEnter carries it, and the master releases a recovery round
-  /// only when every live rank entered at the master's own view.
-  [[nodiscard]] uint32_t view() const { return static_cast<uint32_t>(nprocs() - live_count()); }
-  /// Number of ranks not declared dead.
-  [[nodiscard]] int live_count() const {
-    int n = 0;
-    for (int r = 0; r < nprocs(); ++r) n += rank_alive(r) ? 1 : 0;
-    return n;
-  }
+  /// Liveness of `r` as this node currently sees it (the endpoint's table).
+  [[nodiscard]] bool rank_alive(int r) const { return r >= 0 && r < 256 && !ep_.rank_dead(r); }
+  [[nodiscard]] uint32_t view() const { return recovery_.view(); }
 
   [[nodiscard]] int rank() const { return rank_; }
   [[nodiscard]] int nprocs() const { return ep_.nprocs(); }
@@ -193,6 +167,8 @@ class Node {
   /// generation bump). Lets tests manufacture the stale-home window the
   /// redirect-chasing / repair machinery exists for.
   void set_home_for_test(ObjectId id, int32_t home);
+  /// Test hook: replicas this node holds as a backup.
+  size_t replica_count() { return recovery_.replica_count(); }
 
  private:
   friend class Runtime;
@@ -202,6 +178,9 @@ class Node {
   /// The sync engine reaches the endpoint, stats, epoch and coherence
   /// engine; object effects go through the calls below.
   friend class SyncEngine;
+  /// The recovery engine ships and re-homes objects through the mapper
+  /// and repairs the view through the sync engine.
+  friend class RecoveryEngine;
 
   // -- mapper internals (called with the object's shard lock held via
   // `lk` AND the object's in-flight guard owned by the calling thread;
@@ -242,11 +221,6 @@ class Node {
   void on_home_migrate_ack(net::Message&& m);  // old-home side
 
   // -- barrier (barrier.cpp) --
-  struct BarrierPlanEntry {
-    ObjectId object;
-    int32_t new_home;
-    uint8_t multi_writer;
-  };
   /// The node's barrier body, run once by the collective's last arriver
   /// with every sibling app thread quiescent.
   void barrier_leader();
@@ -256,51 +230,6 @@ class Node {
   void on_diff_batch(net::Message&& m);
   /// Applies the master's plan (new homes, invalidations).
   void apply_barrier_plan(const std::vector<BarrierPlanEntry>& plan, uint32_t new_epoch);
-
-  // -- barrier-consistent replication + worker-death recovery
-  //    (recovery.cpp) --
-  /// A backup's copy of one object, complete as of `epoch` (the last
-  /// barrier cut its home shipped). Guarded by replica_mu_.
-  struct Replica {
-    uint32_t epoch = 0;
-    std::vector<uint8_t> data;  ///< word-aligned data image
-    std::vector<uint32_t> ts;   ///< per-word timestamps
-  };
-  /// The lowest-alive holder of `home`'s replicas: the next LIVE rank
-  /// after it in ring order, or -1 when no other rank survives. With R
-  /// total copies this is within the shipped successor set for any
-  /// f < R deaths, so recovery re-homes to it.
-  [[nodiscard]] int backup_of(int home) const;
-  /// The first `count` LIVE ranks after `home` in ring order — the
-  /// backup set a home with R = count+1 copies ships to.
-  [[nodiscard]] std::vector<int> ring_successors(int home, int count) const;
-  /// Home side, between apply_barrier_plan and the done rendezvous: one
-  /// acked kReplicaUpdate per live ring successor (R-1 of them) with the
-  /// words of this barrier's modified homed objects stamped after that
-  /// successor's last shipped cut, and full images of homed objects it
-  /// has no watermark for. `cut` = new_epoch - 1: every current word ts
-  /// is <= cut, every future one is > cut.
-  void ship_replicas(const std::vector<BarrierPlanEntry>& plan, uint32_t cut);
-  void on_replica_update(net::Message&& m);  // backup side (service thread)
-  /// The node's recovery body (collective last arriver, siblings parked).
-  void recover_leader();
-  /// The local half of a view change: fences the old view, re-homes in
-  /// one idempotent directory pass every object whose home is dead to
-  /// backup_of(home), voids this node's replica watermarks and re-mints
-  /// its locks.
-  void repair_view();
-  /// For a node whose application has left Runtime::run() and so can no
-  /// longer call recover(): on an unrecovered death it repairs locally
-  /// and enters the round itself, so a survivor whose exit reply of the
-  /// last collective was swept can finish recovery and skip that
-  /// collective. Called when run() returns and on later death notices.
-  void recover_departed() noexcept;
-  /// Re-homes one object whose home died to `holder`: the holder
-  /// materializes its replica as the authoritative copy, everyone else
-  /// invalidates toward the holder while KEEPING any replica it held of
-  /// the dead home's fan-out (the fallback if the holder dies before
-  /// the next barrier re-seeds the ring).
-  void rehome_object(ObjectMeta& m, int holder);
 
   // -- swap protocol (runtime.cpp; fetch protocol lives in fetch.cpp) --
   void on_swap_put(net::Message&& m);
@@ -402,6 +331,7 @@ class Node {
   CoherenceEngine coherence_;
   FetchEngine fetch_;      ///< all kObjFetch flows (demand/pipelined/home)
   SyncEngine sync_;        ///< lock, barrier and recovery-rendezvous protocol
+  RecoveryEngine recovery_;  ///< replicas, death notices and view repair
 
   /// Rendezvous of this node's app threads for the node-level
   /// collectives (alloc/free/barrier/run_barrier/recover).
@@ -426,23 +356,6 @@ class Node {
   /// never complete across a barrier (whose plan re-decides every
   /// modified object's home from its own global view).
   std::atomic<uint32_t> barrier_gen_{0};
-
-  /// Recovery rounds completed since node birth, for chaos_due ONLY
-  /// (its barrier count is SyncEngine::barriers_done). Deliberately separate
-  /// from the stats: harnesses call reset_stats() mid-run (e.g. after a
-  /// warm-up/open phase), and a kill countdown that rewound with the
-  /// stats would fire at the wrong point. Written only inside the
-  /// recovery collective's leader body, so no atomicity needed.
-  uint32_t chaos_recoveries_ = 0;
-
-  /// Ranks this node has seen a death notice for (watcher broadcast or
-  /// transport verdict). Atomic bytes: read lock-free on hot paths.
-  std::array<std::atomic<uint8_t>, 256> dead_{};
-  /// Replica store (backup side): objects this node backs up for the
-  /// home(s) whose ring successor it is. replica_mu_ is a leaf mutex —
-  /// taken inside shard locks, never the other way around.
-  std::mutex replica_mu_;
-  std::unordered_map<ObjectId, Replica> replicas_;
 };
 
 /// The cluster. Construct with a Config, then run() SPMD functions.
@@ -507,7 +420,7 @@ class Runtime {
 
  private:
   Config cfg_;
-  std::atomic<bool> in_run_{false};  ///< see in_run(); Node::recover_departed
+  std::atomic<bool> in_run_{false};  ///< see in_run(); RecoveryEngine::recover_departed
   std::unique_ptr<TempDir> scratch_;  ///< when cfg.disk_dir is empty
   std::unique_ptr<net::InProcFabric> fabric_;         ///< kInProc only
   std::unique_ptr<cluster::WorkerBootstrap> boot_;    ///< kUdp only

@@ -136,7 +136,7 @@ bool SyncEngine::migrate_on() const {
   // Replication declines lock-driven migration: the replica map is keyed
   // by the HOME, and a home that moves between barriers would leave its
   // objects' last shipped cut parked at the old home's backup while the
-  // new home starts from an empty watermark — a recovery in that window
+  // new home starts with no replica cut — a recovery in that window
   // would lose the interval. Homes still migrate at barriers, where
   // ship_replicas re-ships under the new map before the cut commits.
   return cfg.lock_migration && !cfg.replication &&

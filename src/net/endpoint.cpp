@@ -49,39 +49,16 @@ Endpoint::PendingReply Endpoint::request_async(Message m) {
   return PendingReply(this, std::move(slot), seq);
 }
 
-void Endpoint::mark_rank_dead(int r) {
-  if (r < 0 || r >= 256) return;
-  dead_[static_cast<size_t>(r)].store(1, std::memory_order_release);
-  // Fail the requests already parked on the dead rank; requests to live
-  // peers stay pending (fail_all_pending is the recovery-point hammer).
-  std::vector<std::shared_ptr<Slot>> doomed;
-  {
-    std::lock_guard lk(pending_mu_);
-    for (auto it = pending_.begin(); it != pending_.end();) {
-      if (it->second->dst == r) {
-        doomed.push_back(it->second);
-        it = pending_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  for (auto& slot : doomed) {
-    std::lock_guard lk(slot->mu);
-    slot->died = r;
-    slot->cv.notify_one();
-  }
-}
-
-void Endpoint::fail_all_pending(int dead_rank) {
+bool Endpoint::fail_all_pending(int dead_rank) {
   // The dead flag is raised BEFORE any waiter can observe its request
   // failing: a thread woken by this sweep may immediately issue new
   // requests (the recovery rendezvous), and those must never race a
   // second, partially-applied death verdict. Setting the flag first and
   // draining the whole table in one critical section makes the verdict
-  // atomic from every waiter's point of view.
-  if (dead_rank >= 0 && dead_rank < 256) {
-    dead_[static_cast<size_t>(dead_rank)].store(1, std::memory_order_release);
+  // atomic from every waiter's point of view. Only the first verdict for
+  // a rank sweeps: a repeat must not fail requests issued since.
+  if (dead_rank < 0 || dead_rank >= 256 || dead_[static_cast<size_t>(dead_rank)].exchange(1)) {
+    return false;
   }
   std::vector<std::shared_ptr<Slot>> doomed;
   {
@@ -95,6 +72,7 @@ void Endpoint::fail_all_pending(int dead_rank) {
     slot->died = dead_rank;
     slot->cv.notify_one();
   }
+  return true;
 }
 
 Message Endpoint::request(Message m, uint64_t timeout_us) {

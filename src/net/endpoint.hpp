@@ -115,11 +115,7 @@ class Endpoint {
   /// `req` with the reply sequence filled in.
   void reply(const Message& req, Message resp);
 
-  // ---- peer-death handling (ISSUE 9) -------------------------------------
-  /// Marks `r` dead for this endpoint: every pending request addressed
-  /// to it fails with WorkerDied immediately, and future request_async
-  /// calls to it throw without touching the wire. Idempotent.
-  void mark_rank_dead(int r);
+  // ---- peer-death handling ----------------------------------------------
   /// Marks `dead_rank` dead AND fails EVERY outstanding request with
   /// WorkerDied(`dead_rank`) in one atomic sweep — used at the recovery
   /// point: a request parked at a live peer (e.g. a barrier-enter at the
@@ -127,8 +123,10 @@ class Endpoint {
   /// must unwind to the recovery path. The flag is raised before any
   /// waiter wakes, so requests issued by unwound threads (the recovery
   /// rendezvous) can never be caught by the same verdict's sweep. Late
-  /// replies find no table entry and are dropped.
-  void fail_all_pending(int dead_rank);
+  /// replies find no table entry and are dropped. Returns true when the
+  /// verdict is new; a repeat verdict for the same rank sweeps nothing.
+  /// The flag is set with a seq_cst exchange.
+  bool fail_all_pending(int dead_rank);
   [[nodiscard]] bool rank_dead(int r) const {
     return r >= 0 && r < 256 && dead_[static_cast<size_t>(r)].load(std::memory_order_acquire) != 0;
   }
@@ -152,7 +150,8 @@ class Endpoint {
   std::mutex pending_mu_;
   std::unordered_map<uint64_t, std::shared_ptr<Slot>> pending_;
 
-  /// Ranks declared dead (coordinator notice or transport verdict).
+  /// Ranks declared dead (coordinator notice or transport verdict): the
+  /// node's liveness table (Node::rank_alive).
   std::array<std::atomic<uint8_t>, 256> dead_{};
 };
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <mutex>
+
+#include "common/error.hpp"
 #include "common/threading.hpp"
 #include "net/inproc.hpp"
 
@@ -200,6 +204,49 @@ TEST(Endpoint, HandlerCanSendToOtherNodes) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_TRUE(c_notified.load());
+}
+
+TEST(Endpoint, FailAllPendingSweepsOncePerRank) {
+  // a asks b, which parks every request until the test answers it; rank
+  // 2 is the one declared dead.
+  InProcFabric fab(3, NetModel{});
+  Endpoint a(fab.open(0)), b(fab.open(1)), c(fab.open(2));
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<Message> parked;
+  a.start(nullptr);
+  b.start([&](Message&& m) {
+    std::lock_guard lk(mu);
+    parked.push_back(std::move(m));
+    cv.notify_all();
+  });
+  c.start(nullptr);
+  auto ask_b = [&] {
+    Message req;
+    req.type = MsgType::kPing;
+    req.dst = 1;
+    auto handle = a.request_async(std::move(req));
+    std::unique_lock lk(mu);
+    cv.wait(lk, [&] { return !parked.empty(); });
+    return handle;
+  };
+
+  auto first = ask_b();
+  EXPECT_FALSE(a.rank_dead(2));
+  EXPECT_TRUE(a.fail_all_pending(2)) << "the first verdict is new";
+  EXPECT_TRUE(a.rank_dead(2));
+  try {
+    first.wait();
+    ADD_FAILURE() << "a parked request must fail with WorkerDied";
+  } catch (const lots::WorkerDied& e) {
+    EXPECT_EQ(e.rank(), 2);
+  }
+
+  parked.clear();
+  auto second = ask_b();
+  EXPECT_FALSE(a.fail_all_pending(2)) << "a repeat verdict is not new";
+  b.reply(parked.front(), Message{.type = MsgType::kReply});
+  EXPECT_EQ(second.wait().type, MsgType::kReply) << "a repeat verdict must not sweep";
 }
 
 }  // namespace
