@@ -20,6 +20,9 @@ void Config::validate() const {
   if (jia_heap_bytes % page_bytes != 0) {
     throw UsageError("Config.jia_heap_bytes must be page aligned");
   }
+  if (disk_capacity_bytes > 0 && nprocs == 1) {
+    throw UsageError("Config.disk_capacity_bytes needs nprocs >= 2: overflow spills to a peer");
+  }
   if (net.time_scale < 0 || disk.time_scale < 0) {
     throw UsageError("time_scale knobs must be non-negative");
   }

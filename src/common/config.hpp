@@ -141,12 +141,11 @@ struct Config {
   bool large_object_space = true;
   /// Directory for per-node disk stores; empty = a fresh temp dir.
   std::string disk_dir;
-  /// Local disk budget for swapped objects (0 = unlimited). With
-  /// remote_swap enabled, overflow spills to a peer's disk instead of
-  /// failing — the paper's §5 future-work item ("swapping can also be
-  /// done not only to and from local hard disks, but remote ones").
+  /// Local disk budget for swapped objects (0 = unlimited; needs nprocs
+  /// >= 2). Past it, clean non-home copies spill to the next rank's disk:
+  /// the paper's §5 future-work item ("swapping can also be done not only
+  /// to and from local hard disks, but remote ones").
   size_t disk_capacity_bytes = 0;
-  bool remote_swap = false;
 
   // -- Protocol knobs -----------------------------------------------------
   ProtocolMode protocol = ProtocolMode::kMixed;

@@ -255,7 +255,7 @@ void Node::apply_barrier_plan(const std::vector<BarrierPlanEntry>& plan, uint32_
   for (ObjectId id : adopt_remote) {
     auto lk = dir_.lock_shard(id);
     ObjectMeta* m = dir_.find(id);
-    if (m && m->on_remote) rehydrate_remote(*m, lk);
+    if (m && m->on_remote) mapper_.rehydrate_remote(*m, lk);
   }
   sync_.barrier_cut();  // scope chains restart, migration streaks reset
   epoch_.store(new_epoch, std::memory_order_relaxed);

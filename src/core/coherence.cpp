@@ -7,7 +7,8 @@ namespace lots::core {
 
 void CoherenceEngine::ensure_twin(ObjectMeta& m, int thread) {
   LOTS_CHECK(m.map == MapState::kMapped, "ensure_twin: not mapped");
-  std::memcpy(space_.twin(m.dmm_offset), space_.dmm(m.dmm_offset), word_bytes(m));
+  const Mapper::Words w = mapper_.words(m);
+  std::memcpy(w.twin(), w.data(), word_bytes(m));
   m.twinned = true;
   m.twin_writers = twin_writer_bit(thread);
   std::lock_guard g(twins_mu_);
@@ -28,42 +29,27 @@ void CoherenceEngine::apply_pending(ObjectMeta& m) {
 }
 
 void CoherenceEngine::apply_incoming(ObjectMeta& m, const DiffRecord& rec) {
-  LOTS_CHECK(m.map == MapState::kMapped, "apply_incoming: not mapped");
-  uint8_t* data = space_.dmm(m.dmm_offset);
-  uint32_t* ts = space_.ctrl_words(m.dmm_offset);
-  const size_t applied = apply_record(rec, data, ts);
+  Mapper::Words w = mapper_.words(m);
+  const size_t applied = apply_record(rec, w.data(), w.ts());
   stats_.diff_words_redundant.fetch_add(rec.words() - applied, std::memory_order_relaxed);
   if (m.twinned && applied) {
     // Mirror the accepted words into the twin so the next flush diffs
     // only this node's own writes. A word was accepted exactly when its
     // stamp now equals the record's epoch.
-    uint8_t* twin = space_.twin(m.dmm_offset);
     for (size_t i = 0; i < rec.word_idx.size(); ++i) {
       const uint32_t wi = rec.word_idx[i];
-      if (ts[wi] == rec.ts_of(i)) {
-        std::memcpy(twin + static_cast<size_t>(wi) * 4, &rec.word_val[i], 4);
+      if (w.ts()[wi] == rec.ts_of(i)) {
+        std::memcpy(w.twin() + static_cast<size_t>(wi) * 4, &rec.word_val[i], 4);
       }
     }
   }
+  w.store();
 }
 
 void CoherenceEngine::apply_delivery(ObjectMeta& m, DiffRecord&& rec, int32_t self_rank) {
   const uint32_t rec_epoch = rec.epoch;
-  const size_t bytes = word_bytes(m);
-  if (m.map == MapState::kMapped) {
+  if (m.map == MapState::kMapped || m.on_disk || m.home == self_rank) {
     apply_incoming(m, rec);
-  } else if (m.on_disk) {
-    std::vector<uint8_t> image((m.twinned ? 3 : 2) * bytes);
-    LOTS_CHECK(disk_.read_object(rec.object, image), "diff target image vanished");
-    apply_record(rec, image.data(), reinterpret_cast<uint32_t*>(image.data() + bytes));
-    disk_.write_object(rec.object, image);
-  } else if (m.home == self_rank) {
-    // The home must materialize the master copy even if it never
-    // touched the object itself.
-    std::vector<uint8_t> image(2 * bytes, 0);
-    apply_record(rec, image.data(), reinterpret_cast<uint32_t*>(image.data() + bytes));
-    disk_.write_object(rec.object, image);
-    m.on_disk = true;
   } else {
     // A parked update makes the fast-path predicate `pending.empty()`
     // false: defeat any ALB entry still pointing at the object.
@@ -102,29 +88,15 @@ std::vector<DiffRecord> CoherenceEngine::flush_interval(uint32_t flush_epoch, in
     // stamp already defeats entries at every sync boundary; this bump
     // closes the window between the epoch advance and this clear.)
     dir_.bump_generation(id);
+    // A dirty object swapped out mid-interval diffs its disk image in
+    // place, without disturbing the DMM; storing it drops the twin.
     const size_t bytes = word_bytes(*m);
-    DiffRecord rec;
-    if (m->map == MapState::kMapped) {
-      rec = compute_twin_diff(id, flush_epoch, {space_.dmm(m->dmm_offset), bytes},
-                              {space_.twin(m->dmm_offset), bytes});
-      m->twinned = false;
-      if (rec.word_idx.empty()) continue;  // read-only access: nothing to do
-      uint32_t* ts = space_.ctrl_words(m->dmm_offset);
-      for (uint32_t wi : rec.word_idx) ts[wi] = flush_epoch;
-    } else {
-      // The dirty object was swapped out mid-interval: diff the disk
-      // image in place, without disturbing the DMM.
-      LOTS_CHECK(m->on_disk, "twinned unmapped object lost its disk image");
-      std::vector<uint8_t> image(3 * bytes);
-      LOTS_CHECK(disk_.read_object(id, image), "flush: disk image vanished");
-      rec = compute_twin_diff(id, flush_epoch, {image.data(), bytes},
-                              {image.data() + 2 * bytes, bytes});
-      m->twinned = false;
-      auto* ts = reinterpret_cast<uint32_t*>(image.data() + bytes);
-      for (uint32_t wi : rec.word_idx) ts[wi] = flush_epoch;
-      disk_.write_object(id, std::span<const uint8_t>(image.data(), 2 * bytes));
-      if (rec.word_idx.empty()) continue;
-    }
+    Mapper::Words w = mapper_.words(*m);
+    DiffRecord rec = compute_twin_diff(id, flush_epoch, {w.data(), bytes}, {w.twin(), bytes});
+    m->twinned = false;
+    for (uint32_t wi : rec.word_idx) w.ts()[wi] = flush_epoch;
+    w.store();
+    if (rec.word_idx.empty()) continue;  // read-only access: nothing to do
     stats_.diffs_created.fetch_add(1, std::memory_order_relaxed);
     // Coalesce into the standing interval record: keep the newest value
     // and stamp per word instead of appending one record per interval.

@@ -8,7 +8,8 @@
 // locking contract against the striped ObjectDirectory:
 //
 //  * per-meta calls (ensure_twin / apply_pending / apply_incoming /
-//    apply_delivery) require the caller to hold the meta's shard lock;
+//    apply_delivery) require the caller to hold the meta's shard lock
+//    and reach the object's words, mapped or not, through Mapper::Words;
 //  * flush_interval takes shard locks itself, one object at a time, and
 //    must be called with NO shard lock held;
 //  * build_diff_batches is pure message assembly — no locks involved.
@@ -21,18 +22,16 @@
 
 #include "common/stats.hpp"
 #include "core/diff.hpp"
+#include "core/mapper.hpp"
 #include "core/object.hpp"
-#include "mem/space_layout.hpp"
 #include "net/message.hpp"
-#include "storage/disk_store.hpp"
 
 namespace lots::core {
 
 class CoherenceEngine {
  public:
-  CoherenceEngine(ObjectDirectory& dir, mem::SpaceLayout& space, storage::DiskStore& disk,
-                  NodeStats& stats)
-      : dir_(dir), space_(space), disk_(disk), stats_(stats) {}
+  CoherenceEngine(ObjectDirectory& dir, Mapper& mapper, NodeStats& stats)
+      : dir_(dir), mapper_(mapper), stats_(stats) {}
   CoherenceEngine(const CoherenceEngine&) = delete;
   CoherenceEngine& operator=(const CoherenceEngine&) = delete;
 
@@ -51,19 +50,17 @@ class CoherenceEngine {
   /// holds the shard lock; the object must be mapped.
   void apply_pending(ObjectMeta& m);
 
-  /// Applies an incoming update to a MAPPED object's data + word stamps
-  /// AND, crucially, to its twin when one exists: otherwise the next
-  /// flush would mistake the foreign words for local writes and re-stamp
-  /// them with this node's (possibly inflated) epoch — which can bury a
-  /// genuinely newer write at the barrier merge (lost update). Caller
-  /// holds the shard lock.
+  /// Applies an incoming update to the object's data + word stamps,
+  /// wherever they live, AND to its twin when one exists: otherwise the
+  /// next flush would mistake the foreign words for local writes and
+  /// re-stamp them with this node's (possibly inflated) epoch — which can
+  /// bury a genuinely newer write (lost update). Caller holds the lock.
   void apply_incoming(ObjectMeta& m, const DiffRecord& rec);
 
   /// Full delivery path for a record arriving from a peer (release push
-  /// or barrier phase 2): applies in place when mapped, patches the disk
-  /// image when swapped out, materializes the master copy when this node
-  /// is the home, and parks in `pending` otherwise. Caller holds the
-  /// shard lock.
+  /// or barrier phase 2): applies it when the copy is mapped or swapped
+  /// out or this node is the home (which materializes the master copy),
+  /// and parks it in `pending` otherwise. Caller holds the shard lock.
   void apply_delivery(ObjectMeta& m, DiffRecord&& rec, int32_t self_rank);
 
   /// Flushes objects twinned this interval into DiffRecords at
@@ -110,8 +107,7 @@ class CoherenceEngine {
 
  private:
   ObjectDirectory& dir_;
-  mem::SpaceLayout& space_;
-  storage::DiskStore& disk_;
+  Mapper& mapper_;
   NodeStats& stats_;
 
   /// Objects twinned since the last flush (selection happens per meta

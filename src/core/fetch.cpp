@@ -109,8 +109,9 @@ int32_t FetchEngine::apply_primary(ObjectMeta& m, net::Reader& r) {
 
   node_.stats_.object_fetches.fetch_add(1, std::memory_order_relaxed);
   const size_t bytes = word_bytes(m);
-  uint8_t* data = node_.space_.dmm(m.dmm_offset);
-  uint32_t* ts = node_.space_.ctrl_words(m.dmm_offset);
+  const Mapper::Words words = node_.mapper_.words(m);
+  uint8_t* data = words.data();
+  uint32_t* ts = words.ts();
   const uint32_t home_base = r.u32();
   if (form == 0) {  // full copy at the home's cut
     auto body = r.bytes_view();
@@ -148,7 +149,7 @@ int32_t FetchEngine::apply_primary(ObjectMeta& m, net::Reader& r) {
     // A twinned object re-validated mid-interval (write-invalidate lock
     // mode): rebase the twin so the fetched content is not mistaken for
     // local writes at the next flush.
-    std::memcpy(node_.space_.twin(m.dmm_offset), data, bytes);
+    std::memcpy(words.twin(), data, bytes);
   }
   m.share = ShareState::kValid;
   m.valid_epoch = home_base;
@@ -339,7 +340,7 @@ size_t FetchEngine::fetch_pass(std::span<const ObjectId> ids, bool piggyback,
       m.inflight = true;  // ours until the entry completes or aborts
       bool entry_issued = false;
       try {
-        if (m.map != MapState::kMapped) node_.map_in(m, lk);
+        if (m.map != MapState::kMapped) node_.mapper_.map_in(m, lk);
         if (m.share == ShareState::kInvalid) {
           LOTS_CHECK(m.home != node_.rank_, "fetch_many: invalid copy at its own home");
           const int32_t target = m.home;
@@ -488,25 +489,10 @@ bool FetchEngine::drain_active_window() {
 void FetchEngine::encode_copy(ObjectMeta& obj, uint32_t req_base, bool has_base,
                               net::Writer& w) {
   const size_t bytes = word_bytes(obj);
-  // Materialize the home copy for reading without disturbing the DMM
-  // mapping state: mapped -> direct pointers; on disk -> scratch image;
-  // never touched -> zeros.
-  std::vector<uint8_t> scratch;
-  const uint8_t* data;
-  const uint32_t* ts;
-  if (obj.map == MapState::kMapped) {
-    data = node_.space_.dmm(obj.dmm_offset);
-    ts = node_.space_.ctrl_words(obj.dmm_offset);
-  } else if (obj.on_disk) {
-    scratch.resize((obj.twinned ? 3 : 2) * bytes);
-    LOTS_CHECK(node_.disk_->read_object(obj.id, scratch), "home disk image vanished");
-    data = scratch.data();
-    ts = reinterpret_cast<const uint32_t*>(scratch.data() + bytes);
-  } else {
-    scratch.assign(2 * bytes, 0);
-    data = scratch.data();
-    ts = reinterpret_cast<const uint32_t*>(scratch.data() + bytes);
-  }
+  // Read the home copy wherever it lives, without disturbing the DMM
+  // mapping state (a home that never touched it reads zeros).
+  const Mapper::Words words = node_.mapper_.words(obj);
+  const uint8_t* data = words.data();
 
   // Prefer the on-demand diff (§3.5) when the requester kept a base and
   // the ENCODED diff is smaller than the full object — decided on the
@@ -516,7 +502,7 @@ void FetchEngine::encode_copy(ObjectMeta& obj, uint32_t req_base, bool has_base,
   // the scratch encode when even a best-case run form cannot win.
   if (has_base) {
     std::vector<uint32_t> idx, val, wts;
-    diff_since({data, bytes}, ts, req_base, idx, val, wts);
+    diff_since({data, bytes}, words.ts(), req_base, idx, val, wts);
     if (5 + idx.size() * 4 < bytes) {
       std::vector<uint8_t> diff_wire;
       net::Writer dw(diff_wire);
@@ -585,7 +571,7 @@ void FetchEngine::serve(net::Message&& m) {
       w.u8(0);
       w.u32(obj.valid_epoch);
       w.u32(static_cast<uint32_t>(bytes));  // w.bytes()'s length prefix
-      resp.borrowed = {node_.space_.dmm(obj.dmm_offset), bytes};
+      resp.borrowed = {node_.mapper_.data(obj), bytes};
       node_.ep_.reply(m, std::move(resp));
       return;
     }

@@ -1,0 +1,288 @@
+// Mapper: map-in, swap-out, eviction and §5 remote swapping. See
+// mapper.hpp for what the mapper owns and its locking contract.
+#include "core/mapper.hpp"
+
+#include <cstring>
+#include <thread>
+
+#include "core/runtime.hpp"
+#include "mem/eviction.hpp"
+
+namespace lots::core {
+namespace {
+
+// An object's disk image, the one statement of its layout:
+//   [data words][timestamp words][twin words, only while twinned]
+// swap_out writes it, Words reads and rewrites it, remote parking ships
+// it verbatim.
+size_t image_bytes(const ObjectMeta& m) { return (m.twinned ? 3 : 2) * word_bytes(m); }
+
+struct ImageParts {
+  uint8_t* data;
+  uint32_t* ts;
+  uint8_t* twin;  ///< nullptr unless the image carries a twin
+};
+ImageParts image_parts(std::vector<uint8_t>& image, size_t bytes) {
+  return {image.data(), reinterpret_cast<uint32_t*>(image.data() + bytes),
+          image.size() > 2 * bytes ? image.data() + 2 * bytes : nullptr};
+}
+
+}  // namespace
+
+Mapper::Mapper(Node& node)
+    : node_(node),
+      space_(node.config().dmm_bytes),
+      dmm_(node.config().dmm_bytes, node.config().page_bytes),
+      disk_(node.config().disk_dir, node.rank(), node.config().disk, &node.stats_),
+      stmt_pins_(static_cast<size_t>(node.config().threads_per_node)) {}
+
+Mapper::Words::Words(Mapper& mapper, ObjectMeta& m) : mapper_(mapper), m_(m) {
+  if (m.map == MapState::kMapped) {
+    data_ = mapper.space_.dmm(m.dmm_offset);
+    ts_ = mapper.space_.ctrl_words(m.dmm_offset);
+    twin_ = mapper.space_.twin(m.dmm_offset);
+    return;
+  }
+  LOTS_CHECK(m.on_disk || !m.twinned, "twinned unmapped object lost its disk image");
+  image_.resize(image_bytes(m));  // zeros unless an image exists
+  if (m.on_disk) LOTS_CHECK(mapper.disk_.read_object(m.id, image_), "disk image vanished");
+  const ImageParts p = image_parts(image_, word_bytes(m));
+  data_ = p.data;
+  ts_ = p.ts;
+  twin_ = p.twin;
+}
+
+void Mapper::Words::store() {
+  if (m_.map == MapState::kMapped) return;
+  mapper_.disk_.write_object(m_.id, std::span<const uint8_t>(image_.data(), image_bytes(m_)));
+  m_.on_disk = true;
+  std::vector<uint8_t>().swap(image_);  // free the buffer now, not at scope end
+}
+
+bool Mapper::stmt_pinned(ObjectId id) const {
+  for (const StmtPins& p : stmt_pins_) {
+    for (const auto& slot : p.ids) {
+      if (slot.load(std::memory_order_relaxed) == id) return true;
+    }
+  }
+  return false;
+}
+
+uint8_t* Mapper::map_in(ObjectMeta& m, std::unique_lock<std::mutex>& lk) {
+  LOTS_CHECK(m.map == MapState::kUnmapped, "map_in: already mapped");
+  const size_t bytes = word_bytes(m);
+  if (m.on_remote) rehydrate_remote(m, lk);
+  const size_t off = alloc_dmm_or_evict(m, lk);
+  uint8_t* data = space_.dmm(off);
+  if (m.on_disk) {
+    const Words image = words(m);  // still unmapped: the disk image
+    std::memcpy(data, image.data(), bytes);
+    std::memcpy(space_.ctrl_words(off), image.ts(), bytes);
+    if (m.twinned) std::memcpy(space_.twin(off), image.twin(), bytes);
+    disk_.free_object(m.id);  // the DMM copy is now the single source of truth
+    m.on_disk = false;
+  } else {
+    std::memset(data, 0, bytes);
+    std::memset(space_.ctrl_words(off), 0, bytes);
+  }
+  m.dmm_offset = off;
+  m.map = MapState::kMapped;
+  return data;
+}
+
+void Mapper::rehydrate_remote(ObjectMeta& m, std::unique_lock<std::mutex>& lk) {
+  lk.unlock();
+  net::Message reply = node_.ep_.request(swap_msg(net::MsgType::kSwapGet, m.id));
+  node_.ep_.send(swap_msg(net::MsgType::kSwapDrop, m.id));
+  lk.lock();
+  net::Reader r(reply.payload);
+  disk_.write_object(m.id, r.bytes_view());
+  m.on_remote = false;
+  m.on_disk = true;
+  node_.stats_.remote_swap_gets.fetch_add(1, std::memory_order_relaxed);
+}
+
+size_t Mapper::alloc_dmm_or_evict(ObjectMeta& target, std::unique_lock<std::mutex>& lk) {
+  const size_t need = word_bytes(target);
+  ObjectDirectory& dir = node_.dir_;
+  for (;;) {
+    if (auto off = dmm_.alloc(need)) return *off;
+    if (!node_.config().large_object_space) {
+      throw UsageError(
+          "DMM area exhausted in LOTS-x mode: the application does not fit in the "
+          "process space (enable large_object_space)");
+    }
+    // Candidates: every settled mapped object but the target. The pin
+    // window is widened by the app-thread count (N threads advance the
+    // pin clock N times faster). The scan takes each shard lock in turn,
+    // so the target's is released first; our guard keeps it still.
+    lk.unlock();
+    std::vector<mem::VictimCandidate> cands;
+    bool saw_inflight = false;
+    dir.for_each([&](ObjectMeta& m) {
+      if (m.map != MapState::kMapped || m.id == target.id) return;
+      saw_inflight |= m.inflight;
+      // Statement pins exclude hard; the recency window is the paper's
+      // soft LRU protection on top.
+      if (m.inflight || stmt_pinned(m.id)) return;
+      cands.push_back({m.id, word_bytes(m), m.access_stamp.load(std::memory_order_relaxed)});
+    });
+    mem::EvictionConfig ecfg;
+    ecfg.pin_window *= static_cast<uint64_t>(node_.app_threads());
+    auto victim = mem::choose_victim(cands, need, dir.newest_stamp(), ecfg);
+    if (!victim) {
+      if (saw_inflight) {
+        // Every usable victim is mid-transition. If they are this
+        // thread's OWN pipelined fetch window nobody else will settle
+        // them: drain it, then rescan. Otherwise a sibling settles them
+        // in a moment: yield and rescan.
+        node_.stats_.evict_races.fetch_add(1, std::memory_order_relaxed);
+        if (!FetchEngine::drain_active_window()) std::this_thread::yield();
+        lk.lock();
+        continue;
+      }
+      lk.lock();  // mapper calls throw only while holding lk
+      throw UsageError(
+          "cannot evict: every mapped object is pinned by the current statement "
+          "(paper §5 limitation — enlarge the DMM area)");
+    }
+    {
+      const auto vid = static_cast<ObjectId>(*victim);
+      auto vlk = dir.lock_shard(vid);
+      ObjectMeta& v = dir.get(vid);
+      // Re-validate under the victim's lock: a sibling may have begun
+      // evicting or touching it since the scan. Defeat its ALB entries,
+      // THEN recheck the pins: against the hit path's pin-store -> fence
+      // -> generation-load, the two seq_cst fences guarantee a racing
+      // lock-free hit either saw the bump (and misses) or left a pin
+      // this recheck sees (store-buffer argument).
+      dir.bump_generation(vid);
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+      if (v.inflight || v.map != MapState::kMapped || stmt_pinned(v.id)) {
+        node_.stats_.evict_races.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        v.inflight = true;
+        InflightGuard vguard{dir, v, vlk};
+        evict(v, vlk);
+        node_.stats_.evictions.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    lk.lock();
+  }
+}
+
+void Mapper::evict(ObjectMeta& m, std::unique_lock<std::mutex>& lk) {
+  if (m.share == ShareState::kValid || m.twinned) {
+    swap_out(m, lk);
+  } else {
+    drop_mapping(m, /*keep_disk_image=*/false);
+  }
+}
+
+void Mapper::swap_out(ObjectMeta& m, std::unique_lock<std::mutex>& lk) {
+  LOTS_CHECK(m.map == MapState::kMapped, "swap_out: not mapped");
+  const size_t bytes = word_bytes(m);
+  const size_t off = m.dmm_offset;
+  const Config& cfg = node_.config();
+  const bool local_full = cfg.disk_capacity_bytes > 0 &&
+                          disk_.stored_bytes() + image_bytes(m) > cfg.disk_capacity_bytes;
+  if (local_full && m.twinned && std::memcmp(space_.dmm(off), space_.twin(off), bytes) == 0) {
+    // Reader twin: it carries no pending write, so drop it and let the
+    // object qualify for a remote spill (flush skips untwinned objects).
+    m.twinned = false;
+  }
+  std::vector<uint8_t> image(image_bytes(m));
+  const ImageParts p = image_parts(image, bytes);
+  std::memcpy(p.data, space_.dmm(off), bytes);
+  std::memcpy(p.ts, space_.ctrl_words(off), bytes);
+  if (p.twin) std::memcpy(p.twin, space_.twin(off), bytes);
+  if (!local_full || m.home == node_.rank_ || m.twinned || !m.pending.empty()) {
+    // Within budget, or a home or dirty copy: those stay local regardless.
+    disk_.write_object(m.id, image);
+    m.on_disk = true;
+    drop_mapping(m, /*keep_disk_image=*/true);
+    return;
+  }
+  // §5 remote swapping: spill a clean non-home copy to the buddy's disk
+  // (a home always answers fetches from local state). Unmapping before
+  // the lock is released makes a concurrent incoming diff land in
+  // `pending`; the image holds the copy.
+  drop_mapping(m, /*keep_disk_image=*/true);
+  net::Message req = swap_msg(net::MsgType::kSwapPut, m.id);
+  net::Writer(req.payload).bytes(image);
+  lk.unlock();
+  node_.ep_.request(std::move(req));  // acked: the image is durable remotely
+  lk.lock();
+  m.on_remote = true;
+  node_.stats_.remote_swap_puts.fetch_add(1, std::memory_order_relaxed);
+}
+
+void Mapper::drop_mapping(ObjectMeta& m, bool keep_disk_image) {
+  if (m.map == MapState::kMapped) {
+    node_.dir_.bump_generation(m.id);  // defeat cached ALB pointers first
+    space_.discard(m.dmm_offset, word_bytes(m));
+    dmm_.free(m.dmm_offset);
+    m.map = MapState::kUnmapped;
+    m.dmm_offset = 0;
+  }
+  if (!keep_disk_image) {
+    if (m.on_disk) {
+      disk_.free_object(m.id);
+      m.on_disk = false;
+    }
+    if (m.on_remote) {
+      node_.ep_.send(swap_msg(net::MsgType::kSwapDrop, m.id));
+      m.on_remote = false;
+    }
+    m.valid_epoch = 0;  // no diff base left: next fetch is a full copy
+  }
+}
+
+void Mapper::force_swap_out(ObjectId id) {
+  ObjectDirectory& dir = node_.dir_;
+  auto lk = dir.lock_shard(id);
+  ObjectMeta& m = dir.get(id);
+  // Hold the guard ourselves: swap_out may drop the lock around a
+  // remote spill, and access() must not see the half-unmapped state.
+  while (m.inflight) dir.shard_cv(id).wait(lk);
+  if (m.map != MapState::kMapped) return;
+  m.inflight = true;
+  InflightGuard guard{dir, m, lk};
+  evict(m, lk);
+}
+
+net::Message Mapper::swap_msg(net::MsgType type, ObjectId id) const {
+  net::Message msg;
+  msg.type = type;
+  msg.dst = (node_.rank_ + 1) % node_.nprocs();
+  msg.flow = (static_cast<uint64_t>(node_.rank_) + 1) << 32 | id;
+  net::Writer(msg.payload).u64(msg.flow);
+  return msg;
+}
+
+void Mapper::on_swap_put(net::Message&& m) {
+  net::Reader r(m.payload);
+  const uint64_t key = r.u64();
+  disk_.write_object(key, r.bytes_view());
+  net::Message ack;
+  ack.type = net::MsgType::kReply;
+  node_.ep_.reply(m, std::move(ack));
+}
+
+void Mapper::on_swap_get(net::Message&& m) {
+  net::Reader r(m.payload);
+  const uint64_t key = r.u64();
+  std::vector<uint8_t> image(disk_.size_of(key).value_or(0));
+  LOTS_CHECK(disk_.read_object(key, image), "remote swap image vanished");
+  net::Message resp;
+  resp.type = net::MsgType::kReply;
+  net::Writer(resp.payload).bytes(image);
+  node_.ep_.reply(m, std::move(resp));
+}
+
+void Mapper::on_swap_drop(net::Message&& m) {
+  net::Reader r(m.payload);
+  disk_.free_object(r.u64());
+}
+
+}  // namespace lots::core

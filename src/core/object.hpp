@@ -108,7 +108,7 @@ struct ObjectMeta {
   ShareState share = ShareState::kValid;
   MapState map = MapState::kUnmapped;
   size_t dmm_offset = 0;    ///< valid while mapped
-  bool on_disk = false;     ///< a [data|timestamps] image exists locally
+  bool on_disk = false;     ///< a disk image exists locally (layout: core/mapper.cpp)
   bool on_remote = false;   ///< image parked on a peer's disk (§5 remote swap)
   bool twinned = false;     ///< twin holds the pre-interval image
   /// App threads that ran an access check on this object since it was
@@ -324,6 +324,24 @@ class ObjectDirectory {
   std::atomic<uint64_t> pin_clock_{0};
   std::vector<std::unique_ptr<Shard>> shards_;
   NodeStats* stats_ = nullptr;
+};
+
+/// RAII ownership of an object's in-flight guard. Construct with the
+/// shard lock (`lk`) held and ObjectMeta::inflight freshly set; the
+/// destructor clears the flag under the shard lock — re-acquiring it
+/// first when an exception unwinds through one of the windows where a
+/// mapper call had dropped `lk` around a blocking request (e.g. a
+/// request timeout): the flag must never be cleared unsynchronized, and
+/// the notify must not be missable by a parked sibling.
+struct InflightGuard {
+  ObjectDirectory& dir;
+  ObjectMeta& m;
+  std::unique_lock<std::mutex>& lk;
+  ~InflightGuard() {
+    if (!lk.owns_lock()) lk.lock();
+    m.inflight = false;
+    dir.shard_cv(m.id).notify_all();
+  }
 };
 
 }  // namespace lots::core

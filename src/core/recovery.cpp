@@ -158,13 +158,14 @@ void RecoveryEngine::ship_replicas(const std::vector<BarrierPlanEntry>& plan, ui
     // object: wait its guard out, then own the mapping state ourselves.
     n.dir_.shard_cv(id).wait(lk, [&] { return !m.inflight; });
     m.inflight = true;
-    Node::InflightGuard guard{n.dir_, m, lk};
+    InflightGuard guard{n.dir_, m, lk};
     // The home's authoritative image: mapped data with pending diffs
     // (phase-2 deliveries that landed while unmapped) applied.
-    if (m.map != MapState::kMapped) n.map_in(m, lk);
+    if (m.map != MapState::kMapped) n.mapper_.map_in(m, lk);
     if (!m.pending.empty()) n.coherence_.apply_pending(m);
-    const uint32_t* vals = reinterpret_cast<const uint32_t*>(n.space_.dmm(m.dmm_offset));
-    const uint32_t* ts = n.space_.ctrl_words(m.dmm_offset);
+    const Mapper::Words view = n.mapper_.words(m);
+    const uint32_t* vals = reinterpret_cast<const uint32_t*>(view.data());
+    const uint32_t* ts = view.ts();
     const uint32_t words = m.words();
     const bool full = rotated || m.replica_cut == 0;
     w.u32(id);
@@ -367,7 +368,7 @@ void RecoveryEngine::rehome_object(ObjectMeta& m, int holder) {
   // Drop every trace of our copy, whatever its state: it may hold
   // post-cut words that died with the home's unshipped interval, and
   // the cut is the one consistent line every survivor can rejoin on.
-  n.drop_mapping(m, /*keep_disk_image=*/false);
+  n.mapper_.drop_mapping(m, /*keep_disk_image=*/false);
   m.home = holder;
   m.twinned = false;
   m.twin_writers = 0;
@@ -385,13 +386,13 @@ void RecoveryEngine::rehome_object(ObjectMeta& m, int holder) {
     m.share = ShareState::kValid;
     n.stats_.objects_rehomed.fetch_add(1, std::memory_order_relaxed);
     if (rep) {
+      // Our copy is gone: fill its zero words from the replica and store.
       const Replica& r = rep.mapped();
       const size_t bytes = word_bytes(m);
-      std::vector<uint8_t> image(2 * bytes, 0);
-      std::memcpy(image.data(), r.data.data(), std::min(bytes, r.data.size()));
-      std::memcpy(image.data() + bytes, r.ts.data(), std::min(bytes, r.ts.size() * 4));
-      n.disk_->write_object(m.id, image);
-      m.on_disk = true;
+      Mapper::Words w = n.mapper_.words(m);
+      std::memcpy(w.data(), r.data.data(), std::min(bytes, r.data.size()));
+      std::memcpy(w.ts(), r.ts.data(), std::min(bytes, r.ts.size() * 4));
+      w.store();
       m.valid_epoch = r.epoch;
     } else {
       // Never shipped: the object was never dirty at any barrier, so

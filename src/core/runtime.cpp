@@ -1,9 +1,9 @@
-// Node lifecycle, the access check and the dynamic memory mapper
-// (map-in / swap-out / eviction). The lock and barrier protocols live in
-// SyncEngine (sync.cpp) with the node's sides in locks.cpp / barrier.cpp;
-// replication and recovery in RecoveryEngine (recovery.cpp); object
-// fetches in fetch.cpp; twin / flush / diff-application mechanics in
-// coherence.cpp.
+// Node lifecycle and the access check. The dynamic memory mapper
+// (map-in / swap-out / eviction / remote swapping) lives in mapper.cpp;
+// the lock and barrier protocols in SyncEngine (sync.cpp) with the
+// node's sides in locks.cpp / barrier.cpp; replication and recovery in
+// RecoveryEngine (recovery.cpp); object fetches in fetch.cpp; twin /
+// flush / diff-application mechanics in coherence.cpp.
 //
 // Locking discipline (see runtime.hpp): per-object work holds only the
 // object's directory-shard lock; nothing here ever holds two shard
@@ -13,7 +13,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
 #include <thread>
 
 #include "cluster/bootstrap.hpp"
@@ -214,17 +213,13 @@ Node::Node(Runtime& rt, int rank, std::unique_ptr<net::Transport> transport)
     : rt_(rt),
       rank_(rank),
       ep_((transport->set_stats(&stats_), std::move(transport))),
-      space_(rt.config().dmm_bytes),
-      dmm_(rt.config().dmm_bytes, rt.config().page_bytes),
-      disk_(std::make_unique<storage::DiskStore>(rt.config().disk_dir, rank, rt.config().disk,
-                                                 &stats_)),
       dir_(rt.config().dir_shards),
-      coherence_(dir_, space_, *disk_, stats_),
+      mapper_(*this),
+      coherence_(dir_, mapper_, stats_),
       fetch_(*this),
       sync_(*this),
       recovery_(*this),
       group_(rt.config().threads_per_node),
-      stmt_pins_(static_cast<size_t>(rt.config().threads_per_node)),
       albs_(rt.config().alb ? static_cast<size_t>(rt.config().threads_per_node) : 0),
       alb_on_(rt.config().alb) {
   for (Alb& a : albs_) a.slots.resize(kAlbSlots);
@@ -260,20 +255,6 @@ void Node::alb_insert(ObjectMeta& m, uint8_t* data) {
                epoch_.load(std::memory_order_relaxed)};
 }
 
-void Node::stmt_pin(ObjectId id) {
-  StmtPins& p = stmt_pins_[static_cast<size_t>(Runtime::thread_index())];
-  p.ids[p.cursor++ % kStmtPinSlots].store(id, std::memory_order_relaxed);
-}
-
-bool Node::stmt_pinned(ObjectId id) const {
-  for (const StmtPins& p : stmt_pins_) {
-    for (const auto& slot : p.ids) {
-      if (slot.load(std::memory_order_relaxed) == id) return true;
-    }
-  }
-  return false;
-}
-
 Node::~Node() { ep_.stop(); }
 
 const Config& Node::config() const { return rt_.config(); }
@@ -282,9 +263,9 @@ void Node::dispatch(net::Message&& m) {
   using net::MsgType;
   switch (m.type) {
     case MsgType::kObjFetch: fetch_.serve(std::move(m)); break;
-    case MsgType::kSwapPut: on_swap_put(std::move(m)); break;
-    case MsgType::kSwapGet: on_swap_get(std::move(m)); break;
-    case MsgType::kSwapDrop: on_swap_drop(std::move(m)); break;
+    case MsgType::kSwapPut: mapper_.on_swap_put(std::move(m)); break;
+    case MsgType::kSwapGet: mapper_.on_swap_get(std::move(m)); break;
+    case MsgType::kSwapDrop: mapper_.on_swap_drop(std::move(m)); break;
     case MsgType::kHomeMigrate: on_home_migrate(std::move(m)); break;
     case MsgType::kHomeMigrateAck: on_home_migrate_ack(std::move(m)); break;
     case MsgType::kDiffBatch: on_diff_batch(std::move(m)); break;
@@ -333,7 +314,7 @@ ObjectId Node::alloc_object(size_t bytes) {
       auto lk = dir_.lock_shard(id);
       m.inflight = true;
       InflightGuard guard{dir_, m, lk};
-      map_in(m, lk);
+      mapper_.map_in(m, lk);
     }
     return id;
   });
@@ -353,7 +334,7 @@ void Node::free_object(ObjectId id) {
     // happens under the same lock hold — an unlock window here would let
     // an in-flight diff re-materialize a home disk image that the erase
     // then orphans.
-    drop_mapping(*m, /*keep_disk_image=*/false);
+    mapper_.drop_mapping(*m, /*keep_disk_image=*/false);
     dir_.remove_locked(id);
     // Every node frees collectively, so each backup drops its replica
     // here too (the backup store's mutex is a leaf under shard locks).
@@ -382,8 +363,9 @@ void* Node::access(ObjectId id) {
   // a lock-guarded write ships with its own lock's token even when a
   // sibling created the twin.
   const uint64_t tbit = twin_writer_bit(Runtime::thread_index());
-  stmt_pin(id);  // hard-pin: no sibling eviction may unmap this object
-                 // while our statement still holds its reference
+  // Hard-pin: no sibling eviction may unmap this object while our
+  // statement still holds its reference.
+  mapper_.stmt_pin(id, Runtime::thread_index());
   if (alb_on_) {
     // Lookaside hit: this thread validated the object earlier in the
     // SAME interval (epoch match) and nothing in its shard has left the
@@ -391,8 +373,8 @@ void* Node::access(ObjectId id) {
     // lock, hash lookup and twin bookkeeping are all redundant. The
     // seq_cst fence orders the pin store above BEFORE the generation
     // load: an evictor bumps the generation and THEN rechecks the pin
-    // rings (alloc_dmm_or_evict), so either we see its bump and miss,
-    // or it sees our pin and skips the victim — never both blind.
+    // rings (Mapper::alloc_dmm_or_evict), so either we see its bump and
+    // miss, or it sees our pin and skips the victim — never both blind.
     Alb& alb = albs_[static_cast<size_t>(Runtime::thread_index())];
     const AlbEntry& e = alb.slots[id & (kAlbSlots - 1)];
     if (e.id == id && e.epoch == epoch_.load(std::memory_order_relaxed)) {
@@ -427,7 +409,7 @@ void* Node::access(ObjectId id) {
         stats_.prefetch_hits.fetch_add(1, std::memory_order_relaxed);
       }
       m.twin_writers |= tbit;
-      uint8_t* data = space_.dmm(m.dmm_offset);
+      uint8_t* data = mapper_.data(m);
       if (alb_on_) alb_insert(m, data);
       return data;
     }
@@ -452,256 +434,14 @@ void* Node::access(ObjectId id) {
     auto& counter = m.share == ShareState::kValid ? stats_.prefetch_hits : stats_.prefetch_wasted;
     counter.fetch_add(1, std::memory_order_relaxed);
   }
-  if (m.map != MapState::kMapped) map_in(m, lk);
+  if (m.map != MapState::kMapped) mapper_.map_in(m, lk);
   if (m.share == ShareState::kInvalid) fetch_.fetch_object(m, lk);
   if (!m.pending.empty()) coherence_.apply_pending(m);
   if (!m.twinned) coherence_.ensure_twin(m, Runtime::thread_index());
   m.twin_writers |= tbit;
-  uint8_t* data = space_.dmm(m.dmm_offset);
+  uint8_t* data = mapper_.data(m);
   if (alb_on_) alb_insert(m, data);
   return data;
-}
-
-// ---------------------------------------------------------------------------
-// Dynamic memory mapper
-// ---------------------------------------------------------------------------
-
-void Node::rehydrate_remote(ObjectMeta& m, std::unique_lock<std::mutex>& lk) {
-  // §5 remote swapping: pull the parked image back from the buddy's
-  // disk and continue as if it were local.
-  net::Message req;
-  req.type = net::MsgType::kSwapGet;
-  req.dst = swap_buddy();
-  // All swap traffic for one parked image shares a flow: a one-way
-  // kSwapDrop must never overtake (or be overtaken by) a kSwapPut for
-  // the same key on a striped transport.
-  req.flow = remote_key(rank_, m.id);
-  net::Writer w(req.payload);
-  w.u64(remote_key(rank_, m.id));
-  lk.unlock();
-  net::Message reply = ep_.request(std::move(req));
-  net::Message drop;
-  drop.type = net::MsgType::kSwapDrop;
-  drop.dst = swap_buddy();
-  drop.flow = remote_key(rank_, m.id);
-  net::Writer dw(drop.payload);
-  dw.u64(remote_key(rank_, m.id));
-  ep_.send(std::move(drop));
-  lk.lock();
-  net::Reader r(reply.payload);
-  auto image = r.bytes_view();
-  disk_->write_object(m.id, image);
-  m.on_remote = false;
-  m.on_disk = true;
-  stats_.remote_swap_gets.fetch_add(1, std::memory_order_relaxed);
-}
-
-uint8_t* Node::map_in(ObjectMeta& m, std::unique_lock<std::mutex>& lk) {
-  LOTS_CHECK(m.map == MapState::kUnmapped, "map_in: already mapped");
-  const size_t bytes = word_bytes(m);
-  if (m.on_remote) rehydrate_remote(m, lk);
-  m.dmm_offset = alloc_dmm_or_evict(m, lk);
-  m.map = MapState::kMapped;
-  uint8_t* data = space_.dmm(m.dmm_offset);
-  uint32_t* ts = space_.ctrl_words(m.dmm_offset);
-  if (m.on_disk) {
-    // Image layout: [data words][timestamp words][twin words if dirty].
-    std::vector<uint8_t> image((m.twinned ? 3 : 2) * bytes);
-    LOTS_CHECK(disk_->read_object(m.id, image), "map_in: disk image vanished");
-    std::memcpy(data, image.data(), bytes);
-    std::memcpy(ts, image.data() + bytes, bytes);
-    if (m.twinned) std::memcpy(space_.twin(m.dmm_offset), image.data() + 2 * bytes, bytes);
-    disk_->free_object(m.id);  // DMM copy is now the single source of truth
-    m.on_disk = false;
-  } else {
-    std::memset(data, 0, bytes);
-    std::memset(ts, 0, bytes);
-  }
-  return data;
-}
-
-size_t Node::alloc_dmm_or_evict(ObjectMeta& target, std::unique_lock<std::mutex>& lk) {
-  const size_t need = word_bytes(target);
-  for (;;) {
-    if (auto off = dmm_.alloc(need)) return *off;
-    if (!rt_.config().large_object_space) {
-      throw UsageError(
-          "DMM area exhausted in LOTS-x mode: the application does not fit in the "
-          "process space (enable large_object_space)");
-    }
-    // Collect eviction candidates: every settled mapped object except
-    // the one being brought in; in-flight objects belong to a sibling
-    // thread's transition and are skipped. The pin window (recent access
-    // stamps) protects the current statements' operands — widened by the
-    // app-thread count, since N threads advance the pin clock N times
-    // faster. The target's shard lock is released first so the scan
-    // (which takes each shard lock in turn) never nests two shard locks;
-    // the target itself cannot change under us — we hold its in-flight
-    // guard.
-    lk.unlock();
-    std::vector<mem::VictimCandidate> cands;
-    bool saw_inflight = false;
-    dir_.for_each([&](ObjectMeta& m) {
-      if (m.map != MapState::kMapped || m.id == target.id) return;
-      if (m.inflight) {
-        saw_inflight = true;  // a sibling is mid-transition on it
-        return;
-      }
-      // Statement pins are a hard exclusion (any thread's outstanding
-      // access reference); the recency window below stays as the
-      // paper's soft LRU protection on top.
-      if (stmt_pinned(m.id)) return;
-      cands.push_back({m.id, word_bytes(m), m.access_stamp.load(std::memory_order_relaxed)});
-    });
-    mem::EvictionConfig ecfg;
-    ecfg.pin_window *= static_cast<uint64_t>(app_threads());
-    auto victim = mem::choose_victim(cands, need, dir_.newest_stamp(), ecfg);
-    if (!victim) {
-      if (saw_inflight) {
-        // Every usable victim is transiently owned by an in-flight
-        // transition. If those transitions are the calling thread's OWN
-        // pipelined fetch window, nobody else will ever settle them —
-        // drain the window (releasing its guards) before rescanning.
-        // Otherwise a sibling owns them and this is a moment, not a
-        // dead end: yield and rescan.
-        stats_.evict_races.fetch_add(1, std::memory_order_relaxed);
-        if (!FetchEngine::drain_active_window()) std::this_thread::yield();
-        lk.lock();
-        continue;
-      }
-      lk.lock();  // mapper helpers throw only while holding lk
-      throw UsageError(
-          "cannot evict: every mapped object is pinned by the current statement "
-          "(paper §5 limitation — enlarge the DMM area)");
-    }
-    {
-      auto vlk = dir_.lock_shard(static_cast<ObjectId>(*victim));
-      ObjectMeta& v = dir_.get(static_cast<ObjectId>(*victim));
-      // Re-validate under the victim's shard lock: a sibling thread may
-      // have begun evicting or touching it since the unlocked scan.
-      // Defeat ALB entries for the victim, THEN recheck the statement
-      // pins: paired with the hit path's pin-store -> fence -> generation
-      // -load order, the bump-fence-recheck below guarantees that a
-      // lock-free hit racing this eviction either misses (it saw the
-      // bump) or left a pin this recheck sees (store-buffer argument —
-      // the two seq_cst fences forbid both sides reading the old value).
-      // A pin that appeared since the unlocked scan sampled the rings
-      // would otherwise be unmapped under a live statement reference.
-      dir_.bump_generation(static_cast<ObjectId>(*victim));
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      if (v.inflight || v.map != MapState::kMapped || stmt_pinned(v.id)) {
-        stats_.evict_races.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        v.inflight = true;
-        InflightGuard vguard{dir_, v, vlk};
-        if (v.share == ShareState::kValid || v.twinned) {
-          swap_out(v, vlk);  // dirty objects keep their twin inside the disk image
-        } else {
-          drop_mapping(v, /*keep_disk_image=*/false);  // stale diff base: cheaper to refetch
-        }
-        stats_.evictions.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    lk.lock();
-  }
-}
-
-void Node::swap_out(ObjectMeta& m, std::unique_lock<std::mutex>& lk) {
-  LOTS_CHECK(m.map == MapState::kMapped, "swap_out: not mapped");
-  const size_t bytes = word_bytes(m);
-  std::vector<uint8_t> image((m.twinned ? 3 : 2) * bytes);
-  std::memcpy(image.data(), space_.dmm(m.dmm_offset), bytes);
-  std::memcpy(image.data() + bytes, space_.ctrl_words(m.dmm_offset), bytes);
-  if (m.twinned) std::memcpy(image.data() + 2 * bytes, space_.twin(m.dmm_offset), bytes);
-
-  const Config& cfg = rt_.config();
-  const bool local_full = cfg.disk_capacity_bytes > 0 &&
-                          disk_->stored_bytes() + image.size() > cfg.disk_capacity_bytes;
-  if (local_full && m.twinned &&
-      std::memcmp(image.data(), image.data() + 2 * bytes, bytes) == 0) {
-    // Reader twin: identical to the data, so it carries no pending-write
-    // information — drop it so the object qualifies for a remote spill
-    // (flush_interval skips untwinned objects).
-    m.twinned = false;
-    image.resize(2 * bytes);
-  }
-  if (local_full && cfg.remote_swap && m.home != rank_ && !m.twinned && m.pending.empty()) {
-    // §5 remote swapping: spill to the buddy's disk. Restricted to
-    // clean, non-home objects so the service thread never has to chase
-    // a remote image synchronously (homes answer fetches from local
-    // state only). Unmap *before* releasing the lock so a concurrent
-    // incoming diff lands in `pending` rather than the dying mapping.
-    const size_t off = m.dmm_offset;
-    m.map = MapState::kUnmapped;
-    m.dmm_offset = 0;
-    // The mapping dies here, BEFORE the lock is released around the spill
-    // request: defeat cached ALB pointers in the same breath.
-    dir_.bump_generation(m.id);
-    net::Message req;
-    req.type = net::MsgType::kSwapPut;
-    req.dst = swap_buddy();
-    req.flow = remote_key(rank_, m.id);  // same FIFO as this key's drops
-    net::Writer w(req.payload);
-    w.u64(remote_key(rank_, m.id));
-    w.bytes(image);
-    lk.unlock();
-    ep_.request(std::move(req));  // acked: the image is durable remotely
-    lk.lock();
-    space_.discard(off, bytes);
-    dmm_.free(off);
-    m.on_remote = true;
-    stats_.remote_swap_puts.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  LOTS_CHECK(!local_full || cfg.remote_swap || cfg.disk_capacity_bytes == 0,
-             "local disk budget exhausted and remote swapping is disabled");
-  disk_->write_object(m.id, image);
-  m.on_disk = true;
-  drop_mapping(m, /*keep_disk_image=*/true);
-}
-
-void Node::drop_mapping(ObjectMeta& m, bool keep_disk_image) {
-  if (m.map == MapState::kMapped) {
-    dir_.bump_generation(m.id);  // defeat cached ALB pointers first
-    space_.discard(m.dmm_offset, word_bytes(m));
-    dmm_.free(m.dmm_offset);
-    m.map = MapState::kUnmapped;
-    m.dmm_offset = 0;
-  }
-  if (!keep_disk_image) {
-    if (m.on_disk) {
-      disk_->free_object(m.id);
-      m.on_disk = false;
-    }
-    if (m.on_remote) {
-      net::Message drop;
-      drop.type = net::MsgType::kSwapDrop;
-      drop.dst = swap_buddy();
-      drop.flow = remote_key(rank_, m.id);  // same FIFO as this key's puts
-      net::Writer w(drop.payload);
-      w.u64(remote_key(rank_, m.id));
-      ep_.send(std::move(drop));
-      m.on_remote = false;
-    }
-    m.valid_epoch = 0;  // no diff base left: next fetch is a full copy
-  }
-}
-
-void Node::force_swap_out(ObjectId id) {
-  auto lk = dir_.lock_shard(id);
-  ObjectMeta& m = dir_.get(id);
-  // Wait out a sibling thread's transition, then hold the guard
-  // ourselves: swap_out may drop the shard lock around a remote spill,
-  // and a concurrent access() must not observe the half-unmapped state.
-  while (m.inflight) dir_.shard_cv(id).wait(lk);
-  if (m.map != MapState::kMapped) return;
-  m.inflight = true;
-  InflightGuard guard{dir_, m, lk};
-  if (m.share == ShareState::kValid || m.twinned) {
-    swap_out(m, lk);
-  } else {
-    drop_mapping(m, false);
-  }
 }
 
 bool Node::is_mapped(ObjectId id) {
@@ -731,9 +471,6 @@ void Node::set_home_for_test(ObjectId id, int32_t home) {
 }
 
 // ---------------------------------------------------------------------------
-// Object fetch: requester demand path, the pipelined window, and the
-// home-side service all live in the FetchEngine (core/fetch.cpp).
-// ---------------------------------------------------------------------------
 // Batched diff delivery (home side or write-update broadcast receiver):
 // one message carries every record the sender owed this node for one
 // sync operation. Records are applied under their own shard locks, one
@@ -754,43 +491,6 @@ void Node::on_diff_batch(net::Message&& m) {
   net::Message ack;
   ack.type = net::MsgType::kReply;
   ep_.reply(m, std::move(ack));
-}
-
-// ---------------------------------------------------------------------------
-// §5 remote swapping (buddy side, service thread — purely local disk
-// work; the store is internally synchronized, no node state involved)
-// ---------------------------------------------------------------------------
-
-void Node::on_swap_put(net::Message&& m) {
-  net::Reader r(m.payload);
-  const uint64_t key = r.u64();
-  auto image = r.bytes_view();
-  disk_->write_object(key, image);
-  net::Message ack;
-  ack.type = net::MsgType::kReply;
-  ep_.reply(m, std::move(ack));
-}
-
-void Node::on_swap_get(net::Message&& m) {
-  net::Reader r(m.payload);
-  const uint64_t key = r.u64();
-  net::Message resp;
-  resp.type = net::MsgType::kReply;
-  {
-    const auto size = disk_->size_of(key);
-    LOTS_CHECK(size.has_value(), "remote swap image vanished");
-    std::vector<uint8_t> image(*size);
-    LOTS_CHECK(disk_->read_object(key, image), "remote swap image unreadable");
-    net::Writer w(resp.payload);
-    w.bytes(image);
-  }
-  ep_.reply(m, std::move(resp));
-}
-
-void Node::on_swap_drop(net::Message&& m) {
-  net::Reader r(m.payload);
-  const uint64_t key = r.u64();
-  disk_->free_object(key);
 }
 
 }  // namespace lots::core

@@ -1,16 +1,15 @@
-// The LOTS runtime: node lifecycle, the access check and the dynamic
-// memory mapping mechanism (paper §3.1-3.3). The coherence mechanics
-// live in CoherenceEngine (coherence.hpp), every object fetch flow in
-// FetchEngine (fetch.hpp), the lock, barrier and recovery-rendezvous
-// protocols in SyncEngine (sync.hpp), and replication and worker-death
-// recovery in RecoveryEngine (recovery.hpp); Node hosts the four engines.
+// The LOTS runtime: node lifecycle and the access check (paper §3.1,
+// §3.3). Node hosts five engines: Mapper (mapper.hpp: DMM area, disk
+// store, every mapping transition), CoherenceEngine (coherence.hpp:
+// twins, flushes, diff application), FetchEngine (fetch.hpp: object
+// fetches), SyncEngine (sync.hpp: locks, barriers, recovery rendezvous)
+// and RecoveryEngine (recovery.hpp: replication, worker-death recovery).
 //
 // A Runtime owns one in-process "cluster" (or, under kUdp, one rank of
 // a multi-process one): `nprocs` nodes, each hosting
 // `Config::threads_per_node` application threads (all running the
 // user's SPMD function) plus a service thread that answers remote
-// requests (the paper's SIGIO role). Every node has a private
-// process-space partition (SpaceLayout), DMM allocator, disk store and
+// requests (the paper's SIGIO role). Every node has a private mapper and
 // object directory shared by its app threads.
 //
 // Concurrency model (N app threads per node, ARCHITECTURE.md):
@@ -38,15 +37,11 @@
 // Node members below are the underlying operations.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <condition_variable>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/config.hpp"
@@ -56,15 +51,12 @@
 #include "core/coherence.hpp"
 #include "core/diff.hpp"
 #include "core/fetch.hpp"
+#include "core/mapper.hpp"
 #include "core/object.hpp"
 #include "core/recovery.hpp"
 #include "core/sync.hpp"
-#include "mem/dmm_allocator.hpp"
-#include "mem/eviction.hpp"
-#include "mem/space_layout.hpp"
 #include "net/endpoint.hpp"
 #include "net/inproc.hpp"
-#include "storage/disk_store.hpp"
 
 namespace lots::cluster {
 class WorkerBootstrap;
@@ -142,8 +134,8 @@ class Node {
   }
   [[nodiscard]] uint32_t epoch() const { return epoch_.load(std::memory_order_relaxed); }
   [[nodiscard]] int app_threads() const { return group_.parties(); }
-  storage::DiskStore& disk() { return *disk_; }
-  mem::DmmAllocator& dmm() { return dmm_; }
+  storage::DiskStore& disk() { return mapper_.disk(); }
+  mem::DmmAllocator& dmm() { return mapper_.dmm(); }
   ObjectDirectory& directory() { return dir_; }
 
   /// Test/bench hook: drop the object's DMM mapping (swap-out) so the
@@ -156,7 +148,7 @@ class Node {
   /// from access() (locked or ALB path) races the unmap. Callers must
   /// not aim it at an object a concurrent sibling is using, exactly as
   /// the mt_access chaos schedule does.
-  void force_swap_out(ObjectId id);
+  void force_swap_out(ObjectId id) { mapper_.force_swap_out(id); }
   /// Test hook: current mapping state. Taken under the shard lock and
   /// outside any in-flight transition, so the answer is a settled state.
   bool is_mapped(ObjectId id);
@@ -172,36 +164,11 @@ class Node {
 
  private:
   friend class Runtime;
-  /// The fetch engine implements every kObjFetch flow (demand, pipelined
-  /// and home side) against the node's mapper internals.
+  /// The engines reach the node's endpoint, directory, stats and epoch.
+  friend class Mapper;
   friend class FetchEngine;
-  /// The sync engine reaches the endpoint, stats, epoch and coherence
-  /// engine; object effects go through the calls below.
   friend class SyncEngine;
-  /// The recovery engine ships and re-homes objects through the mapper
-  /// and repairs the view through the sync engine.
   friend class RecoveryEngine;
-
-  // -- mapper internals (called with the object's shard lock held via
-  // `lk` AND the object's in-flight guard owned by the calling thread;
-  // `lk` is released around remote-swap requests and eviction scans,
-  // never around local work). The guard makes the object's mapping
-  // state single-writer, so a dropped-and-reacquired lock cannot
-  // observe a vanished mapping. All of these throw only while holding
-  // `lk` (the guard release needs the lock). --
-  uint8_t* map_in(ObjectMeta& m, std::unique_lock<std::mutex>& lk);
-  /// Pulls a remotely parked image back onto the local disk (kSwapGet +
-  /// kSwapDrop). On return m.on_disk is set. Releases `lk` around the
-  /// blocking request.
-  void rehydrate_remote(ObjectMeta& m, std::unique_lock<std::mutex>& lk);
-  void swap_out(ObjectMeta& m, std::unique_lock<std::mutex>& lk);
-  void drop_mapping(ObjectMeta& m, bool keep_disk_image);
-  size_t alloc_dmm_or_evict(ObjectMeta& target, std::unique_lock<std::mutex>& lk);
-  [[nodiscard]] int32_t swap_buddy() const { return (rank_ + 1) % nprocs(); }
-  /// Key for images parked on a peer: (owner+1) << 32 | object id.
-  [[nodiscard]] static uint64_t remote_key(int32_t owner, ObjectId id) {
-    return (static_cast<uint64_t>(owner) + 1) << 32 | id;
-  }
 
   // -- the object side of the lock protocol (locks.cpp), called by
   //    SyncEngine with its mutex released --
@@ -231,48 +198,7 @@ class Node {
   /// Applies the master's plan (new homes, invalidations).
   void apply_barrier_plan(const std::vector<BarrierPlanEntry>& plan, uint32_t new_epoch);
 
-  // -- swap protocol (runtime.cpp; fetch protocol lives in fetch.cpp) --
-  void on_swap_put(net::Message&& m);
-  void on_swap_get(net::Message&& m);
-  void on_swap_drop(net::Message&& m);
   void dispatch(net::Message&& m);
-
-  /// RAII ownership of an object's in-flight guard. Construct with the
-  /// shard lock (`lk`) held and ObjectMeta::inflight freshly set; the
-  /// destructor clears the flag under the shard lock — re-acquiring it
-  /// first when an exception unwinds through one of the windows where
-  /// a mapper helper had dropped `lk` around a blocking request (e.g. a
-  /// request timeout): the flag must never be cleared unsynchronized,
-  /// and the notify must not be missable by a parked sibling.
-  struct InflightGuard {
-    ObjectDirectory& dir;
-    ObjectMeta& m;
-    std::unique_lock<std::mutex>& lk;
-    ~InflightGuard() {
-      if (!lk.owns_lock()) lk.lock();
-      m.inflight = false;
-      dir.shard_cv(m.id).notify_all();
-    }
-  };
-
-  /// Statement pins, the deterministic successor of the paper's
-  /// recency-window pinning for the N-app-thread node: every access
-  /// check records its object in the calling thread's ring, and the
-  /// eviction scan refuses any object present in ANY thread's ring. A
-  /// sibling's outstanding statement reference (pointer obtained from
-  /// access(), store not yet retired) therefore can never be unmapped
-  /// under it, no matter how far the other threads advance the pin
-  /// clock — as long as one statement dereferences at most
-  /// kStmtPinSlots distinct shared objects (the same bound the paper's
-  /// pin window assumes). Slots are atomics because evictors read other
-  /// threads' rings; the cursor is owner-thread-only.
-  static constexpr size_t kStmtPinSlots = 8;
-  struct StmtPins {
-    std::array<std::atomic<uint32_t>, kStmtPinSlots> ids{};
-    uint32_t cursor = 0;
-  };
-  void stmt_pin(ObjectId id);
-  [[nodiscard]] bool stmt_pinned(ObjectId id) const;
 
   /// Access Lookaside Buffer (Config::alb): one small direct-mapped,
   /// thread-PRIVATE cache per app thread mapping ObjectId to the mapped
@@ -288,9 +214,9 @@ class Node {
   ///  * any interval-epoch change (acquire/release/barrier): entries
   ///    stamp the node epoch at creation, which is a whole-ALB flush at
   ///    every synchronization boundary without touching N threads.
-  /// Hits still stamp the caller's stmt_pin ring FIRST; the seq_cst
-  /// fence between the pin store and the generation load pairs with the
-  /// evictor's bump-then-recheck (alloc_dmm_or_evict), so the eviction
+  /// Hits still stamp the caller's statement-pin ring (Mapper::stmt_pin)
+  /// FIRST; the seq_cst fence between the pin store and the generation
+  /// load pairs with the evictor's bump-then-recheck, so the eviction
   /// hard-pin guarantee survives lock-free hits (store-buffer/Dekker
   /// argument, documented at the recheck).
   struct AlbEntry {
@@ -324,10 +250,8 @@ class Node {
   int rank_;
   NodeStats stats_;
   net::Endpoint ep_;
-  mem::SpaceLayout space_;
-  mem::DmmAllocator dmm_;  ///< internally synchronized (leaf mutex)
-  std::unique_ptr<storage::DiskStore> disk_;  ///< internally synchronized
   ObjectDirectory dir_;    ///< striped: per-shard locks
+  Mapper mapper_;          ///< DMM area, disk store, mapping transitions
   CoherenceEngine coherence_;
   FetchEngine fetch_;      ///< all kObjFetch flows (demand/pipelined/home)
   SyncEngine sync_;        ///< lock, barrier and recovery-rendezvous protocol
@@ -336,9 +260,6 @@ class Node {
   /// Rendezvous of this node's app threads for the node-level
   /// collectives (alloc/free/barrier/run_barrier/recover).
   CollectiveGroup group_;
-
-  /// One statement-pin ring per app thread (see stmt_pin above).
-  std::vector<StmtPins> stmt_pins_;
 
   /// One ALB per app thread (see AlbEntry above); empty when disabled.
   std::vector<Alb> albs_;

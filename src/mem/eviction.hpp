@@ -37,7 +37,7 @@ struct EvictionConfig {
 /// bytes, or nullopt when there are no candidates at all (the paper's
 /// §5 noted failure mode — all mapped objects used in one statement —
 /// is reported by the CALLER, whose statement-pin rings filter the
-/// candidate list; see Node::stmt_pinned).
+/// candidate list; see Mapper::stmt_pin).
 ///
 /// Strategy: restrict to candidates outside the recency window, take
 /// the `lru_window` oldest, and among those prefer the smallest block

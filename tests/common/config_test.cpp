@@ -50,6 +50,20 @@ TEST(Config, RejectsNegativeTimeScale) {
   EXPECT_THROW(c.validate(), UsageError);
 }
 
+TEST(Config, DiskBudgetNeedsASpillTarget) {
+  // Past the local disk budget clean copies spill to the next rank's
+  // disk; a one-rank run has no such rank.
+  Config c;
+  c.nprocs = 1;
+  c.disk_capacity_bytes = 1u << 20;
+  EXPECT_THROW(c.validate(), UsageError);
+  c.nprocs = 2;
+  EXPECT_NO_THROW(c.validate());
+  c.nprocs = 1;
+  c.disk_capacity_bytes = 0;  // unlimited: nothing ever spills
+  EXPECT_NO_THROW(c.validate());
+}
+
 TEST(Config, ReplicationIsTheCopyCount) {
   Config c;
   c.replication = 1;  // R counts copies: one copy is no replication at all

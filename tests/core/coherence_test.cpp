@@ -3,6 +3,8 @@
 // write-update at locks), invalidations, fetches and protocol ablations.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "core/api.hpp"
 
 namespace lots::core {
@@ -206,6 +208,49 @@ TEST(Coherence, InvalidCopyServesAsDiffBase) {
     }
     lots::barrier();
   });
+}
+
+TEST(Coherence, SwappedDirtyHomeCopyDoesNotReshipForeignWords) {
+  // A diff pushed to a home whose dirty copy sits on disk must land in
+  // the image's twin as well as its data: otherwise the home's next
+  // flush re-ships the foreign word as its own write, stamped with its
+  // own (here much higher) epoch, and a later write from the original
+  // writer loses at the home.
+  Runtime rt(cfg(2, ProtocolMode::kWriteInvalidateOnly));
+  std::array<int, 2> seen{};
+  rt.run([&](int rank) {
+    Pointer<int> x;
+    x.alloc(16);
+    const int home = Runtime::self().home_of(x.id());
+    if (rank == home) {
+      for (int i = 0; i < 50; ++i) {  // run the home's epoch well ahead
+        lots::acquire(3);
+        lots::release(3);
+      }
+      lots::acquire(1);
+      x[0] = 5;
+      Runtime::self().force_swap_out(x.id());  // twinned image on disk
+    }
+    lots::run_barrier();
+    if (rank != home) {
+      lots::acquire(2);
+      x[1] = 11;  // pushed into the home's on-disk image
+      lots::release(2);
+    }
+    lots::run_barrier();
+    if (rank == home) lots::release(1);  // flushes from the disk image
+    lots::run_barrier();
+    if (rank != home) {
+      lots::acquire(2);
+      x[1] = 22;
+      lots::release(2);
+    }
+    lots::barrier();
+    seen[static_cast<size_t>(rank)] = x[1];
+    EXPECT_EQ(x[0], 5);
+  });
+  EXPECT_EQ(seen[0], 22);
+  EXPECT_EQ(seen[1], 22);
 }
 
 TEST(Coherence, ManyObjectsManyWritersStress) {

@@ -16,7 +16,6 @@ Config remote_cfg() {
   c.nprocs = 2;
   c.dmm_bytes = 1u << 20;            // small window: swapping engages fast
   c.disk_capacity_bytes = 512 << 10; // tiny local budget: spills remotely
-  c.remote_swap = true;
   return c;
 }
 
@@ -58,41 +57,6 @@ TEST(RemoteSwap, SpillsAndRehydratesTransparently) {
   });
 }
 
-TEST(RemoteSwap, DisabledBudgetAborts) {
-  // Assign the flag directly: GTEST_FLAG_SET only exists from gtest 1.12.
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Config c = remote_cfg();
-  c.remote_swap = false;  // budget without spill target: hard error
-  // The whole cluster must live inside the death statement: the child
-  // process needs its own service threads.
-  EXPECT_DEATH(
-      {
-        Runtime rt(c);
-        rt.run([](int rank) {
-          constexpr int kRows = 24;
-          std::vector<Pointer<int>> rows(kRows);
-          for (auto& r : rows) r.alloc(32 * 1024);
-          if (rank == 1) {
-            for (int k = 0; k < kRows; ++k) {
-              rows[static_cast<size_t>(k)][0] = k;
-              lots::barrier();
-            }
-          } else {
-            for (int k = 0; k < kRows; ++k) lots::barrier();
-          }
-          if (rank == 0) {
-            long sum = 0;
-            for (int round = 0; round < 2; ++round) {
-              for (int k = 0; k < kRows; ++k) sum += rows[static_cast<size_t>(k)][0];
-            }
-            (void)sum;
-          }
-          lots::barrier();
-        });
-      },
-      "disk budget exhausted");
-}
-
 /// Tight config where a single clean 128 KB object's image (256 KB)
 /// exceeds the local disk budget, so its first eviction spills remotely.
 Config spill_cfg() {
@@ -100,7 +64,6 @@ Config spill_cfg() {
   c.nprocs = 2;
   c.dmm_bytes = 512u << 10;
   c.disk_capacity_bytes = 200u << 10;
-  c.remote_swap = true;
   return c;
 }
 

@@ -180,6 +180,38 @@ TEST(Mapper, PinningProtectsStatementOperands) {
   });
 }
 
+TEST(Mapper, HomeServesFetchFromItsDirtyImage) {
+  // The home swaps out an object it is writing (twinned image on disk)
+  // and then answers a peer's fetch from that image without mapping it.
+  Runtime rt(small_config(2));
+  rt.run([](int rank) {
+    Pointer<int> a;
+    a.alloc(512);
+    const int home = Runtime::self().home_of(a.id());
+    if (rank == home) {
+      for (int i = 0; i < 512; ++i) a[i] = i;
+    }
+    lots::barrier();  // the peer's copy goes invalid
+    Node& n = Runtime::self();
+    if (rank == home) {
+      a[7] = -7;  // re-twins
+      n.force_swap_out(a.id());
+    }
+    lots::run_barrier();
+    if (rank != home) {
+      EXPECT_FALSE(n.is_valid(a.id()));
+      for (int i = 0; i < 512; ++i) {
+        if (i != 7) ASSERT_EQ(a[i], i) << i;
+      }
+      EXPECT_TRUE(a[7] == 7 || a[7] == -7) << "a[7] = " << a[7];
+    }
+    lots::run_barrier();
+    if (rank == home) EXPECT_FALSE(n.is_mapped(a.id())) << "the fetch mapped the home copy";
+    lots::barrier();
+    EXPECT_EQ(a[7], -7);
+  });
+}
+
 TEST(Mapper, SingleObjectLargerThanHalfDmmRejected) {
   Runtime rt(small_config());
   rt.run([](int) {

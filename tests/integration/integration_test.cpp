@@ -20,7 +20,6 @@ TEST(Integration, EverythingOnAtOnce) {
   c.protocol = ProtocolMode::kAdaptive;
   c.diff_mode = DiffMode::kAccumulatedRecords;
   c.disk_capacity_bytes = 2u << 20;
-  c.remote_swap = true;
   Runtime rt(c);
   rt.run([](int rank) {
     constexpr int kObjs = 24;
