@@ -1,0 +1,79 @@
+#!/usr/bin/env bash
+# Mutant gate: every mutant below is a known-bad edit of one source file
+# that a named test must catch. The script copies the working tree
+# (src/, tests/ and the rest, without build directories) to a temporary
+# directory and configures it once. Per mutant it applies the edit there,
+# builds the test's target, runs the named test and requires it to FAIL,
+# then restores the file. No file in the repository is changed.
+#
+# Usage: scripts/mutants.sh [MUTANT...]   (default: every mutant)
+# Exits 1 when a mutant survives (its test passed) or no longer applies
+# (its text is not found exactly once: update the mutant with the code).
+# CMake honours CMAKE_CXX_COMPILER_LAUNCHER from the environment (ccache).
+set -euo pipefail
+
+repo="$(cd "$(dirname "$0")/.." && pwd)"
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+
+tar -C "$repo" --exclude='./build' --exclude='./build-*' --exclude='./.bench_build' \
+  --exclude='./.git' -cf - . | (mkdir -p "$work/tree" && tar -C "$work/tree" -xf -)
+cmake -S "$work/tree" -B "$work/build" -DCMAKE_BUILD_TYPE=RelWithDebInfo >"$work/configure.log"
+
+selected=" $* "
+failures=0
+
+# mutant NAME FILE TARGET FILTER TEXT MUTATED: in FILE, TEXT (which must
+# occur exactly once) becomes MUTATED; test binary TARGET run with
+# --gtest_filter=FILTER must then fail.
+mutant() {
+  local name=$1 file=$2 target=$3 filter=$4 text=$5 mutated=$6
+  if [[ "$selected" != "  " && "$selected" != *" $name "* ]]; then return; fi
+  local src="$work/tree/$file"
+  cp "$src" "$src.orig"
+  if ! python3 - "$src" "$text" "$mutated" <<'PY'; then
+import sys
+path, old, new = sys.argv[1:]
+body = open(path).read()
+if body.count(old) != 1:
+    sys.exit(f"{path}: mutant text found {body.count(old)} times, expected 1")
+open(path, "w").write(body.replace(old, new))
+PY
+    echo "MUTANT STALE $name"
+    failures=1
+  elif ! cmake --build "$work/build" -j "$(nproc)" --target "$target" >"$work/build.log" 2>&1; then
+    echo "MUTANT BUILD FAILED $name"
+    tail -20 "$work/build.log"
+    failures=1
+  elif timeout 300 "$work/build/$target" --gtest_filter="$filter" >"$work/run.log" 2>&1; then
+    echo "MUTANT SURVIVED $name ($target $filter passed)"
+    failures=1
+  else
+    echo "mutant killed $name ($target $filter failed)"
+  fi
+  mv "$src.orig" "$src"
+}
+
+# A lock grant's record applied into a mapped copy must dirty it.
+mutant incoming-diff-leaves-mapping-clean src/core/coherence.cpp core_runtime_test \
+  Mapper.DiffIntoCleanMappingSurvivesEviction \
+  $'  w.store();\n}\n\nvoid CoherenceEngine::apply_delivery' \
+  $'  if (m.map != MapState::kMapped) w.store();\n}\n\nvoid CoherenceEngine::apply_delivery'
+
+# A twinned copy is dirty even when its kept image exists.
+mutant evict-skips-write-when-image-exists src/core/mapper.cpp core_runtime_test \
+  Mapper.CleanEvictionWritesNothingAndKeepsDataAndStamps \
+  '  if (!m.twinned && (m.on_disk || m.share != ShareState::kValid)) {' \
+  '  if (m.on_disk || (!m.twinned && m.share != ShareState::kValid)) {'
+
+# Only a twin equal to its data carries no write.
+mutant twin-dropped-without-compare src/core/mapper.cpp core_runtime_test \
+  Mapper.CleanEvictionWritesNothingAndKeepsDataAndStamps \
+  '  if (m.twinned && std::memcmp(space_.dmm(off), space_.twin(off), bytes) == 0) m.twinned = false;' \
+  '  if (m.twinned) m.twinned = false;'
+
+if ((failures)); then
+  echo "MUTANTS FAILED"
+  exit 1
+fi
+echo "MUTANTS_OK"

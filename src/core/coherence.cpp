@@ -94,13 +94,18 @@ std::vector<DiffRecord> CoherenceEngine::flush_interval(uint32_t flush_epoch, in
     Mapper::Words w = mapper_.words(*m);
     DiffRecord rec = compute_twin_diff(id, flush_epoch, {w.data(), bytes}, {w.twin(), bytes});
     m->twinned = false;
+    if (rec.word_idx.empty()) {
+      // Read-only access: a mapping stays clean; an image drops its twin.
+      if (m->map != MapState::kMapped) w.store();
+      continue;
+    }
     for (uint32_t wi : rec.word_idx) w.ts()[wi] = flush_epoch;
     w.store();
-    if (rec.word_idx.empty()) continue;  // read-only access: nothing to do
     stats_.diffs_created.fetch_add(1, std::memory_order_relaxed);
+    if (thread != kAllThreads) out.push_back(rec);  // the release ships it
     // Coalesce into the standing interval record: keep the newest value
     // and stamp per word instead of appending one record per interval.
-    m->local_writes.push_back(rec);
+    m->local_writes.push_back(std::move(rec));
     if (m->local_writes.size() > 1) {
       uint64_t redundant = 0;
       DiffRecord merged = merge_records(m->local_writes, /*since_epoch=*/0, &redundant);
@@ -108,7 +113,6 @@ std::vector<DiffRecord> CoherenceEngine::flush_interval(uint32_t flush_epoch, in
       m->local_writes.clear();
       m->local_writes.push_back(std::move(merged));
     }
-    out.push_back(std::move(rec));
   }
   if (!keep.empty()) {
     // Back onto the list for their owners' releases (appended after

@@ -64,7 +64,8 @@ class CoherenceEngine {
   void apply_delivery(ObjectMeta& m, DiffRecord&& rec, int32_t self_rank);
 
   /// Flushes objects twinned this interval into DiffRecords at
-  /// `flush_epoch`; returns the records. `thread` selects WHICH twins:
+  /// `flush_epoch`; returns the records to a release (the barrier gets
+  /// none: it reads `local_writes`). `thread` selects WHICH twins:
   /// a release passes the releasing thread's index and flushes exactly
   /// the twins that thread's access checks touched (twin_writers bit) —
   /// so a lock-guarded write always ships on that lock's token chain,

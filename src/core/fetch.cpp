@@ -109,7 +109,7 @@ int32_t FetchEngine::apply_primary(ObjectMeta& m, net::Reader& r) {
 
   node_.stats_.object_fetches.fetch_add(1, std::memory_order_relaxed);
   const size_t bytes = word_bytes(m);
-  const Mapper::Words words = node_.mapper_.words(m);
+  Mapper::Words words = node_.mapper_.words(m);
   uint8_t* data = words.data();
   uint32_t* ts = words.ts();
   const uint32_t home_base = r.u32();
@@ -151,6 +151,7 @@ int32_t FetchEngine::apply_primary(ObjectMeta& m, net::Reader& r) {
     // local writes at the next flush.
     std::memcpy(words.twin(), data, bytes);
   }
+  words.store();
   m.share = ShareState::kValid;
   m.valid_epoch = home_base;
   return -1;
@@ -498,12 +499,15 @@ void FetchEngine::encode_copy(ObjectMeta& obj, uint32_t req_base, bool has_base,
   // the ENCODED diff is smaller than the full object — decided on the
   // actual wire size, so a contiguous run shipped at ~4 B/word still
   // wins where the flat 12 B/word estimate would have shipped the
-  // whole object. The lower-bound pre-check (4 B/word + headers) skips
-  // the scratch encode when even a best-case run form cannot win.
+  // whole object. The newer words are counted first: the diff is built
+  // only when even a best-case run form (4 B/word + headers) can win.
   if (has_base) {
-    std::vector<uint32_t> idx, val, wts;
-    diff_since({data, bytes}, words.ts(), req_base, idx, val, wts);
-    if (5 + idx.size() * 4 < bytes) {
+    const uint32_t* ts = words.ts();
+    const size_t newer = static_cast<size_t>(
+        std::count_if(ts, ts + obj.words(), [&](uint32_t t) { return t > req_base; }));
+    if (5 + newer * 4 < bytes) {
+      std::vector<uint32_t> idx, val, wts;
+      diff_since({data, bytes}, ts, req_base, idx, val, wts);
       std::vector<uint8_t> diff_wire;
       net::Writer dw(diff_wire);
       const size_t saved = encode_word_diff(dw, idx, val, wts);

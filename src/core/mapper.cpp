@@ -13,7 +13,7 @@ namespace {
 
 // An object's disk image, the one statement of its layout:
 //   [data words][timestamp words][twin words, only while twinned]
-// swap_out writes it, Words reads and rewrites it, remote parking ships
+// evict writes it, Words reads and rewrites it, remote parking ships
 // it verbatim.
 size_t image_bytes(const ObjectMeta& m) { return (m.twinned ? 3 : 2) * word_bytes(m); }
 
@@ -53,7 +53,11 @@ Mapper::Words::Words(Mapper& mapper, ObjectMeta& m) : mapper_(mapper), m_(m) {
 }
 
 void Mapper::Words::store() {
-  if (m_.map == MapState::kMapped) return;
+  if (m_.map == MapState::kMapped) {  // dirty: a kept image no longer holds it
+    if (m_.on_disk) mapper_.disk_.free_object(m_.id);
+    m_.on_disk = false;
+    return;
+  }
   mapper_.disk_.write_object(m_.id, std::span<const uint8_t>(image_.data(), image_bytes(m_)));
   m_.on_disk = true;
   std::vector<uint8_t>().swap(image_);  // free the buffer now, not at scope end
@@ -79,8 +83,13 @@ uint8_t* Mapper::map_in(ObjectMeta& m, std::unique_lock<std::mutex>& lk) {
     std::memcpy(data, image.data(), bytes);
     std::memcpy(space_.ctrl_words(off), image.ts(), bytes);
     if (m.twinned) std::memcpy(space_.twin(off), image.twin(), bytes);
-    disk_.free_object(m.id);  // the DMM copy is now the single source of truth
-    m.on_disk = false;
+    // Keep an untwinned image (it still counts) while the store is in
+    // budget: until Words dirties the mapping, eviction only unmaps.
+    const size_t cap = node_.config().disk_capacity_bytes;
+    if (m.twinned || (cap > 0 && disk_.stored_bytes() > cap)) {
+      disk_.free_object(m.id);
+      m.on_disk = false;
+    }
   } else {
     std::memset(data, 0, bytes);
     std::memset(space_.ctrl_words(off), 0, bytes);
@@ -172,25 +181,21 @@ size_t Mapper::alloc_dmm_or_evict(ObjectMeta& target, std::unique_lock<std::mute
 }
 
 void Mapper::evict(ObjectMeta& m, std::unique_lock<std::mutex>& lk) {
-  if (m.share == ShareState::kValid || m.twinned) {
-    swap_out(m, lk);
-  } else {
-    drop_mapping(m, /*keep_disk_image=*/false);
-  }
-}
-
-void Mapper::swap_out(ObjectMeta& m, std::unique_lock<std::mutex>& lk) {
-  LOTS_CHECK(m.map == MapState::kMapped, "swap_out: not mapped");
+  LOTS_CHECK(m.map == MapState::kMapped, "evict: not mapped");
   const size_t bytes = word_bytes(m);
   const size_t off = m.dmm_offset;
+  // A twin equal to its data carries no write (its flush would diff
+  // empty): drop it, so a read-only twin never reaches disk.
+  if (m.twinned && std::memcmp(space_.dmm(off), space_.twin(off), bytes) == 0) m.twinned = false;
+  if (!m.twinned && (m.on_disk || m.share != ShareState::kValid)) {
+    // Clean: a valid copy's kept image already holds it; a stale copy
+    // is dropped with its image.
+    drop_mapping(m, /*keep_disk_image=*/m.share == ShareState::kValid);
+    return;
+  }
   const Config& cfg = node_.config();
   const bool local_full = cfg.disk_capacity_bytes > 0 &&
                           disk_.stored_bytes() + image_bytes(m) > cfg.disk_capacity_bytes;
-  if (local_full && m.twinned && std::memcmp(space_.dmm(off), space_.twin(off), bytes) == 0) {
-    // Reader twin: it carries no pending write, so drop it and let the
-    // object qualify for a remote spill (flush skips untwinned objects).
-    m.twinned = false;
-  }
   std::vector<uint8_t> image(image_bytes(m));
   const ImageParts p = image_parts(image, bytes);
   std::memcpy(p.data, space_.dmm(off), bytes);
@@ -242,7 +247,7 @@ void Mapper::force_swap_out(ObjectId id) {
   ObjectDirectory& dir = node_.dir_;
   auto lk = dir.lock_shard(id);
   ObjectMeta& m = dir.get(id);
-  // Hold the guard ourselves: swap_out may drop the lock around a
+  // Hold the guard ourselves: evict may drop the lock around a
   // remote spill, and access() must not see the half-unmapped state.
   while (m.inflight) dir.shard_cv(id).wait(lk);
   if (m.map != MapState::kMapped) return;

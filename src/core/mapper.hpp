@@ -45,8 +45,9 @@ class Mapper {
     [[nodiscard]] uint32_t* ts() const { return ts_; }
     /// Always there while mapped; in an image only while twinned.
     [[nodiscard]] uint8_t* twin() const { return twin_; }
-    /// Writes an image back (its twin only while still twinned), sets
-    /// on_disk and frees the buffer, ending the view. Mapped: no-op.
+    /// Ends a view that changed the words. An image is written back
+    /// (its twin only while still twinned), setting on_disk; a mapping
+    /// is marked dirty: its kept image is freed. Read-only views skip it.
     void store();
 
    private:
@@ -64,7 +65,8 @@ class Mapper {
   [[nodiscard]] uint8_t* data(const ObjectMeta& m) const { return space_.dmm(m.dmm_offset); }
 
   /// Maps an unmapped object (evicting as needed) from its disk image —
-  /// pulled back first when parked on the buddy — or as zeros.
+  /// pulled back first when parked on the buddy — or as zeros. An
+  /// untwinned image is kept while the store is within its budget.
   uint8_t* map_in(ObjectMeta& m, std::unique_lock<std::mutex>& lk);
   /// Pulls a parked image back onto the local disk (kSwapGet + kSwapDrop).
   void rehydrate_remote(ObjectMeta& m, std::unique_lock<std::mutex>& lk);
@@ -96,10 +98,10 @@ class Mapper {
   };
   [[nodiscard]] bool stmt_pinned(ObjectId id) const;
 
-  /// Unmaps a settled object whose guard the caller owns: a valid or
-  /// twinned copy swaps out, a stale clean one is dropped.
+  /// Unmaps a settled object whose guard the caller owns: drops a twin
+  /// equal to its data, then a dirty copy writes its image (or parks it
+  /// on the buddy), a valid clean one only unmaps, a stale one is dropped.
   void evict(ObjectMeta& m, std::unique_lock<std::mutex>& lk);
-  void swap_out(ObjectMeta& m, std::unique_lock<std::mutex>& lk);
   size_t alloc_dmm_or_evict(ObjectMeta& target, std::unique_lock<std::mutex>& lk);
   /// A kSwap* message for this node's image of `id` to the buddy (the
   /// next rank), keyed (rank+1) << 32 | id. The key is also the flow: a

@@ -108,7 +108,7 @@ struct ObjectMeta {
   ShareState share = ShareState::kValid;
   MapState map = MapState::kUnmapped;
   size_t dmm_offset = 0;    ///< valid while mapped
-  bool on_disk = false;     ///< a disk image exists locally (layout: core/mapper.cpp)
+  bool on_disk = false;     ///< local disk image (core/mapper.cpp); mapped: a clean copy
   bool on_remote = false;   ///< image parked on a peer's disk (§5 remote swap)
   bool twinned = false;     ///< twin holds the pre-interval image
   /// App threads that ran an access check on this object since it was

@@ -212,6 +212,130 @@ TEST(Mapper, HomeServesFetchFromItsDirtyImage) {
   });
 }
 
+TEST(Mapper, CleanEvictionWritesNothingAndKeepsDataAndStamps) {
+  // The home maps its object back from a kept image and only reads it:
+  // the eviction then writes nothing, and the remapped copy still holds
+  // the data and the per-word stamps (the peer's diff-since-base fetch
+  // ships exactly the one word stamped after its base). A write into a
+  // kept image's mapping is written back and still propagates.
+  Runtime rt(small_config(2));
+  rt.run([](int rank) {
+    Pointer<int> a;
+    a.alloc(512);
+    Node& n = Runtime::self();
+    const int home = n.home_of(a.id());
+    if (rank == home) {
+      for (int i = 0; i < 512; ++i) a[i] = i;
+    }
+    lots::barrier();
+    if (rank != home) {
+      ASSERT_EQ(a[3], 3);  // full copy: the peer's diff base
+    }
+    lots::barrier();
+    if (rank == home) a[7] = -7;  // stamped after the peer's base
+    lots::barrier();
+    if (rank == home) {
+      n.force_swap_out(a.id());  // dirty: writes the image
+      ASSERT_EQ(a[0], 0);        // maps it back; the image is kept
+      const uint64_t out = n.stats().swap_bytes_out.load();
+      n.force_swap_out(a.id());  // read-only twin dropped, clean: unmap only
+      EXPECT_FALSE(n.is_mapped(a.id()));
+      EXPECT_EQ(n.stats().swap_bytes_out.load(), out) << "a clean eviction wrote its image";
+      EXPECT_TRUE(n.disk().contains(a.id()));
+      for (int i = 0; i < 512; ++i) ASSERT_EQ(a[i], i == 7 ? -7 : i) << i;
+    }
+    const uint64_t sent = n.stats().diff_words_sent.load();
+    lots::run_barrier();
+    if (rank != home) {
+      EXPECT_FALSE(n.is_valid(a.id()));
+      for (int i = 0; i < 512; ++i) ASSERT_EQ(a[i], i == 7 ? -7 : i) << i;
+    }
+    lots::run_barrier();
+    if (rank == home) {
+      EXPECT_EQ(n.stats().diff_words_sent.load() - sent, 1u) << "stamps lost in the image";
+      a[9] = 99;  // twinned write into a mapping whose image is kept
+      const uint64_t out = n.stats().swap_bytes_out.load();
+      n.force_swap_out(a.id());
+      EXPECT_GT(n.stats().swap_bytes_out.load(), out) << "a dirty eviction skipped its write";
+      EXPECT_EQ(a[9], 99);
+    }
+    lots::barrier();
+    EXPECT_EQ(a[9], 99);
+    EXPECT_EQ(a[7], -7);
+  });
+}
+
+TEST(Mapper, DiffIntoCleanMappingSurvivesEviction) {
+  // A lock grant delivers a peer's write into a mapped copy whose kept
+  // image is clean: the delivery dirties the mapping, so the eviction
+  // writes the image and the remapped copy still holds the write.
+  Runtime rt(small_config(2));
+  rt.run([](int rank) {
+    Pointer<int> a;
+    a.alloc(512);
+    Node& n = Runtime::self();
+    lots::barrier();
+    if (rank == 0) {
+      ASSERT_EQ(a[5], 0);
+      n.force_swap_out(a.id());
+      ASSERT_EQ(a[5], 0);  // mapped again from the kept image
+    }
+    lots::run_barrier();
+    if (rank == 1) {
+      lots::acquire(0);
+      a[5] = 55;
+      lots::release(0);
+    }
+    lots::run_barrier();
+    if (rank == 0) {
+      lots::acquire(0);  // the grant applies rank 1's record in place
+      EXPECT_TRUE(n.is_mapped(a.id()));
+      n.force_swap_out(a.id());
+      EXPECT_EQ(a[5], 55) << "the delivered diff was lost at eviction";
+      lots::release(0);
+    }
+    lots::barrier();
+    EXPECT_EQ(a[5], 55);
+  });
+}
+
+TEST(Mapper, KeptImageOnlyWithinDiskBudget) {
+  // map_in keeps an image only while the store is within its budget:
+  // a small image is kept, a home image that overflowed the budget is
+  // freed at map-in, and keeping never takes the store past the budget.
+  Config c = small_config(2);
+  c.dmm_bytes = 512u << 10;
+  c.disk_capacity_bytes = 200u << 10;
+  Runtime rt(c);
+  rt.run([&c](int rank) {
+    Pointer<int> big, spacer, small;
+    big.alloc(32 * 1024);  // 128 KB: a 256 KB image, over the budget alone
+    spacer.alloc(1);
+    small.alloc(1024);  // 4 KB: an 8 KB image
+    Node& n = Runtime::self();
+    const int home = n.home_of(big.id());
+    ASSERT_EQ(n.home_of(small.id()), home);
+    if (rank == home) {
+      for (int i = 0; i < 32 * 1024; i += 64) big[static_cast<size_t>(i)] = i;
+      for (int i = 0; i < 1024; ++i) small[static_cast<size_t>(i)] = -i;
+    }
+    lots::barrier();
+    if (rank == home) {
+      n.force_swap_out(small.id());
+      ASSERT_EQ(small[1], -1);
+      EXPECT_TRUE(n.disk().contains(small.id())) << "an image within the budget was not kept";
+      n.force_swap_out(big.id());  // a home image stays local past the budget
+      EXPECT_GT(n.disk().stored_bytes(), c.disk_capacity_bytes);
+      ASSERT_EQ(big[64], 64);
+      EXPECT_FALSE(n.disk().contains(big.id())) << "an image past the budget was kept";
+      EXPECT_LE(n.disk().stored_bytes(), c.disk_capacity_bytes);
+      n.force_swap_out(big.id());  // no kept image: written again
+      EXPECT_EQ(big[128], 128);
+    }
+    lots::barrier();
+  });
+}
+
 TEST(Mapper, SingleObjectLargerThanHalfDmmRejected) {
   Runtime rt(small_config());
   rt.run([](int) {
