@@ -25,11 +25,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 declare -A ceiling=(
-  [src_lines]=12664
+  [src_lines]=12634
   [runtime_hpp]=351
   [config_fields]=21
   [env_knobs]=26
-  [msg_types]=31
+  [msg_types]=30
   [sync_mu_outside]=0
   [replica_state_outside]=0
   [image_layout_outside]=0

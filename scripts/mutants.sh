@@ -72,6 +72,24 @@ mutant twin-dropped-without-compare src/core/mapper.cpp core_runtime_test \
   '  if (m.twinned && std::memcmp(space_.dmm(off), space_.twin(off), bytes) == 0) m.twinned = false;' \
   '  if (m.twinned) m.twinned = false;'
 
+# A fetch answered after a redirect must repoint the stale home view.
+mutant settle-skips-stale-home-repair src/core/fetch.cpp core_migration_test \
+  Migration.FetchChasesAndRepairsStaleHomeView \
+  '      if (f.hops > 0 && m.home != f.target) {' \
+  '      if (false && f.hops > 0 && m.home != f.target) {'
+
+# A barrier must invalidate every non-home copy the plan names.
+mutant barrier-skips-invalidations src/core/barrier.cpp core_coherence_test \
+  Coherence.ManyObjectsManyWritersStress \
+  $'      m->share = ShareState::kInvalid;\n      // All app threads are parked' \
+  $'      // All app threads are parked'
+
+# A compacted lock chain (merge_records) keeps each word's newest value.
+mutant compact-chain-keeps-oldest-word src/core/diff.cpp core_diff_test \
+  Diff.MergeKeepsLastValuePerWord \
+  '      if (slot.second <= wts) slot = {rec.word_val[i], wts};' \
+  '      if (slot.second == 0) slot = {rec.word_val[i], wts};'
+
 if ((failures)); then
   echo "MUTANTS FAILED"
   exit 1

@@ -202,8 +202,8 @@ struct Config {
   size_t fetch_window = 8;
   /// Sequential prefetch: when the per-thread fault ring detects an
   /// ascending/descending object-id stride, the requester asks the home
-  /// to piggyback up to this many neighbor-object diffs on the reply
-  /// (kObjDataN). 0 disables prefetching (default: demand fetches only,
+  /// to piggyback up to this many neighbor-object diffs on its kObjData
+  /// reply. 0 disables prefetching (default: demand fetches only,
   /// exactly the pre-engine protocol).
   size_t prefetch_degree = 0;
 

@@ -52,6 +52,17 @@ void FetchEngine::note_fault(ObjectId id) {
   ring.count++;
 }
 
+FetchEngine::Wish FetchEngine::wishable(ObjectId nid, int32_t target, NeighborReq& nr) {
+  auto lk = node_.dir_.lock_shard(nid);
+  const ObjectMeta* nm = node_.dir_.find(nid);
+  if (!nm) return Wish::kGone;
+  // A sibling owns its transition, or the copy is already warm.
+  if (nm->inflight || nm->share != ShareState::kInvalid) return Wish::kSkip;
+  if (nm->home != target) return Wish::kOtherHome;
+  nr = {nid, nm->valid_epoch};
+  return Wish::kYes;
+}
+
 std::vector<FetchEngine::NeighborReq> FetchEngine::predict_wish(ObjectId id, int32_t target) {
   std::vector<NeighborReq> wish;
   const size_t degree = node_.config().prefetch_degree;
@@ -68,14 +79,10 @@ std::vector<FetchEngine::NeighborReq> FetchEngine::predict_wish(ObjectId id, int
   for (size_t k = 1; k <= degree; ++k) {
     const int64_t nid64 = static_cast<int64_t>(id) + d * static_cast<int64_t>(k);
     if (nid64 < 1 || nid64 > static_cast<int64_t>(UINT32_MAX)) break;
-    const ObjectId nid = static_cast<ObjectId>(nid64);
-    auto nlk = node_.dir_.lock_shard(nid);
-    ObjectMeta* nm = node_.dir_.find(nid);
-    if (!nm) break;               // ran off the allocated id space
-    if (nm->inflight) continue;   // a sibling owns its transition
-    if (nm->share != ShareState::kInvalid) continue;  // already warm
-    if (nm->home != target) continue;  // a different home serves it
-    wish.push_back({nid, nm->valid_epoch, nm->valid_epoch > 0});
+    NeighborReq nr;
+    const Wish w = wishable(static_cast<ObjectId>(nid64), target, nr);
+    if (w == Wish::kGone) break;  // ran off the allocated id space
+    if (w == Wish::kYes) wish.push_back(nr);
   }
   return wish;
 }
@@ -84,23 +91,26 @@ std::vector<FetchEngine::NeighborReq> FetchEngine::predict_wish(ObjectId id, int
 // Request/reply plumbing shared by the demand and pipelined paths
 // ---------------------------------------------------------------------------
 
-net::Message FetchEngine::make_request(ObjectId id, uint32_t base, bool has_base,
-                                       std::span<const NeighborReq> wish, int32_t target) {
+void FetchEngine::issue(Inflight& f) {
   net::Message req;
   req.type = net::MsgType::kObjFetch;
-  req.dst = target;
-  req.flow = id;  // per-object stripe affinity (spreads fetch traffic)
+  req.dst = f.target;
+  req.flow = f.id;  // per-object stripe affinity (spreads fetch traffic)
   net::Writer w(req.payload);
-  w.u32(id);
-  w.u32(base);
-  w.u8(has_base ? 1 : 0);
-  w.u8(static_cast<uint8_t>(wish.size()));
-  for (const NeighborReq& nr : wish) {
+  w.u32(f.id);
+  w.u32(f.base);  // 0: no retained base, send a full copy
+  w.u8(static_cast<uint8_t>(f.wish.size()));
+  for (const NeighborReq& nr : f.wish) {
     w.u32(nr.id);
     w.u32(nr.base);
-    w.u8(nr.has_base ? 1 : 0);
   }
-  return req;
+  if (f.hops == 0 && !f.wish.empty()) {
+    // Counted once per fetch, not per redirect hop, so the hit/issued
+    // ratio the benches report is not deflated by home migrations.
+    node_.stats_.prefetch_issued.fetch_add(f.wish.size(), std::memory_order_relaxed);
+  }
+  f.reply = node_.ep_.request_async(std::move(req));
+  if (f.pipelined) node_.stats_.fetch_pipelined.fetch_add(1, std::memory_order_relaxed);
 }
 
 int32_t FetchEngine::apply_primary(ObjectMeta& m, net::Reader& r) {
@@ -223,74 +233,69 @@ void FetchEngine::land_neighbors(net::Reader& r, std::span<const NeighborReq> wi
   }
 }
 
-// ---------------------------------------------------------------------------
-// Blocking demand fetch (the access-check slow path)
-// ---------------------------------------------------------------------------
-
-void FetchEngine::fetch_object(ObjectMeta& m, std::unique_lock<std::mutex>& lk) {
-  const ObjectId id = m.id;
-  int32_t target = m.home;
-  LOTS_CHECK(target != node_.rank_, "fetch: home asked to fetch from itself");
-  // A retained stale copy (data + word stamps) serves as the diff base:
-  // the home then only sends words newer than our valid_epoch (§3.5).
-  const bool has_base = m.valid_epoch > 0;
-  const uint32_t base = m.valid_epoch;
-  note_fault(id);
-
-  bool wish_counted = false;
-  bool hopped = false;
-  std::unordered_set<int32_t> visited;  // distinct homes asked this round
-  int retries = 0;
+void FetchEngine::settle(Inflight& f, std::unique_lock<std::mutex>& lk) {
   for (;;) {
-    visited.insert(target);
-    lk.unlock();  // never hold a shard lock across a blocking request
-    // Wish-list sampling takes other shard locks; it must (and does)
-    // run with the faulted object's lock released — the in-flight guard
-    // keeps m's mapping state ours across the window.
-    std::vector<NeighborReq> wish = predict_wish(id, target);
-    if (!wish_counted && !wish.empty()) {
-      // Counted once per fault, not per redirect hop, so the hit/issued
-      // ratio the benches report is not deflated by home migrations.
-      node_.stats_.prefetch_issued.fetch_add(wish.size(), std::memory_order_relaxed);
-      wish_counted = true;
-    }
-    net::Message req = make_request(id, base, has_base, wish, target);
     const uint64_t t0 = now_us();
-    net::Message reply = node_.ep_.request(std::move(req));
+    net::Message reply = f.reply.wait();
     node_.stats_.fetch_stall_us.fetch_add(now_us() - t0, std::memory_order_relaxed);
     lk.lock();
 
+    ObjectMeta& m = node_.dir_.get(f.id);
     net::Reader r(reply.payload);
     const int32_t redirect = apply_primary(m, r);
-    if (redirect >= 0) {
-      hopped = true;
-      if (visited.count(redirect)) {
-        // Every home in the cycle redirected us: a migration is mid
-        // handoff. Back off and restart the chase with a clean slate.
-        LOTS_CHECK(++retries <= kMaxRedirectRetries,
-                   "fetch: home redirect chase stuck for object " + std::to_string(id));
-        node_.stats_.fetch_redirect_retries.fetch_add(1, std::memory_order_relaxed);
-        visited.clear();
-        lk.unlock();  // the in-flight guard keeps the mapping state ours
-        redirect_backoff(retries);
+    if (redirect < 0) {
+      // Repair a stale home view: whoever answered IS the home, so later
+      // fetches of this object go straight there instead of re-chasing.
+      if (f.hops > 0 && m.home != f.target) {
+        m.home = f.target;
+        node_.dir_.bump_generation(f.id);  // home write: defeat stale ALB entries
+      }
+      if (!r.done()) {  // piggybacked neighbor sections
+        lk.unlock();
+        land_neighbors(r, f.wish);
         lk.lock();
       }
-      target = redirect;
-      continue;
+      return;
     }
-    // Repair a stale home view: whoever answered IS the home, so later
-    // fetches of this object go straight there instead of re-chasing.
-    if (hopped && m.home != target) {
-      m.home = target;
-      node_.dir_.bump_generation(id);  // home write: defeat stale ALB entries
+    // The home migrated under us: chase it without giving up the guard
+    // (the object's mapping state stays ours), re-sending the same wish.
+    lk.unlock();
+    ++f.hops;
+    f.visited.insert(f.target);
+    if (f.visited.count(redirect)) {
+      // Every home in the cycle redirected us: a migration is mid
+      // handoff. Back off and restart the chase with a clean slate.
+      LOTS_CHECK(++f.retries <= kMaxRedirectRetries,
+                 "fetch: home redirect chase stuck for object " + std::to_string(f.id));
+      node_.stats_.fetch_redirect_retries.fetch_add(1, std::memory_order_relaxed);
+      f.visited.clear();
+      redirect_backoff(f.retries);
     }
-    if (reply.type == net::MsgType::kObjDataN) {
-      lk.unlock();
-      land_neighbors(r, wish);
-      lk.lock();
-    }
-    return;
+    f.target = redirect;
+    issue(f);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Demand fetch (the access-check slow path): a pipelined fetch of one
+// ---------------------------------------------------------------------------
+
+void FetchEngine::fetch_object(ObjectMeta& m, std::unique_lock<std::mutex>& lk) {
+  LOTS_CHECK(m.home != node_.rank_, "fetch: home asked to fetch from itself");
+  Inflight f;
+  f.id = m.id;
+  f.target = m.home;
+  // A retained stale copy (data + word stamps) serves as the diff base:
+  // the home then only sends words newer than our valid_epoch (§3.5).
+  f.base = m.valid_epoch;
+  note_fault(f.id);
+  // Wish-list sampling takes other shard locks; it must (and does) run
+  // with the faulted object's lock released — the in-flight guard keeps
+  // m's mapping state ours until settle() returns.
+  lk.unlock();
+  f.wish = predict_wish(f.id, f.target);
+  issue(f);
+  settle(f, lk);
 }
 
 // ---------------------------------------------------------------------------
@@ -344,40 +349,30 @@ size_t FetchEngine::fetch_pass(std::span<const ObjectId> ids, bool piggyback,
         if (m.map != MapState::kMapped) node_.mapper_.map_in(m, lk);
         if (m.share == ShareState::kInvalid) {
           LOTS_CHECK(m.home != node_.rank_, "fetch_many: invalid copy at its own home");
-          const int32_t target = m.home;
-          const uint32_t base = m.valid_epoch;
-          const bool has_base = base > 0;
+          Inflight f;
+          f.id = id;
+          f.target = m.home;
+          f.base = m.valid_epoch;
+          f.pipelined = true;
           lk.unlock();  // wish sampling locks other shards
-          std::vector<NeighborReq> wish;
           if (piggyback) {
             // Piggyback the ids that FOLLOW in the batch while they share
             // this fetch's home — those land off this reply instead of
             // costing their own round trips.
-            for (size_t j = k + 1; j < ids.size() && wish.size() < degree; ++j) {
+            for (size_t j = k + 1; j < ids.size() && f.wish.size() < degree; ++j) {
               const ObjectId nid = ids[j];
               if (nid == id || wished.count(nid)) continue;
-              auto nlk = node_.dir_.lock_shard(nid);
-              ObjectMeta* nm = node_.dir_.find(nid);
-              if (!nm || nm->inflight) continue;
-              if (nm->share != ShareState::kInvalid) continue;
-              if (nm->home != target) break;  // same-home run ended
-              wish.push_back({nid, nm->valid_epoch, nm->valid_epoch > 0});
+              NeighborReq nr;
+              const Wish w = wishable(nid, f.target, nr);
+              if (w == Wish::kOtherHome) break;  // same-home run ended
+              if (w != Wish::kYes) continue;
+              f.wish.push_back(nr);
               // Insert as we pick so a duplicate id later in the batch
               // cannot burn a second wish slot.
               wished.insert(nid);
             }
-            if (!wish.empty()) {
-              node_.stats_.prefetch_issued.fetch_add(wish.size(), std::memory_order_relaxed);
-            }
           }
-          Inflight f;
-          f.id = id;
-          f.target = target;
-          f.base = base;
-          f.has_base = has_base;
-          f.wish = std::move(wish);
-          f.reply = node_.ep_.request_async(make_request(id, base, has_base, f.wish, target));
-          node_.stats_.fetch_pipelined.fetch_add(1, std::memory_order_relaxed);
+          issue(f);
           out.push_back(std::move(f));
           ++issued;
           entry_issued = true;
@@ -412,55 +407,12 @@ size_t FetchEngine::fetch_pass(std::span<const ObjectId> ids, bool piggyback,
 void FetchEngine::complete_one(std::deque<Inflight>& out) {
   Inflight f = std::move(out.front());
   out.pop_front();
-  try {
-    for (;;) {
-      const uint64_t t0 = now_us();
-      net::Message reply = f.reply.wait();
-      node_.stats_.fetch_stall_us.fetch_add(now_us() - t0, std::memory_order_relaxed);
-
-      auto lk = node_.dir_.lock_shard(f.id);
-      ObjectMeta& m = node_.dir_.get(f.id);
-      net::Reader r(reply.payload);
-      const int32_t redirect = apply_primary(m, r);
-      if (redirect < 0) {
-        if (f.hops > 0 && m.home != f.target) {
-          m.home = f.target;  // repair the stale home view
-          node_.dir_.bump_generation(f.id);  // home write: defeat stale ALB entries
-        }
-        m.prefetched = true;  // warmed ahead of any access
-        m.inflight = false;
-        node_.dir_.shard_cv(f.id).notify_all();
-        lk.unlock();
-        if (reply.type == net::MsgType::kObjDataN) land_neighbors(r, f.wish);
-        return;
-      }
-      // Home migrated while the window was outstanding: chase it without
-      // giving up the guard (the object's mapping state stays ours).
-      lk.unlock();
-      ++f.hops;
-      f.visited.insert(f.target);
-      if (f.visited.count(redirect)) {
-        // Every home in the cycle redirected us: a migration is mid
-        // handoff. Back off and restart the chase with a clean slate.
-        LOTS_CHECK(++f.retries <= kMaxRedirectRetries,
-                   "fetch_many: home redirect chase stuck for object " + std::to_string(f.id));
-        node_.stats_.fetch_redirect_retries.fetch_add(1, std::memory_order_relaxed);
-        f.visited.clear();
-        redirect_backoff(f.retries);
-      }
-      f.target = redirect;
-      f.reply = node_.ep_.request_async(make_request(f.id, f.base, f.has_base, f.wish, f.target));
-      node_.stats_.fetch_pipelined.fetch_add(1, std::memory_order_relaxed);
-    }
-  } catch (...) {
-    auto lk = node_.dir_.lock_shard(f.id);
-    ObjectMeta* m = node_.dir_.find(f.id);
-    if (m) {
-      m->inflight = false;
-      node_.dir_.shard_cv(f.id).notify_all();
-    }
-    throw;
-  }
+  auto lk = node_.dir_.lock_shard(f.id);
+  ObjectMeta& m = node_.dir_.get(f.id);
+  InflightGuard guard{node_.dir_, m, lk};  // the entry's guard, released on return
+  lk.unlock();
+  settle(f, lk);
+  m.prefetched = true;  // warmed ahead of any access
 }
 
 void FetchEngine::abort_window(std::deque<Inflight>& out) noexcept {
@@ -487,8 +439,7 @@ bool FetchEngine::drain_active_window() {
 // only one shard lock at a time)
 // ---------------------------------------------------------------------------
 
-void FetchEngine::encode_copy(ObjectMeta& obj, uint32_t req_base, bool has_base,
-                              net::Writer& w) {
+void FetchEngine::encode_copy(ObjectMeta& obj, uint32_t req_base, net::Writer& w) {
   const size_t bytes = word_bytes(obj);
   // Read the home copy wherever it lives, without disturbing the DMM
   // mapping state (a home that never touched it reads zeros).
@@ -501,7 +452,7 @@ void FetchEngine::encode_copy(ObjectMeta& obj, uint32_t req_base, bool has_base,
   // wins where the flat 12 B/word estimate would have shipped the
   // whole object. The newer words are counted first: the diff is built
   // only when even a best-case run form (4 B/word + headers) can win.
-  if (has_base) {
+  if (req_base > 0) {
     const uint32_t* ts = words.ts();
     const size_t newer = static_cast<size_t>(
         std::count_if(ts, ts + obj.words(), [&](uint32_t t) { return t > req_base; }));
@@ -531,8 +482,7 @@ void FetchEngine::encode_copy(ObjectMeta& obj, uint32_t req_base, bool has_base,
 void FetchEngine::serve(net::Message&& m) {
   net::Reader r(m.payload);
   const ObjectId id = r.u32();
-  const uint32_t req_base = r.u32();
-  const bool has_base = r.u8() != 0;
+  const uint32_t req_base = r.u32();  // 0: the requester keeps no base
   std::vector<NeighborReq> wish;
   if (!r.done()) {  // request carries a prefetch wish-list
     const uint8_t n = r.u8();
@@ -541,18 +491,17 @@ void FetchEngine::serve(net::Message&& m) {
       NeighborReq nr;
       nr.id = r.u32();
       nr.base = r.u32();
-      nr.has_base = r.u8() != 0;
       wish.push_back(nr);
     }
   }
 
   net::Message resp;
+  resp.type = net::MsgType::kObjData;
   resp.flow = id;  // replies are req_seq-matched; the flow just spreads load
   {
     auto lk = node_.dir_.lock_shard(id);
     ObjectMeta& obj = node_.dir_.get(id);
     if (obj.home != node_.rank_) {  // stale home view at the requester
-      resp.type = net::MsgType::kObjData;
       net::Writer w(resp.payload);
       w.u8(2);
       w.i32(obj.home);
@@ -568,9 +517,8 @@ void FetchEngine::serve(net::Message&& m) {
     // span points into the DMM): the transport copies the span into its
     // window-retained datagram buffers before returning, and datagram
     // drain only needs pump threads, which never take shard locks.
-    if (!has_base && wish.empty() && obj.map == MapState::kMapped) {
+    if (req_base == 0 && wish.empty() && obj.map == MapState::kMapped) {
       const size_t bytes = word_bytes(obj);
-      resp.type = net::MsgType::kObjData;
       net::Writer w(resp.payload);
       w.u8(0);
       w.u32(obj.valid_epoch);
@@ -580,7 +528,7 @@ void FetchEngine::serve(net::Message&& m) {
       return;
     }
     net::Writer w(resp.payload);
-    encode_copy(obj, req_base, has_base, w);
+    encode_copy(obj, req_base, w);
   }
 
   // Neighbor sections, each under its own shard lock with the primary's
@@ -595,16 +543,13 @@ void FetchEngine::serve(net::Message&& m) {
     ObjectMeta* nm = node_.dir_.find(nr.id);
     if (!nm || nm->home != node_.rank_ || nm->inflight) continue;
     nw.u32(nr.id);
-    encode_copy(*nm, nr.base, nr.has_base, nw);
+    encode_copy(*nm, nr.base, nw);
     ++count;
   }
-  if (count > 0) {
-    resp.type = net::MsgType::kObjDataN;
+  if (count > 0) {  // optional trailing neighbor sections
     net::Writer w(resp.payload);
     w.u8(count);
     w.raw(sections.data(), sections.size());
-  } else {
-    resp.type = net::MsgType::kObjData;
   }
   node_.ep_.reply(m, std::move(resp));
 }

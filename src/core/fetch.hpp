@@ -1,27 +1,30 @@
-// The asynchronous fetch engine: every kObjFetch/kObjData(.N) flow in
-// the system, extracted from the node so the requester side can keep
+// The asynchronous fetch engine: every kObjFetch/kObjData flow in the
+// system, extracted from the node so the requester side can keep
 // MULTIPLE object fetches in flight at once.
 //
-// Three mechanisms live here:
+// One fetch path serves every requester: a fetch is an `Inflight` entry
+// (one request_async, its wish-list sampled once and re-sent unchanged
+// after a redirect) that settle() waits out — it applies the reply,
+// chases home redirects with cycle backoff, repairs a stale home view
+// and lands piggybacked neighbors. Three mechanisms build on it:
 //
-//  * fetch_object — the blocking demand path behind the §3.3 access
-//    check (one object, identical semantics to the historical
-//    fetch_clean_copy), now recording each fault in a per-thread ring.
+//  * fetch_object — the demand path behind the §3.3 access check: a
+//    pipelined fetch of one, recording each fault in a per-thread ring.
 //    When the ring shows an ascending/descending object-id stride and
 //    Config::prefetch_degree > 0, the request carries a *wish-list* of
-//    neighbor ids (+ their retained base epochs) and the home piggybacks
-//    their diffs on the reply (kObjDataN) — the sequential prefetcher.
+//    neighbor ids (+ their retained base epochs) and the home appends
+//    their diffs to the reply — the sequential prefetcher.
 //  * fetch_many — the pipelined path behind lots::touch / lots::prefetch:
-//    up to Config::fetch_window kObjFetch requests outstanding at once
-//    (Endpoint::request_async), each holding its object's in-flight
-//    guard so sibling threads coordinate exactly as they do with a
-//    demand fault. Batch ids that ride a piggyback wish-list are not
-//    issued separately; a second no-piggyback pass picks up any
-//    neighbor whose landing was dropped.
+//    up to Config::fetch_window kObjFetch requests outstanding at once,
+//    each holding its object's in-flight guard so sibling threads
+//    coordinate exactly as they do with a demand fault. Batch ids that
+//    ride a piggyback wish-list are not issued separately; a second
+//    no-piggyback pass picks up any neighbor whose landing was dropped.
 //  * serve — the home side (service thread): answers with a redirect,
 //    a per-word diff against the requester's base, or a full copy, plus
 //    up to the wished number of neighbor sections for objects this node
-//    homes. Never blocks on the network; takes one shard lock at a time.
+//    homes as optional trailing bytes. Never blocks on the network;
+//    takes one shard lock at a time.
 //
 // Piggybacked neighbors LAND AS WARMED PENDING STATE: the requester
 // parks the diff in ObjectMeta::pending (marked completes_to_epoch),
@@ -69,11 +72,7 @@ class FetchEngine {
   /// Blocking demand fetch of one invalid object (the access-check slow
   /// path). Caller holds the object's shard lock via `lk` AND its
   /// in-flight guard; the lock is dropped around the network wait. On
-  /// return the copy is valid at the home's cut. Follows home redirects,
-  /// bounded by DISTINCT homes visited: when the chase cycles back to a
-  /// node already asked (a migration mid-handoff), it backs off and
-  /// retries rather than aborting, giving up only after a retry budget
-  /// that no live system reaches.
+  /// return the copy is valid at the home's cut (see settle()).
   void fetch_object(ObjectMeta& m, std::unique_lock<std::mutex>& lk);
 
   /// Pipelined revalidation of `ids` (best effort): brings every listed
@@ -85,8 +84,8 @@ class FetchEngine {
   size_t fetch_many(std::span<const ObjectId> ids);
 
   /// Home side of kObjFetch (service thread). Replies kObjData (form 0
-  /// full / 1 diff / 2 redirect) or kObjDataN when the request's
-  /// wish-list produced piggybacked neighbor sections.
+  /// full / 1 diff / 2 redirect), followed by the neighbor sections when
+  /// the request's wish-list produced any.
   void serve(net::Message&& m);
 
   /// Settles the calling thread's active pipelined window, if any —
@@ -97,26 +96,33 @@ class FetchEngine {
 
  private:
   /// One neighbor on a request's piggyback wish-list: the id and the
-  /// requester's retained base at sampling time. A landing is accepted
-  /// only while the base still matches.
+  /// requester's retained base at sampling time (0: none). A landing
+  /// is accepted only while the base still matches.
   struct NeighborReq {
     ObjectId id = kNullObject;
     uint32_t base = 0;
-    bool has_base = false;
   };
 
-  /// One outstanding pipelined fetch: the object's in-flight guard is
-  /// owned by the issuing thread until the entry completes or aborts.
+  /// One outstanding fetch: the object's in-flight guard is owned by the
+  /// issuing thread until the entry settles or aborts.
   struct Inflight {
     ObjectId id = kNullObject;
     int32_t target = -1;
     int hops = 0;  ///< redirects taken (>0 means the home view was stale)
     std::unordered_set<int32_t> visited;  ///< distinct homes asked this chase round
     int retries = 0;  ///< backoff restarts after a full redirect cycle
-    uint32_t base = 0;
-    bool has_base = false;
+    uint32_t base = 0;  ///< retained diff base (0: ask for a full copy)
+    bool pipelined = false;  ///< counted in NodeStats::fetch_pipelined
     std::vector<NeighborReq> wish;
     net::Endpoint::PendingReply reply;
+  };
+
+  /// Whether a neighbor may ride a wish-list aimed at a home.
+  enum class Wish {
+    kYes,        ///< invalid, unguarded and homed at the target
+    kGone,       ///< no such object
+    kSkip,       ///< a sibling holds its guard, or the copy is already valid
+    kOtherHome,  ///< a different home serves it
   };
 
   /// Last-K demand-fault ids of one app thread (owner-thread-only: the
@@ -129,26 +135,38 @@ class FetchEngine {
 
   // -- requester side --
   void note_fault(ObjectId id);
+  /// Classifies neighbor `nid` for a wish-list aimed at `target` under
+  /// its shard lock; on kYes fills `nr` with its id and retained base.
+  Wish wishable(ObjectId nid, int32_t target, NeighborReq& nr);
   /// Stride prediction + base sampling for a demand fault on `id` whose
   /// home is `target`. Takes each candidate's shard lock in turn; call
   /// with NO shard lock held.
   std::vector<NeighborReq> predict_wish(ObjectId id, int32_t target);
-  net::Message make_request(ObjectId id, uint32_t base, bool has_base,
-                            std::span<const NeighborReq> wish, int32_t target);
+  /// Sends `f`'s kObjFetch to f.target (request_async).
+  void issue(Inflight& f);
+  /// Waits out `f`'s reply and settles it: meters the stall, applies the
+  /// primary section, chases home redirects (re-issuing `f` to each new
+  /// target) bounded by DISTINCT homes visited — a chase that cycles back
+  /// to a node already asked (a migration mid-handoff) backs off and
+  /// retries, giving up only after a retry budget no live system reaches
+  /// — repairs a stale home view and lands piggybacked neighbors. Call
+  /// with `lk` (f.id's shard lock) released; returns holding it. The
+  /// caller owns the in-flight guard.
+  void settle(Inflight& f, std::unique_lock<std::mutex>& lk);
   /// Applies a reply's primary section to `m` (caller holds the shard
   /// lock + guard; m is mapped). Returns the redirect target for form 2,
   /// -1 when the copy was installed (share -> valid at the home's cut).
   int32_t apply_primary(ObjectMeta& m, net::Reader& r);
-  /// Lands the piggybacked neighbor sections of a kObjDataN reply (call
-  /// with NO shard lock held).
+  /// Lands the piggybacked neighbor sections trailing a kObjData reply
+  /// (call with NO shard lock held).
   void land_neighbors(net::Reader& r, std::span<const NeighborReq> wish);
   /// Issues one pipelined fetch pass over `ids` with a sliding window;
   /// ids covered by an outstanding wish-list land via the piggyback and
   /// are appended to `leftovers` (when non-null) for a follow-up pass.
   size_t fetch_pass(std::span<const ObjectId> ids, bool piggyback,
                     std::vector<ObjectId>* leftovers);
-  /// Waits out the oldest window entry, applies it (redirects re-issue
-  /// in place) and releases its in-flight guard.
+  /// Settles the oldest window entry, marks it prefetched and releases
+  /// its in-flight guard.
   void complete_one(std::deque<Inflight>& out);
   /// Exception path: releases every outstanding entry's guard.
   void abort_window(std::deque<Inflight>& out) noexcept;
@@ -156,7 +174,7 @@ class FetchEngine {
   // -- home side --
   /// Encodes form byte + home epoch + body (diff vs full chosen by
   /// size) for one object this node homes. Caller holds the shard lock.
-  void encode_copy(ObjectMeta& obj, uint32_t req_base, bool has_base, net::Writer& w);
+  void encode_copy(ObjectMeta& obj, uint32_t req_base, net::Writer& w);
 
   Node& node_;
   std::vector<StrideRing> rings_;  ///< one per app thread

@@ -378,13 +378,11 @@ void SyncEngine::on_lock_release(net::Message&& m) {
         st.streak = 1;
       }
       if (st.streak < cfg.migrate_streak || m.src == home_view) continue;
-      // Dominance threshold reached. Damping, exactly the barrier
-      // master's writer_hist shape: a writer that alternates with the
-      // previous migration target (A→B→A) is ping-ponging — pin the
-      // home instead of bouncing it.
+      // Dominance threshold reached. Damping, the barrier master's rule:
+      // a writer that alternates with the previous migration target
+      // (A→B→A) is ping-ponging — pin the home instead of bouncing it.
       const int32_t cur = m.src;
-      const bool damped = st.hist.first != cur && st.hist.second == cur;
-      st.hist = {cur, st.hist.first};
+      const bool damped = st.hist.ping_pong(cur);
       st.streak = 0;  // cooldown either way: re-earn the streak
       if (damped) continue;
       net::Message mig;
@@ -737,11 +735,7 @@ void SyncEngine::on_barrier_enter(net::Message&& m) {
       // back next barrier ("the bucket will be requested next by the
       // process that originally owns it"), so pin the home instead; the
       // writer then pushes a diff like any multi-writer would.
-      auto [it, fresh] = master_.writer_hist.try_emplace(id, std::make_pair(-1, -1));
-      auto& hist = it->second;  // (previous writer, the one before that)
-      const int32_t cur = ws.front();
-      if (!fresh && hist.first != cur && hist.second == cur) new_home = old_home;
-      hist = {cur, hist.first};
+      if (master_.writer_hist[id].ping_pong(ws.front())) new_home = old_home;
     }
     if (new_home != old_home) {
       node_.stats_.home_migrations.fetch_add(1, std::memory_order_relaxed);

@@ -111,13 +111,27 @@ class SyncEngine {
     int32_t granted_to = -1;  ///< rank a grant is in flight to while busy
     std::vector<net::Message> waiters;  ///< queued kLockAcquire messages
   };
+  /// The last two writers an adaptive home decision saw for one object
+  /// (-1: none yet) — the §5 ping-pong damping rule shared by the lock
+  /// path and the barrier master.
+  struct WriterHistory {
+    int32_t last = -1;
+    int32_t before = -1;
+    /// Records `w`; true when it alternates with the previous writer
+    /// (A-B-A), the ping-pong shape whose home should stay pinned.
+    bool ping_pong(int32_t w) {
+      const bool alternates = last != w && before == w;
+      before = last;
+      last = w;
+      return alternates;
+    }
+  };
   /// Per-object single-writer streak, tracked by the lock manager from
-  /// the modified-object ids piggybacked on kLockRelease. `hist` is the
-  /// same two-slot recent-writer memory as Master::writer_hist.
+  /// the modified-object ids piggybacked on kLockRelease.
   struct MigrateStreak {
     int32_t last_writer = -1;
     uint32_t streak = 0;
-    std::pair<int32_t, int32_t> hist{-1, -1};
+    WriterHistory hist;
   };
   /// Collective kinds parked at the master.
   enum Kind : size_t { kEnter, kDone, kRun, kRecover, kKinds };
@@ -139,7 +153,7 @@ class SyncEngine {
     /// Adaptive protocol (paper §5): the last two single-writer ranks
     /// per object, persisted across barriers. A lone writer alternating
     /// between two nodes (ping-pong) keeps its home pinned.
-    std::unordered_map<ObjectId, std::pair<int32_t, int32_t>> writer_hist;
+    std::unordered_map<ObjectId, WriterHistory> writer_hist;
   };
 
   // -- lock protocol --

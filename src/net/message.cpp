@@ -10,7 +10,6 @@ const char* to_string(MsgType t) {
     case MsgType::kReply: return "Reply";
     case MsgType::kObjFetch: return "ObjFetch";
     case MsgType::kObjData: return "ObjData";
-    case MsgType::kObjDataN: return "ObjDataN";
     case MsgType::kDiffBatch: return "DiffBatch";
     case MsgType::kLockAcquire: return "LockAcquire";
     case MsgType::kLockForward: return "LockForward";

@@ -1,6 +1,6 @@
 // The async fetch engine: pipelined multi-object fetches (lots::touch /
 // lots::prefetch over Endpoint::request_async) and the sequential
-// prefetcher's piggybacked neighbor diffs (kObjDataN).
+// prefetcher's neighbor diffs piggybacked on the kObjData reply.
 //
 // Covered here:
 //  * pipelined + prefetched scans produce digests bit-identical to the
@@ -314,7 +314,7 @@ TEST(FetchEngine, RedirectMidPipelineChasesMigratedHome) {
 
 // ---------------------------------------------------------------------------
 // Real processes, lossy UDP: drop + reorder + duplication underneath the
-// pipelined window and the kObjDataN piggyback.
+// pipelined window and the kObjData neighbor piggyback.
 // ---------------------------------------------------------------------------
 
 TEST(FetchEngine, PipelinedScanSurvivesLossyUdpBitIdentical) {

@@ -1,6 +1,7 @@
 // Lock-release-driven adaptive home migration (the ISSUE 8 tentpole):
 // dominant-writer adoption, ping-pong damping on the lock path, and the
-// fetch engine's redirect-chase repair/backoff under stale home views.
+// fetch engine's redirect-chase repair/backoff under stale home views
+// (the backoff on both the demand and the pipelined fetch path).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -11,6 +12,14 @@
 namespace lots::core {
 namespace {
 
+/// How the requester in RedirectCycleBacksOffUntilRepaired reaches the
+/// object: a demand access, or a pipelined lots::prefetch window.
+enum class FetchVia { kDemand, kPrefetch };
+
+/// The suite's fixture: value-parameterized so the redirect-cycle test
+/// can run over both fetch paths; the other tests ignore the parameter.
+class Migration : public ::testing::TestWithParam<FetchVia> {};
+
 Config cfg() {
   Config c;
   c.nprocs = 4;
@@ -20,7 +29,7 @@ Config cfg() {
   return c;
 }
 
-TEST(Migration, DominantWriterAdoptsTheHome) {
+TEST_F(Migration, DominantWriterAdoptsTheHome) {
   Runtime rt(cfg());
   rt.run([](int rank) {
     Pointer<int> obj;
@@ -56,7 +65,7 @@ TEST(Migration, DominantWriterAdoptsTheHome) {
   EXPECT_GE(total.home_commit_notices.load(), 1u);
 }
 
-TEST(Migration, AlternatingWritersDoNotMigrate) {
+TEST_F(Migration, AlternatingWritersDoNotMigrate) {
   // Strict A-B-A-B release alternation on one lock: the single-writer
   // streak never reaches migrate_streak, so the lock path must not move
   // the home at all — this is the ping-pong shape the barrier planner
@@ -87,7 +96,7 @@ TEST(Migration, AlternatingWritersDoNotMigrate) {
   EXPECT_EQ(total.lock_migrations.load(), 0u);
 }
 
-TEST(Migration, StaleNoticeDoesNotCedeAFreshlyAdoptedHome) {
+TEST_F(Migration, StaleNoticeDoesNotCedeAFreshlyAdoptedHome) {
   // Two consecutive adoptions on one lock: W1 adopts and home-commits
   // (leaving a notice hint=W1 in the chain), then W2 adopts. W2's next
   // acquire replays W1's notice while W2 believes it is the home — a
@@ -148,7 +157,7 @@ TEST(Migration, StaleNoticeDoesNotCedeAFreshlyAdoptedHome) {
   EXPECT_EQ(total.lock_migrations.load(), 2u);
 }
 
-TEST(Migration, FetchChasesAndRepairsStaleHomeView) {
+TEST_F(Migration, FetchChasesAndRepairsStaleHomeView) {
   // One stale hop: the requester's home view points at a bystander, the
   // bystander redirects to the true home. The fetch must land the data,
   // repair the requester's view, and never hit the retry path.
@@ -175,13 +184,15 @@ TEST(Migration, FetchChasesAndRepairsStaleHomeView) {
   EXPECT_EQ(total.fetch_redirect_retries.load(), 0u);
 }
 
-TEST(Migration, RedirectCycleBacksOffUntilRepaired) {
+TEST_P(Migration, RedirectCycleBacksOffUntilRepaired) {
   // A mid-handoff window where every view in the cycle is stale: the
   // requester chases bystander -> bystander2 -> bystander ... and must
-  // back off and retry (satellite 1) instead of dying at a hop cap,
-  // then succeed once a view finally points at the true home.
+  // back off and retry instead of dying at a hop cap, then succeed once
+  // a view finally points at the true home. Both fetch paths share the
+  // chase, so the pipelined input must behave exactly like the demand one.
+  const FetchVia via = GetParam();
   Runtime rt(cfg());
-  rt.run([](int rank) {
+  rt.run([via](int rank) {
     Pointer<int> obj;
     obj.alloc(64);
     const int32_t home0 = Runtime::self().home_of(obj.id());
@@ -202,6 +213,12 @@ TEST(Migration, RedirectCycleBacksOffUntilRepaired) {
       Runtime::self().set_home_for_test(obj.id(), home0);
     }
     if (rank == requester) {
+      if (via == FetchVia::kPrefetch) {
+        const ObjectId id = obj.id();
+        EXPECT_EQ(lots::prefetch({&id, 1}), 1u);
+        // The window settled the chase: the view is already repaired.
+        EXPECT_EQ(Runtime::self().home_of(obj.id()), home0);
+      }
       for (int i = 0; i < 64; i += 7) EXPECT_EQ(obj[i], 5 * i);
       EXPECT_EQ(Runtime::self().home_of(obj.id()), home0);
     }
@@ -211,7 +228,20 @@ TEST(Migration, RedirectCycleBacksOffUntilRepaired) {
   NodeStats total;
   rt.aggregate_stats(total);
   EXPECT_GE(total.fetch_redirect_retries.load(), 1u);
+  if (via == FetchVia::kPrefetch) {
+    EXPECT_GE(total.fetch_pipelined.load(), 2u);  // the issue plus its re-issues
+    EXPECT_EQ(total.prefetch_hits.load(), 1u);    // the access found it warm
+  } else {
+    EXPECT_EQ(total.fetch_pipelined.load(), 0u);
+  }
 }
+
+// An empty instantiation name keeps the full names under `Migration.*`:
+// Migration.RedirectCycleBacksOffUntilRepaired/Demand and /Prefetch.
+INSTANTIATE_TEST_SUITE_P(, Migration, ::testing::Values(FetchVia::kDemand, FetchVia::kPrefetch),
+                         [](const ::testing::TestParamInfo<FetchVia>& info) {
+                           return info.param == FetchVia::kDemand ? "Demand" : "Prefetch";
+                         });
 
 }  // namespace
 }  // namespace lots::core
