@@ -4,7 +4,9 @@
 // Part A — ns/access on the repeat-access shape of sec42_access_check
 // (one mapped, clean, twinned object hammered in a loop). Gate: the ALB
 // must cut the per-access cost >= 3x (the shard lock + hash lookup +
-// pin/twin bookkeeping it removes dominates the check).
+// pin/twin bookkeeping it removes dominates the check). Off and on
+// samples are taken interleaved, kSamples of each, and the ratio is of
+// their medians, so one descheduled sample cannot decide the gate.
 //
 // Part B — diff payload bytes on a dense-stencil interval: 4 ranks
 // write disjoint dense quarters of one shared grid and barrier, so each
@@ -19,8 +21,10 @@
 // Both ALB cells must produce the bit-identical grid digest; any
 // divergence fails the gate. Prints FASTPATH_ABL_OK / _FAIL and
 // exits non-zero on failure so CI can gate on it.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "common/clock.hpp"
@@ -67,6 +71,11 @@ double measure_ns_access(bool alb) {
     ns = static_cast<double>(lots::now_us() - t0) * 1000.0 / kIters;
   });
   return ns;
+}
+
+double median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + static_cast<ptrdiff_t>(v.size() / 2), v.end());
+  return v[v.size() / 2];
 }
 
 // ---- Part B: dense-stencil interval traffic -------------------------------
@@ -128,12 +137,18 @@ StencilResult run_stencil(bool alb) {
 int main() {
   std::printf("\n=== fast-path ablation: ALB, run-length diff encoding ===\n");
 
-  // Part A: access cost.
-  const double ns_off = measure_ns_access(/*alb=*/false);
-  const double ns_on = measure_ns_access(/*alb=*/true);
+  // Part A: access cost, the median of interleaved off/on samples.
+  constexpr int kSamples = 5;
+  std::vector<double> off_ns, on_ns;
+  for (int i = 0; i < kSamples; ++i) {
+    off_ns.push_back(measure_ns_access(/*alb=*/false));
+    on_ns.push_back(measure_ns_access(/*alb=*/true));
+  }
+  const double ns_off = median(off_ns);
+  const double ns_on = median(on_ns);
   const double speedup = ns_on > 0 ? ns_off / ns_on : 0.0;
-  std::printf("repeat-access ns/access: alb_off=%.1f alb_on=%.1f (%.2fx)\n", ns_off, ns_on,
-              speedup);
+  std::printf("repeat-access ns/access, median of %d: alb_off=%.1f alb_on=%.1f (%.2fx)\n",
+              kSamples, ns_off, ns_on, speedup);
   JsonLine("abl_fastpath").str("part", "access").num("alb", 0).num("ns_per_access", ns_off).emit();
   JsonLine("abl_fastpath").str("part", "access").num("alb", 1).num("ns_per_access", ns_on).emit();
 

@@ -72,6 +72,20 @@ mutant twin-dropped-without-compare src/core/mapper.cpp core_runtime_test \
   '  if (m.twinned && std::memcmp(space_.dmm(off), space_.twin(off), bytes) == 0) m.twinned = false;' \
   '  if (m.twinned) m.twinned = false;'
 
+# Unmapping a block must not clear past it: the page-rounded release of
+# a packed small object also clears its page neighbour.
+mutant drop-mapping-clears-page src/core/mapper.cpp core_runtime_test \
+  Mapper.EvictingASmallObjectKeepsItsPageNeighbor \
+  $'    node_.dir_.bump_generation(m.id);  // defeat cached ALB pointers first\n' \
+  $'    node_.dir_.bump_generation(m.id);  // defeat cached ALB pointers first\n    if (m.dmm_offset % 4096 == 0) std::memset(space_.dmm(m.dmm_offset), 0, (word_bytes(m) + 4095) / 4096 * 4096);\n'
+
+# A reused block keeps its last occupant's bytes: the zero path of
+# map_in must clear the stamps as well as the data.
+mutant map-in-keeps-stale-stamps src/core/mapper.cpp core_runtime_test \
+  Mapper.ReusedBlockStartsWithCleanStamps \
+  $'    std::memset(space_.ctrl_words(off), 0, bytes);\n' \
+  ''
+
 # A fetch answered after a redirect must repoint the stale home view.
 mutant settle-skips-stale-home-repair src/core/fetch.cpp core_migration_test \
   Migration.FetchChasesAndRepairsStaleHomeView \

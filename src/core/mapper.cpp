@@ -13,18 +13,20 @@ namespace {
 
 // An object's disk image, the one statement of its layout:
 //   [data words][timestamp words][twin words, only while twinned]
-// evict writes it, Words reads and rewrites it, remote parking ships
-// it verbatim.
-size_t image_bytes(const ObjectMeta& m) { return (m.twinned ? 3 : 2) * word_bytes(m); }
+// evict writes it, map_in and Words read it, Words rewrites it, remote
+// parking ships it verbatim.
+size_t image_part_count(const ObjectMeta& m) { return m.twinned ? 3 : 2; }
+size_t image_bytes(const ObjectMeta& m) { return image_part_count(m) * word_bytes(m); }
 
-struct ImageParts {
-  uint8_t* data;
-  uint32_t* ts;
-  uint8_t* twin;  ///< nullptr unless the image carries a twin
-};
-ImageParts image_parts(std::vector<uint8_t>& image, size_t bytes) {
-  return {image.data(), reinterpret_cast<uint32_t*>(image.data() + bytes),
-          image.size() > 2 * bytes ? image.data() + 2 * bytes : nullptr};
+// A mapping's DMM data, control and twin ranges at `off`, in image
+// order: the image is their first image_part_count(m), so disk I/O moves
+// it with one vectored call and stages no copy.
+template <class Byte>
+std::array<std::span<Byte>, 3> mapped_image(const mem::SpaceLayout& space, size_t off,
+                                            size_t bytes) {
+  return {{{space.dmm(off), bytes},
+           {reinterpret_cast<uint8_t*>(space.ctrl_words(off)), bytes},
+           {space.twin(off), bytes}}};
 }
 
 }  // namespace
@@ -46,10 +48,10 @@ Mapper::Words::Words(Mapper& mapper, ObjectMeta& m) : mapper_(mapper), m_(m) {
   LOTS_CHECK(m.on_disk || !m.twinned, "twinned unmapped object lost its disk image");
   image_.resize(image_bytes(m));  // zeros unless an image exists
   if (m.on_disk) LOTS_CHECK(mapper.disk_.read_object(m.id, image_), "disk image vanished");
-  const ImageParts p = image_parts(image_, word_bytes(m));
-  data_ = p.data;
-  ts_ = p.ts;
-  twin_ = p.twin;
+  const size_t bytes = word_bytes(m);
+  data_ = image_.data();
+  ts_ = reinterpret_cast<uint32_t*>(image_.data() + bytes);
+  twin_ = m.twinned ? image_.data() + 2 * bytes : nullptr;
 }
 
 void Mapper::Words::store() {
@@ -77,12 +79,10 @@ uint8_t* Mapper::map_in(ObjectMeta& m, std::unique_lock<std::mutex>& lk) {
   const size_t bytes = word_bytes(m);
   if (m.on_remote) rehydrate_remote(m, lk);
   const size_t off = alloc_dmm_or_evict(m, lk);
-  uint8_t* data = space_.dmm(off);
   if (m.on_disk) {
-    const Words image = words(m);  // still unmapped: the disk image
-    std::memcpy(data, image.data(), bytes);
-    std::memcpy(space_.ctrl_words(off), image.ts(), bytes);
-    if (m.twinned) std::memcpy(space_.twin(off), image.twin(), bytes);
+    const auto parts = mapped_image<uint8_t>(space_, off, bytes);
+    LOTS_CHECK(disk_.read_object(m.id, std::span(parts).first(image_part_count(m))),
+               "disk image vanished");
     // Keep an untwinned image (it still counts) while the store is in
     // budget: until Words dirties the mapping, eviction only unmaps.
     const size_t cap = node_.config().disk_capacity_bytes;
@@ -91,12 +91,12 @@ uint8_t* Mapper::map_in(ObjectMeta& m, std::unique_lock<std::mutex>& lk) {
       m.on_disk = false;
     }
   } else {
-    std::memset(data, 0, bytes);
+    std::memset(space_.dmm(off), 0, bytes);
     std::memset(space_.ctrl_words(off), 0, bytes);
   }
   m.dmm_offset = off;
   m.map = MapState::kMapped;
-  return data;
+  return space_.dmm(off);
 }
 
 void Mapper::rehydrate_remote(ObjectMeta& m, std::unique_lock<std::mutex>& lk) {
@@ -196,25 +196,25 @@ void Mapper::evict(ObjectMeta& m, std::unique_lock<std::mutex>& lk) {
   const Config& cfg = node_.config();
   const bool local_full = cfg.disk_capacity_bytes > 0 &&
                           disk_.stored_bytes() + image_bytes(m) > cfg.disk_capacity_bytes;
-  std::vector<uint8_t> image(image_bytes(m));
-  const ImageParts p = image_parts(image, bytes);
-  std::memcpy(p.data, space_.dmm(off), bytes);
-  std::memcpy(p.ts, space_.ctrl_words(off), bytes);
-  if (p.twin) std::memcpy(p.twin, space_.twin(off), bytes);
+  const auto image = mapped_image<const uint8_t>(space_, off, bytes);
+  const auto parts = std::span(image).first(image_part_count(m));
   if (!local_full || m.home == node_.rank_ || m.twinned || !m.pending.empty()) {
     // Within budget, or a home or dirty copy: those stay local regardless.
-    disk_.write_object(m.id, image);
+    disk_.write_object(m.id, parts);
     m.on_disk = true;
     drop_mapping(m, /*keep_disk_image=*/true);
     return;
   }
   // §5 remote swapping: spill a clean non-home copy to the buddy's disk
-  // (a home always answers fetches from local state). Unmapping before
-  // the lock is released makes a concurrent incoming diff land in
-  // `pending`; the image holds the copy.
-  drop_mapping(m, /*keep_disk_image=*/true);
+  // (a home always answers fetches from local state). The image goes
+  // into the request before the block is freed for reuse. Unmapping
+  // before the lock is released makes a concurrent incoming diff land
+  // in `pending`; the image holds the copy.
   net::Message req = swap_msg(net::MsgType::kSwapPut, m.id);
-  net::Writer(req.payload).bytes(image);
+  net::Writer w(req.payload);
+  w.u32(static_cast<uint32_t>(image_bytes(m)));  // as Writer::bytes frames one run
+  for (const auto& part : parts) w.raw(part.data(), part.size());
+  drop_mapping(m, /*keep_disk_image=*/true);
   lk.unlock();
   node_.ep_.request(std::move(req));  // acked: the image is durable remotely
   lk.lock();
@@ -225,7 +225,6 @@ void Mapper::evict(ObjectMeta& m, std::unique_lock<std::mutex>& lk) {
 void Mapper::drop_mapping(ObjectMeta& m, bool keep_disk_image) {
   if (m.map == MapState::kMapped) {
     node_.dir_.bump_generation(m.id);  // defeat cached ALB pointers first
-    space_.discard(m.dmm_offset, word_bytes(m));
     dmm_.free(m.dmm_offset);
     m.map = MapState::kUnmapped;
     m.dmm_offset = 0;

@@ -20,13 +20,4 @@ SpaceLayout::~SpaceLayout() {
   if (base_) ::munmap(base_, 3 * s_);
 }
 
-void SpaceLayout::discard(size_t offset, size_t len) const {
-  // MADV_DONTNEED returns the pages to the OS; the next touch reads
-  // zeroes, which is fine because discarded ranges are always refilled
-  // (from disk or network) before use.
-  ::madvise(base_ + offset, len, MADV_DONTNEED);
-  ::madvise(base_ + s_ + offset, len, MADV_DONTNEED);
-  ::madvise(base_ + 2 * s_ + offset, len, MADV_DONTNEED);
-}
-
 }  // namespace lots::mem

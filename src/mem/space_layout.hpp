@@ -23,9 +23,12 @@ namespace lots::mem {
 
 class SpaceLayout {
  public:
-  /// Reserves an arena of 3 * dmm_bytes via mmap (lazily backed by the
-  /// OS, so a large S does not commit RAM until touched — exactly the
-  /// property the paper relies on).
+  /// Reserves an arena of 3 * dmm_bytes via mmap. Pages are lazily
+  /// backed by the OS, so a large S commits no RAM until touched, and
+  /// stay resident once touched: the DMM window is the configured
+  /// budget, and the paper's limit is address space, not physical
+  /// memory. A freed block keeps its old bytes, so whoever maps an
+  /// object into it writes every byte before use.
   explicit SpaceLayout(size_t dmm_bytes);
   ~SpaceLayout();
   SpaceLayout(const SpaceLayout&) = delete;
@@ -43,11 +46,6 @@ class SpaceLayout {
   [[nodiscard]] uint32_t* ctrl_words(size_t offset) const {
     return reinterpret_cast<uint32_t*>(base_ + 2 * s_ + offset);
   }
-
-  /// Releases the physical pages backing [offset, offset+len) in all
-  /// three segments (used after eviction so swapped-out objects cost no
-  /// RAM, and after barrier invalidation).
-  void discard(size_t offset, size_t len) const;
 
  private:
   size_t s_;

@@ -1,5 +1,7 @@
 #include "net/endpoint.hpp"
 
+#include <cstdlib>
+
 #include "common/error.hpp"
 
 namespace lots::net {
@@ -147,6 +149,11 @@ void Endpoint::reply(const Message& req, Message resp) {
 }
 
 void Endpoint::serve_loop() {
+  // Claim a malloc arena now, before this Runtime's app threads allocate.
+  // glibc gives a new thread the arena released last, and service threads
+  // exit last: claiming first keeps the app arenas, and the free memory
+  // they hold resident, with the app threads of the next Runtime.
+  { void* volatile claim = std::malloc(1); std::free(claim); }
   while (running_.load(std::memory_order_acquire)) {
     auto m = transport_->recv(50'000);
     if (!m) continue;

@@ -3,9 +3,12 @@
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/statvfs.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <array>
 #include <filesystem>
+#include <type_traits>
 
 #include "common/clock.hpp"
 #include "common/error.hpp"
@@ -25,13 +28,6 @@ DiskStore::~DiskStore() {
     ::close(fd_);
     ::unlink(path_.c_str());
   }
-}
-
-void DiskStore::charge(uint64_t bytes, bool /*is_write*/) {
-  const double us = model_.cost_us(bytes);
-  modeled_io_us_ += static_cast<uint64_t>(us);
-  if (stats_) stats_->disk_wait_us.fetch_add(static_cast<uint64_t>(us), std::memory_order_relaxed);
-  if (model_.time_scale > 0) precise_delay_us(us * model_.time_scale);
 }
 
 Extent DiskStore::allocate(uint64_t length) {
@@ -80,53 +76,66 @@ void DiskStore::release(Extent e) {
   }
 }
 
-void DiskStore::write_object(uint64_t id, std::span<const uint8_t> data) {
-  std::lock_guard lk(mu_);
-  auto it = objects_.find(id);
-  Extent e;
-  if (it != objects_.end() && it->second.length == data.size()) {
-    e = it->second;  // in-place rewrite
-  } else {
-    if (it != objects_.end()) {
-      release(it->second);
-      live_bytes_ -= it->second.length;
-      objects_.erase(it);
+// Moves the `bytes` of `parts` between memory and the file at `offset`
+// with one pwritev (const parts) or preadv, resuming after a short
+// transfer, then charges the modeled I/O time and counts the swap.
+template <class Byte>
+void DiskStore::transfer(std::span<const std::span<Byte>> parts, uint64_t offset, uint64_t bytes) {
+  constexpr bool kWrite = std::is_const_v<Byte>;
+  std::array<iovec, 4> iov{};  // an object image has three parts
+  LOTS_CHECK(parts.size() <= iov.size(), "DiskStore: too many image parts");
+  uint64_t sum = 0;
+  for (size_t i = 0; i < parts.size(); ++i) {
+    iov[i] = {const_cast<uint8_t*>(parts[i].data()), parts[i].size()};
+    sum += parts[i].size();
+  }
+  LOTS_CHECK_EQ(sum, bytes, "DiskStore: image size mismatch");
+  iovec* next = iov.data();
+  for (uint64_t left = bytes; left > 0;) {
+    const auto cnt = static_cast<int>(iov.data() + parts.size() - next);
+    const auto at = static_cast<off_t>(offset + bytes - left);
+    const ssize_t n = kWrite ? ::pwritev(fd_, next, cnt, at) : ::preadv(fd_, next, cnt, at);
+    if (n <= 0) throw SystemError("DiskStore: vectored I/O failed on " + path_);
+    left -= static_cast<uint64_t>(n);
+    auto done = static_cast<size_t>(n);
+    for (; left > 0 && done >= next->iov_len; ++next) done -= next->iov_len;
+    if (left > 0) {
+      next->iov_base = static_cast<uint8_t*>(next->iov_base) + done;
+      next->iov_len -= done;
     }
-    e = allocate(data.size());
-    objects_[id] = e;
-    live_bytes_ += e.length;
   }
-  size_t done = 0;
-  while (done < data.size()) {
-    const ssize_t n = ::pwrite(fd_, data.data() + done, data.size() - done,
-                               static_cast<off_t>(e.offset + done));
-    if (n <= 0) throw SystemError("DiskStore: pwrite failed on " + path_);
-    done += static_cast<size_t>(n);
-  }
-  charge(data.size(), /*is_write=*/true);
+  const double us = model_.cost_us(bytes);
+  modeled_io_us_ += static_cast<uint64_t>(us);
   if (stats_) {
-    stats_->swap_outs.fetch_add(1, std::memory_order_relaxed);
-    stats_->swap_bytes_out.fetch_add(data.size(), std::memory_order_relaxed);
+    stats_->disk_wait_us.fetch_add(static_cast<uint64_t>(us), std::memory_order_relaxed);
+    (kWrite ? stats_->swap_outs : stats_->swap_ins).fetch_add(1, std::memory_order_relaxed);
+    (kWrite ? stats_->swap_bytes_out : stats_->swap_bytes_in)
+        .fetch_add(bytes, std::memory_order_relaxed);
   }
+  if (model_.time_scale > 0) precise_delay_us(us * model_.time_scale);
 }
 
-bool DiskStore::read_object(uint64_t id, std::span<uint8_t> out) {
+void DiskStore::write_object(uint64_t id, std::span<const std::span<const uint8_t>> parts) {
+  uint64_t bytes = 0;
+  for (const auto& p : parts) bytes += p.size();
+  std::lock_guard lk(mu_);
+  auto it = objects_.find(id);
+  if (it == objects_.end()) {
+    it = objects_.emplace(id, allocate(bytes)).first;
+    live_bytes_ += bytes;
+  } else if (it->second.length != bytes) {  // else rewrite in place
+    release(it->second);
+    live_bytes_ = live_bytes_ - it->second.length + bytes;
+    it->second = allocate(bytes);
+  }
+  transfer(parts, it->second.offset, bytes);
+}
+
+bool DiskStore::read_object(uint64_t id, std::span<const std::span<uint8_t>> parts) {
   std::lock_guard lk(mu_);
   auto it = objects_.find(id);
   if (it == objects_.end()) return false;
-  LOTS_CHECK_EQ(it->second.length, out.size(), "DiskStore: read size mismatch");
-  size_t done = 0;
-  while (done < out.size()) {
-    const ssize_t n = ::pread(fd_, out.data() + done, out.size() - done,
-                              static_cast<off_t>(it->second.offset + done));
-    if (n <= 0) throw SystemError("DiskStore: pread failed on " + path_);
-    done += static_cast<size_t>(n);
-  }
-  charge(out.size(), /*is_write=*/false);
-  if (stats_) {
-    stats_->swap_ins.fetch_add(1, std::memory_order_relaxed);
-    stats_->swap_bytes_in.fetch_add(out.size(), std::memory_order_relaxed);
-  }
+  transfer(parts, it->second.offset, it->second.length);
   return true;
 }
 
@@ -139,31 +148,11 @@ void DiskStore::free_object(uint64_t id) {
   objects_.erase(it);
 }
 
-bool DiskStore::contains(uint64_t id) const {
-  std::lock_guard lk(mu_);
-  return objects_.count(id) != 0;
-}
-
 std::optional<uint64_t> DiskStore::size_of(uint64_t id) const {
   std::lock_guard lk(mu_);
   auto it = objects_.find(id);
   if (it == objects_.end()) return std::nullopt;
   return it->second.length;
-}
-
-uint64_t DiskStore::stored_bytes() const {
-  std::lock_guard lk(mu_);
-  return live_bytes_;
-}
-
-uint64_t DiskStore::file_bytes() const {
-  std::lock_guard lk(mu_);
-  return file_end_;
-}
-
-size_t DiskStore::object_count() const {
-  std::lock_guard lk(mu_);
-  return objects_.size();
 }
 
 uint64_t DiskStore::filesystem_free_bytes() const {

@@ -41,21 +41,35 @@ class DiskStore {
 
   /// Writes the image of object `id`; allocates (or reuses) an extent.
   /// Rewriting an object whose size is unchanged reuses its extent.
-  void write_object(uint64_t id, std::span<const uint8_t> data);
+  void write_object(uint64_t id, std::span<const uint8_t> data) { write_object(id, {&data, 1}); }
+  /// The same for an image given as consecutive parts, written with one
+  /// pwritev straight from where they live (no staging copy).
+  void write_object(uint64_t id, std::span<const std::span<const uint8_t>> parts);
 
   /// Reads the stored image of object `id` into `out` (size must match
   /// what was written). Returns false if the object has no image.
-  bool read_object(uint64_t id, std::span<uint8_t> out);
+  bool read_object(uint64_t id, std::span<uint8_t> out) { return read_object(id, {&out, 1}); }
+  /// The same into consecutive parts, with one preadv.
+  bool read_object(uint64_t id, std::span<const std::span<uint8_t>> parts);
 
   /// Releases the extent of `id` (no-op if absent).
   void free_object(uint64_t id);
 
-  [[nodiscard]] bool contains(uint64_t id) const;
+  [[nodiscard]] bool contains(uint64_t id) const { return size_of(id).has_value(); }
   /// Stored image size of `id`, if present.
   [[nodiscard]] std::optional<uint64_t> size_of(uint64_t id) const;
-  [[nodiscard]] uint64_t stored_bytes() const;  ///< sum of live extents
-  [[nodiscard]] uint64_t file_bytes() const;    ///< current file size
-  [[nodiscard]] size_t object_count() const;
+  [[nodiscard]] uint64_t stored_bytes() const {  ///< sum of live extents
+    std::lock_guard lk(mu_);
+    return live_bytes_;
+  }
+  [[nodiscard]] uint64_t file_bytes() const {  ///< current file size
+    std::lock_guard lk(mu_);
+    return file_end_;
+  }
+  [[nodiscard]] size_t object_count() const {
+    std::lock_guard lk(mu_);
+    return objects_.size();
+  }
 
   /// Free space of the filesystem holding the store (the paper's bound
   /// on the shared object space; used by the Table 1 capacity probe).
@@ -67,7 +81,8 @@ class DiskStore {
  private:
   Extent allocate(uint64_t length);
   void release(Extent e);
-  void charge(uint64_t bytes, bool is_write);
+  template <class Byte>
+  void transfer(std::span<const std::span<Byte>> parts, uint64_t offset, uint64_t bytes);
 
   std::string path_;
   int fd_ = -1;

@@ -48,12 +48,18 @@ TEST_F(Migration, DominantWriterAdoptsTheHome) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
       EXPECT_EQ(Runtime::self().home_of(obj.id()), writer);
+      // The adoption can land after the last release above; one more
+      // critical section as the home commits in place and sends the
+      // notice.
+      lots::acquire(7);
+      for (int i = 0; i < 64; ++i) obj[i] = 400 + i;
+      lots::release(7);
     }
     // Event-only: orders the readers after the writer without giving the
     // barrier planner a chance to move the home itself.
     lots::run_barrier();
     lots::acquire(7);
-    for (int i = 0; i < 64; i += 13) EXPECT_EQ(obj[i], 300 + i);
+    for (int i = 0; i < 64; i += 13) EXPECT_EQ(obj[i], 400 + i);
     lots::release(7);
     lots::barrier();
   });

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -409,6 +410,79 @@ TEST(MtAccess, LockScopeCoversTwinsCreatedBySiblingThreads) {
     }
     lots::barrier();
   });
+}
+
+TEST(MtAccess, StaleAlbEntriesNeverReadAReusedBlock) {
+  // A freed DMM block keeps its bytes, and the next object mapped there
+  // overwrites them, so a stale ALB pointer reads another object's words
+  // rather than zeros. Every word here encodes (object id, version).
+  // Per round, app threads 0 and 1 each own a third of the objects and
+  // read-check-rewrite them in random order; thread 2 reads and swaps
+  // out the idle third. The DMM holds a third of the objects, so map-ins
+  // evict constantly and blocks change hands while ALB entries cached in
+  // earlier rounds go stale. Any read of a foreign id or an old version
+  // is a hit through a dead mapping.
+  const uint64_t seed = pick_seed();
+  std::printf("[ mt_access/reuse ] seed=%llu (replay: LOTS_MT_SEED=%llu)\n",
+              static_cast<unsigned long long>(seed), static_cast<unsigned long long>(seed));
+  std::fflush(stdout);
+  SCOPED_TRACE("replay with LOTS_MT_SEED=" + std::to_string(seed));
+  constexpr int kObjects = 384;
+  constexpr int kWords = 256;  // 1 KB: four objects to a packing page
+  constexpr int kRoundsHere = 6;
+  constexpr int kOps = 300;
+  Config c;
+  c.nprocs = 1;
+  c.threads_per_node = 3;
+  c.dmm_bytes = 128u << 10;
+  core::Runtime rt(c);
+  std::vector<uint32_t> version(kObjects, 0);  // written by the owner, barrier-ordered
+  std::atomic<int> foreign{0}, stale{0};
+  rt.run([&](int) {
+    const int t = lots::my_thread();
+    std::vector<core::Pointer<int>> objs(kObjects);
+    for (auto& o : objs) o.alloc(kWords);
+    auto value = [&](int k) { return k * 4096 + static_cast<int>(version[static_cast<size_t>(k)]); };
+    auto check = [&](int k, int words) {
+      const int want = value(k);
+      for (int i = 0; i < words; ++i) {
+        const int got = objs[static_cast<size_t>(k)][static_cast<size_t>(i)];
+        if (got / 4096 != k) foreign.fetch_add(1, std::memory_order_relaxed);
+        else if (got != want) stale.fetch_add(1, std::memory_order_relaxed);
+      }
+    };
+    for (int k = t; k < kObjects; k += 3) {
+      for (int i = 0; i < kWords; ++i) objs[static_cast<size_t>(k)][static_cast<size_t>(i)] = value(k);
+    }
+    lots::barrier();
+    Rng rng(seed * 7 + static_cast<uint64_t>(t) + 1);
+    for (int round = 0; round < kRoundsHere; ++round) {
+      // Object k is owned by thread (k + round) % 3 this round.
+      auto pick = [&] {
+        const int slot = static_cast<int>(rng.below(kObjects / 3));
+        return ((slot * 3 + t - round) % kObjects + kObjects) % kObjects;
+      };
+      for (int op = 0; op < kOps; ++op) {
+        const int k = pick();
+        if (t == 2) {
+          check(k, kWords / 8);
+          core::Runtime::self().force_swap_out(objs[static_cast<size_t>(k)].id());
+          continue;
+        }
+        check(k, kWords);
+        auto& v = version[static_cast<size_t>(k)];
+        v = (v + 1) % 4096;
+        for (int i = 0; i < kWords; ++i) objs[static_cast<size_t>(k)][static_cast<size_t>(i)] = value(k);
+      }
+      lots::barrier();
+    }
+    for (int k = t; k < kObjects; k += 3) check(k, kWords);
+    lots::barrier();
+  });
+  EXPECT_EQ(foreign.load(), 0) << "words of another object read through a stale mapping (seed "
+                               << seed << ")";
+  EXPECT_EQ(stale.load(), 0) << "words of an old version read (seed " << seed << ")";
+  EXPECT_GT(rt.node(0).stats().evictions.load(), 0u);
 }
 
 TEST(MtAccess, CollectiveAllocYieldsOneIdPerNode) {

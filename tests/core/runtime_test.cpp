@@ -336,6 +336,93 @@ TEST(Mapper, KeptImageOnlyWithinDiskBudget) {
   });
 }
 
+size_t dmm_offset_of(Node& n, ObjectId id) {
+  auto lk = n.directory().lock_shard(id);
+  return n.directory().get(id).dmm_offset;
+}
+
+TEST(Mapper, EvictingASmallObjectKeepsItsPageNeighbor) {
+  // Two 2 KB objects share one packing page (DmmAllocator::small_alloc).
+  // Evicting either leaves every word of the other intact, and the
+  // evicted one maps back whole: a page-rounded release of one block
+  // would clear its neighbour's data too.
+  Runtime rt(small_config());
+  rt.run([](int) {
+    Pointer<int> a, b;
+    a.alloc(512);
+    b.alloc(512);
+    for (int i = 0; i < 512; ++i) {
+      a[i] = i + 1;
+      b[i] = -(i + 1);
+    }
+    lots::barrier();
+    Node& n = Runtime::self();
+    ASSERT_EQ(n.dmm().page_of(dmm_offset_of(n, a.id())),
+              n.dmm().page_of(dmm_offset_of(n, b.id())));
+    for (int round = 0; round < 2; ++round) {
+      Pointer<int>& gone = round == 0 ? a : b;
+      Pointer<int>& kept = round == 0 ? b : a;
+      const int gone_sign = round == 0 ? 1 : -1;
+      n.force_swap_out(gone.id());
+      ASSERT_FALSE(n.is_mapped(gone.id()));
+      ASSERT_TRUE(n.is_mapped(kept.id()));
+      int kept_bad = 0, gone_bad = 0;
+      for (int i = 0; i < 512; ++i) kept_bad += kept[i] != -gone_sign * (i + 1) ? 1 : 0;
+      for (int i = 0; i < 512; ++i) gone_bad += gone[i] != gone_sign * (i + 1) ? 1 : 0;
+      EXPECT_EQ(kept_bad, 0) << "round " << round << ": the neighbour lost words of 512";
+      EXPECT_EQ(gone_bad, 0) << "round " << round << ": the evicted object lost words of 512";
+    }
+  });
+}
+
+TEST(Mapper, ReusedBlockStartsWithCleanStamps) {
+  // A block keeps its last occupant's bytes after the unmap, so the
+  // zero path of map_in must clear the data and the stamps. Rank 0's
+  // lock releases stamp x's words far above the epoch at which rank 1
+  // wrote y. x is evicted and y, never mapped on rank 0, maps into x's
+  // block: stale stamps would mark every word of y as newer than the
+  // home's copy, and the first fetch would land none of them. Then z, a
+  // fresh object of rank 0's own, maps into the same block and must
+  // read zeros.
+  Runtime rt(small_config(2));
+  rt.run([](int rank) {
+    std::array<Pointer<int>, 4> objs;
+    for (auto& o : objs) o.alloc(512);
+    Node& n = Runtime::self();
+    std::vector<Pointer<int>*> by_home[2];
+    for (auto& o : objs) by_home[n.home_of(o.id())].push_back(&o);
+    ASSERT_EQ(by_home[0].size(), 2u);
+    Pointer<int>& x = *by_home[0][0];
+    Pointer<int>& z = *by_home[0][1];
+    Pointer<int>& y = *by_home[1][0];
+    if (rank == 1) {
+      for (int i = 0; i < 512; ++i) y[i] = i + 1;
+    }
+    lots::barrier();  // rank 0's copy of y goes invalid
+    if (rank == 0) {
+      for (int round = 0; round < 16; ++round) {
+        lots::acquire(3);
+        for (int i = 0; i < 512; ++i) x[i] = round * 1000 + i;
+        lots::release(3);
+      }
+      const size_t block = dmm_offset_of(n, x.id());
+      n.force_swap_out(x.id());
+      int bad = 0;
+      for (int i = 0; i < 512; ++i) bad += y[i] != i + 1 ? 1 : 0;
+      ASSERT_EQ(dmm_offset_of(n, y.id()), block) << "y did not reuse x's block";
+      EXPECT_EQ(bad, 0) << "the first fetch into a reused block lost words of 512";
+      n.force_swap_out(y.id());
+      bad = 0;
+      for (int i = 0; i < 512; ++i) bad += z[i] != 0 ? 1 : 0;
+      ASSERT_EQ(dmm_offset_of(n, z.id()), block) << "z did not reuse the block";
+      EXPECT_EQ(bad, 0) << "a fresh object in a reused block read old words of 512";
+      EXPECT_EQ(x[511], 15 * 1000 + 511);
+      EXPECT_EQ(y[511], 512);
+    }
+    lots::barrier();
+  });
+}
+
 TEST(Mapper, SingleObjectLargerThanHalfDmmRejected) {
   Runtime rt(small_config());
   rt.run([](int) {

@@ -26,17 +26,6 @@ TEST(SpaceLayout, SegmentsAreIndependentlyWritable) {
   EXPECT_EQ(sp.ctrl_words(0)[0], 0xDEADBEEFu);
 }
 
-TEST(SpaceLayout, DiscardZeroesAllThreeSegments) {
-  SpaceLayout sp(64 * 1024);
-  std::memset(sp.dmm(4096), 0x11, 4096);
-  std::memset(sp.twin(4096), 0x22, 4096);
-  sp.ctrl_words(4096)[0] = 7;
-  sp.discard(4096, 4096);
-  EXPECT_EQ(sp.dmm(4096)[0], 0);
-  EXPECT_EQ(sp.twin(4096)[0], 0);
-  EXPECT_EQ(sp.ctrl_words(4096)[0], 0u);
-}
-
 TEST(SpaceLayout, LargeReservationDoesNotCommitRam) {
   // The paper's 512 MB DMM region: reserving 3 * 512 MB must succeed and
   // not OOM because pages are lazily backed.

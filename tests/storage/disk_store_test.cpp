@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <span>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "common/tempdir.hpp"
 #include "common/threading.hpp"
@@ -110,6 +115,49 @@ TEST_F(DiskStoreTest, DiskModelAccumulatesModeledTime) {
   store.write_object(1, blob(10'000, 1));
   // 100 us seek + 1000 us transfer
   EXPECT_EQ(store.modeled_io_us(), 1100u);
+}
+
+TEST_F(DiskStoreTest, VectoredImageReadsBackThroughBothForms) {
+  // An image written as parts (data, stamps, twin) is one image on disk:
+  // the flat read sees the parts back to back, the vectored read splits
+  // them at any boundaries, and the store counts and charges it once.
+  lots::NodeStats stats;
+  DiskModel model;
+  model.seek_us = 100;
+  model.throughput_MBps = 10;
+  DiskStore store(dir_.path(), 0, model, &stats);
+  const auto data = blob(3000, 1), stamps = blob(3000, 2), twin = blob(3000, 3);
+  const std::array<std::span<const uint8_t>, 3> parts{data, stamps, twin};
+  store.write_object(9, parts);
+  EXPECT_EQ(store.size_of(9), 9000u);
+  EXPECT_EQ(stats.swap_outs.load(), 1u);
+  EXPECT_EQ(stats.swap_bytes_out.load(), 9000u);
+  EXPECT_EQ(store.modeled_io_us(), 1000u);  // 100 us seek + 900 us transfer
+
+  std::vector<uint8_t> flat(9000);
+  ASSERT_TRUE(store.read_object(9, flat));
+  std::vector<uint8_t> want(data);
+  want.insert(want.end(), stamps.begin(), stamps.end());
+  want.insert(want.end(), twin.begin(), twin.end());
+  EXPECT_EQ(flat, want);
+
+  std::vector<uint8_t> a(1), b(5000), c(0), d(3999);
+  const std::array<std::span<uint8_t>, 4> split{a, b, c, d};
+  ASSERT_TRUE(store.read_object(9, split));
+  std::vector<uint8_t> joined(a);
+  joined.insert(joined.end(), b.begin(), b.end());
+  joined.insert(joined.end(), d.begin(), d.end());
+  EXPECT_EQ(joined, want);
+  EXPECT_EQ(stats.swap_ins.load(), 2u);
+  EXPECT_EQ(stats.swap_bytes_in.load(), 18000u);
+
+  // A same-size vectored rewrite lands in place.
+  const auto twin2 = blob(3000, 4);
+  const std::array<std::span<const uint8_t>, 3> parts2{data, stamps, twin2};
+  store.write_object(9, parts2);
+  EXPECT_EQ(store.file_bytes(), 9000u);
+  ASSERT_TRUE(store.read_object(9, flat));
+  EXPECT_TRUE(std::equal(twin2.begin(), twin2.end(), flat.begin() + 6000));
 }
 
 TEST_F(DiskStoreTest, PerNodeFilesAreIndependent) {
