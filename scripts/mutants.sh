@@ -89,11 +89,17 @@ mutant map-in-keeps-stale-stamps src/core/mapper.cpp core_runtime_test \
 # A fetch answered after a redirect must repoint the stale home view.
 mutant settle-skips-stale-home-repair src/core/fetch.cpp core_migration_test \
   Migration.FetchChasesAndRepairsStaleHomeView \
-  '      if (f.hops > 0 && m.home != f.target) {' \
-  '      if (false && f.hops > 0 && m.home != f.target) {'
+  '      if (f.hops > 0 && m.home != f.target) node_.home_.move_home(m, f.target);' \
+  '      if (false && f.hops > 0 && m.home != f.target) node_.home_.move_home(m, f.target);'
+
+# The handoff ack alone must flip the old home's pointer to the adopter.
+mutant handoff-ack-keeps-old-home src/core/home.cpp core_migration_test \
+  Migration.OldHomeFollowsTheAckBeforeAnyNotice \
+  '  move_home(*meta, flip ? adopted_by : meta->home);' \
+  '  move_home(*meta, meta->home);'
 
 # A barrier must invalidate every non-home copy the plan names.
-mutant barrier-skips-invalidations src/core/barrier.cpp core_coherence_test \
+mutant barrier-skips-invalidations src/core/home.cpp core_coherence_test \
   Coherence.ManyObjectsManyWritersStress \
   $'      m->share = ShareState::kInvalid;\n      // All app threads are parked' \
   $'      // All app threads are parked'

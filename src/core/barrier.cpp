@@ -21,10 +21,10 @@
 // message per peer.
 //
 // The master's side (plan computation, the rendezvous) lives in
-// SyncEngine (sync.cpp); this file is the node's barrier body. Per-object
-// work (flush, merge, plan application) takes only each object's
-// directory-shard lock in turn, never across the blocking enter/diff/
-// done requests.
+// SyncEngine (sync.cpp), the plan application in HomeEngine (home.cpp);
+// this file is the node's barrier body. Per-object work (flush, merge,
+// plan application) takes only each object's directory-shard lock in
+// turn, never across the blocking enter/diff/done requests.
 #include <csignal>
 #include <map>
 
@@ -132,7 +132,7 @@ void Node::barrier_leader() {
   // invalidations) took effect. Hence no fetch can ever reach a node
   // still holding pre-barrier home/validity state — the invariant that
   // the serving home always has a complete, current copy.
-  apply_barrier_plan(plan, new_epoch);
+  home_.apply_barrier_plan(plan, new_epoch);
 
   // ---- barrier-consistent replication (RecoveryEngine) ----
   // Ship AFTER the plan applied (this node knows which objects it now
@@ -184,81 +184,6 @@ bool Node::chaos_due(KillPoint::When when) const {
     if (k.rank == rank_ && k.when == when && k.n == at) return true;
   }
   return false;
-}
-
-void Node::apply_barrier_plan(const std::vector<BarrierPlanEntry>& plan, uint32_t new_epoch) {
-  // Fence the lock-driven migration machinery FIRST: kHomeMigrate /
-  // kHomeMigrateAck messages stamped with the old generation are dropped
-  // from here on, so no handoff decided against pre-barrier state can
-  // land after the plan (which re-decides every modified object's home
-  // from the master's global view).
-  barrier_gen_.fetch_add(1, std::memory_order_relaxed);
-  const bool write_update_everywhere = rt_.config().protocol == ProtocolMode::kWriteUpdateOnly;
-  std::vector<ObjectId> adopt_remote;
-  for (const auto& e : plan) {
-    auto lk = dir_.lock_shard(e.object);
-    ObjectMeta* m = dir_.find(e.object);
-    if (!m) continue;
-    if (write_update_everywhere) {
-      // Updates were broadcast; everyone stays valid, homes do not move.
-      m->local_writes.clear();
-      m->valid_epoch = new_epoch;
-      continue;
-    }
-    const bool home_changed = m->home != e.new_home;
-    m->home = e.new_home;
-    // Any half-done lock-driven handoff dies with the plan (a migrated
-    // object is by definition modified, so the plan always covers it).
-    m->migrating = false;
-    if (e.new_home == rank_) {
-      // Home write under a still-valid mapping: a sibling ALB entry
-      // fast-pathing through the stale home would ship its next diffs
-      // to a node that no longer owns the object — defeat it.
-      if (home_changed) {
-        dir_.bump_generation(e.object);
-        // Adopted home: the predecessor's replicas (wherever they live)
-        // are void — this barrier's ship_replicas sends OUR successors
-        // full images.
-        m->replica_cut = 0;
-      }
-      m->share = ShareState::kValid;
-      m->valid_epoch = new_epoch;
-      // A home must answer fetches from local state. If our only copy
-      // is parked on the swap buddy (spilled after the writing interval
-      // flushed), pull it back before reporting done — otherwise the
-      // fetch service would serve zeros.
-      if (m->on_remote) adopt_remote.push_back(e.object);
-    } else {
-      if (m->share == ShareState::kValid) {
-        stats_.invalidations.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (m->prefetched) {
-        // A warmed copy nobody accessed before it went stale again.
-        m->prefetched = false;
-        stats_.prefetch_wasted.fetch_add(1, std::memory_order_relaxed);
-      }
-      m->share = ShareState::kInvalid;
-      // All app threads are parked in the barrier collective, so no ALB
-      // hit can race this; the bump still defeats their cached entries
-      // the moment they resume (belt to the epoch-stamp suspenders).
-      dir_.bump_generation(e.object);
-      // The stale copy (and its word stamps) is retained as a diff base
-      // while it stays mapped; valid_epoch still names its global cut.
-      m->pending.clear();
-    }
-    m->local_writes.clear();
-  }
-  // Adopt remotely parked images for objects we just became home of.
-  // Runs before barrier() reports done, so no fetch can observe a home
-  // without its data (the buddy's service thread answers kSwapGet from
-  // disk state alone, so this cannot deadlock the rendezvous).
-  for (ObjectId id : adopt_remote) {
-    auto lk = dir_.lock_shard(id);
-    ObjectMeta* m = dir_.find(id);
-    if (m && m->on_remote) mapper_.rehydrate_remote(*m, lk);
-  }
-  sync_.barrier_cut();  // scope chains restart, migration streaks reset
-  epoch_.store(new_epoch, std::memory_order_relaxed);
 }
 
 }  // namespace lots::core

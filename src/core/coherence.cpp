@@ -129,9 +129,7 @@ std::vector<net::Message> CoherenceEngine::build_diff_batches(
   msgs.reserve(by_peer.size());
   for (const auto& [peer, group] : by_peer) {
     if (group.empty()) continue;
-    net::Message msg;
-    msg.type = net::MsgType::kDiffBatch;
-    msg.dst = peer;
+    net::Message msg{.type = net::MsgType::kDiffBatch, .dst = peer};
     net::Writer w(msg.payload);
     w.u32(static_cast<uint32_t>(group.size()));
     uint64_t saved = 0;
@@ -168,10 +166,8 @@ std::vector<net::Message> CoherenceEngine::build_broadcast_batches(
   msgs.reserve(static_cast<size_t>(nprocs - 1));
   for (int peer = 0; peer < nprocs; ++peer) {
     if (peer == self_rank) continue;
-    net::Message msg;
-    msg.type = net::MsgType::kDiffBatch;
-    msg.dst = peer;
-    msg.payload = payload;  // byte clone, not a record re-encode
+    // The payload is a byte clone, not a record re-encode.
+    net::Message msg{.type = net::MsgType::kDiffBatch, .dst = peer, .payload = payload};
     stats.diff_words_sent.fetch_add(words, std::memory_order_relaxed);
     stats.diff_payload_bytes.fetch_add(payload_bytes, std::memory_order_relaxed);
     stats.diff_bytes_saved.fetch_add(saved, std::memory_order_relaxed);

@@ -92,10 +92,8 @@ std::vector<FetchEngine::NeighborReq> FetchEngine::predict_wish(ObjectId id, int
 // ---------------------------------------------------------------------------
 
 void FetchEngine::issue(Inflight& f) {
-  net::Message req;
-  req.type = net::MsgType::kObjFetch;
-  req.dst = f.target;
-  req.flow = f.id;  // per-object stripe affinity (spreads fetch traffic)
+  // flow: per-object stripe affinity (spreads fetch traffic).
+  net::Message req{.type = net::MsgType::kObjFetch, .dst = f.target, .flow = f.id};
   net::Writer w(req.payload);
   w.u32(f.id);
   w.u32(f.base);  // 0: no retained base, send a full copy
@@ -246,10 +244,7 @@ void FetchEngine::settle(Inflight& f, std::unique_lock<std::mutex>& lk) {
     if (redirect < 0) {
       // Repair a stale home view: whoever answered IS the home, so later
       // fetches of this object go straight there instead of re-chasing.
-      if (f.hops > 0 && m.home != f.target) {
-        m.home = f.target;
-        node_.dir_.bump_generation(f.id);  // home write: defeat stale ALB entries
-      }
+      if (f.hops > 0 && m.home != f.target) node_.home_.move_home(m, f.target);
       if (!r.done()) {  // piggybacked neighbor sections
         lk.unlock();
         land_neighbors(r, f.wish);
@@ -495,9 +490,8 @@ void FetchEngine::serve(net::Message&& m) {
     }
   }
 
-  net::Message resp;
-  resp.type = net::MsgType::kObjData;
-  resp.flow = id;  // replies are req_seq-matched; the flow just spreads load
+  // Replies are req_seq-matched; the flow just spreads load.
+  net::Message resp{.type = net::MsgType::kObjData, .flow = id};
   {
     auto lk = node_.dir_.lock_shard(id);
     ObjectMeta& obj = node_.dir_.get(id);

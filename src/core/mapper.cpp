@@ -256,10 +256,9 @@ void Mapper::force_swap_out(ObjectId id) {
 }
 
 net::Message Mapper::swap_msg(net::MsgType type, ObjectId id) const {
-  net::Message msg;
-  msg.type = type;
-  msg.dst = (node_.rank_ + 1) % node_.nprocs();
-  msg.flow = (static_cast<uint64_t>(node_.rank_) + 1) << 32 | id;
+  net::Message msg{.type = type,
+                   .dst = (node_.rank_ + 1) % node_.nprocs(),
+                   .flow = (static_cast<uint64_t>(node_.rank_) + 1) << 32 | id};
   net::Writer(msg.payload).u64(msg.flow);
   return msg;
 }
@@ -268,9 +267,7 @@ void Mapper::on_swap_put(net::Message&& m) {
   net::Reader r(m.payload);
   const uint64_t key = r.u64();
   disk_.write_object(key, r.bytes_view());
-  net::Message ack;
-  ack.type = net::MsgType::kReply;
-  node_.ep_.reply(m, std::move(ack));
+  node_.ep_.reply(m, {.type = net::MsgType::kReply});
 }
 
 void Mapper::on_swap_get(net::Message&& m) {
@@ -278,8 +275,7 @@ void Mapper::on_swap_get(net::Message&& m) {
   const uint64_t key = r.u64();
   std::vector<uint8_t> image(disk_.size_of(key).value_or(0));
   LOTS_CHECK(disk_.read_object(key, image), "remote swap image vanished");
-  net::Message resp;
-  resp.type = net::MsgType::kReply;
+  net::Message resp{.type = net::MsgType::kReply};
   net::Writer(resp.payload).bytes(image);
   node_.ep_.reply(m, std::move(resp));
 }

@@ -103,7 +103,7 @@ struct BarrierPlanEntry {
 struct ObjectMeta {
   ObjectId id = kNullObject;
   uint32_t size_bytes = 0;  ///< exact object size (word-aligned internally)
-  int32_t home = -1;        ///< migrates at barriers (mixed protocol)
+  int32_t home = -1;        ///< written only by HomeEngine::move_home
 
   ShareState share = ShareState::kValid;
   MapState map = MapState::kUnmapped;
@@ -133,10 +133,9 @@ struct ObjectMeta {
   bool prefetched = false;
   /// Home-side mark of a lock-driven migration in progress: set when the
   /// home forwards a kHomeMigrate proposal to the dominant writer,
-  /// cleared by the kHomeMigrateAck (or implicitly by the writer's
-  /// home-commit notice arriving on the token chain, or swept at the
-  /// next barrier). While set the home declines further proposals for
-  /// the object. Guarded by the shard lock.
+  /// cleared by HomeEngine::move_home (the ack, the writer's home-commit
+  /// notice or the next barrier plan). While set the home declines
+  /// further proposals for the object. Guarded by the shard lock.
   bool migrating = false;
   /// Home-side replication bookkeeping (barrier-consistent replication,
   /// Config::replication = R total copies): the word-ts cut of the last

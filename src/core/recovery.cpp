@@ -2,7 +2,7 @@
 // recovery. See recovery.hpp for what the engine owns and its lock
 // order.
 //
-// Replication: at every barrier, after apply_barrier_plan and before the
+// Replication: at every barrier, after the barrier plan and before the
 // done rendezvous, each (possibly freshly migrated) home ships the words
 // of its modified homed objects to its R-1 *backups* — the next R-1 live
 // ranks in ring order (Config::replication = R total copies). The ship
@@ -197,10 +197,8 @@ void RecoveryEngine::ship_replicas(const std::vector<BarrierPlanEntry>& plan, ui
   std::vector<net::Endpoint::PendingReply> acks;
   acks.reserve(backups.size());
   for (const int b : backups) {
-    net::Message up;
-    up.type = net::MsgType::kReplicaUpdate;
-    up.dst = b;
-    up.payload = payload;  // byte clone, not a re-encode
+    // The payload is a byte clone, not a re-encode.
+    net::Message up{.type = net::MsgType::kReplicaUpdate, .dst = b, .payload = payload};
     n.stats_.replica_msgs.fetch_add(1, std::memory_order_relaxed);
     n.stats_.replica_bytes.fetch_add(up.payload.size(), std::memory_order_relaxed);
     acks.push_back(n.ep_.request_async(std::move(up)));
@@ -253,9 +251,7 @@ void RecoveryEngine::on_replica_update(net::Message&& m) {
       rep.epoch = std::max(rep.epoch, cut);
     }
   }
-  net::Message ack;
-  ack.type = net::MsgType::kReply;
-  node_.ep_.reply(m, std::move(ack));
+  node_.ep_.reply(m, {.type = net::MsgType::kReply});
 }
 
 void RecoveryEngine::drop_replica(ObjectId id) {
@@ -319,7 +315,7 @@ void RecoveryEngine::repair_view() {
   // Fence the old view: handoffs stamped with the old barrier generation
   // die on arrival, and the epoch bump defeats every thread's ALB so no
   // cached pointer survives the re-homing below.
-  n.barrier_gen_.fetch_add(1, std::memory_order_relaxed);
+  n.home_.fence();
   n.epoch_.fetch_add(1, std::memory_order_relaxed);
   // One idempotent pass over the directory. Every object whose home is
   // dead moves to the lowest-alive holder in its home's ring order —
@@ -369,12 +365,11 @@ void RecoveryEngine::rehome_object(ObjectMeta& m, int holder) {
   // post-cut words that died with the home's unshipped interval, and
   // the cut is the one consistent line every survivor can rejoin on.
   n.mapper_.drop_mapping(m, /*keep_disk_image=*/false);
-  m.home = holder;
+  n.home_.move_home(m, holder);  // the holder full-ships to its successors next barrier
   m.twinned = false;
   m.twin_writers = 0;
   m.pending.clear();
   m.local_writes.clear();
-  m.replica_cut = 0;  // the home full-ships to its successors next barrier
   if (n.rank_ == holder) {
     // Materialize the replica as the authoritative home copy at the
     // last barrier cut.
@@ -411,7 +406,6 @@ void RecoveryEngine::rehome_object(ObjectMeta& m, int holder) {
     // dies before the next barrier re-seeds the ring (still f < R
     // deaths in one barrier interval). That re-seed overwrites it.
   }
-  n.dir_.bump_generation(m.id);
 }
 
 }  // namespace lots::core

@@ -1,9 +1,9 @@
 // Node lifecycle and the access check. The dynamic memory mapper
 // (map-in / swap-out / eviction / remote swapping) lives in mapper.cpp;
-// the lock and barrier protocols in SyncEngine (sync.cpp) with the
-// node's sides in locks.cpp / barrier.cpp; replication and recovery in
-// RecoveryEngine (recovery.cpp); object fetches in fetch.cpp; twin /
-// flush / diff-application mechanics in coherence.cpp.
+// the lock and barrier protocols in SyncEngine (sync.cpp), the node's
+// barrier body in barrier.cpp, home ownership in HomeEngine (home.cpp);
+// replication and recovery in RecoveryEngine (recovery.cpp); object
+// fetches in fetch.cpp; twin / flush / diff-application in coherence.cpp.
 //
 // Locking discipline (see runtime.hpp): per-object work holds only the
 // object's directory-shard lock; nothing here ever holds two shard
@@ -219,6 +219,7 @@ Node::Node(Runtime& rt, int rank, std::unique_ptr<net::Transport> transport)
       fetch_(*this),
       sync_(*this),
       recovery_(*this),
+      home_(*this),
       group_(rt.config().threads_per_node),
       albs_(rt.config().alb ? static_cast<size_t>(rt.config().threads_per_node) : 0),
       alb_on_(rt.config().alb) {
@@ -266,8 +267,8 @@ void Node::dispatch(net::Message&& m) {
     case MsgType::kSwapPut: mapper_.on_swap_put(std::move(m)); break;
     case MsgType::kSwapGet: mapper_.on_swap_get(std::move(m)); break;
     case MsgType::kSwapDrop: mapper_.on_swap_drop(std::move(m)); break;
-    case MsgType::kHomeMigrate: on_home_migrate(std::move(m)); break;
-    case MsgType::kHomeMigrateAck: on_home_migrate_ack(std::move(m)); break;
+    case MsgType::kHomeMigrate: home_.on_home_migrate(std::move(m)); break;
+    case MsgType::kHomeMigrateAck: home_.on_home_migrate_ack(std::move(m)); break;
     case MsgType::kDiffBatch: on_diff_batch(std::move(m)); break;
     case MsgType::kReplicaUpdate: recovery_.on_replica_update(std::move(m)); break;
     case MsgType::kLockAcquire:
@@ -300,13 +301,12 @@ ObjectId Node::alloc_object(size_t bytes) {
       throw UsageError("single object of " + std::to_string(bytes) +
                        " bytes exceeds the DMM area capacity");
     }
-    // Round-robin initial homes, as in JIAJIA's page allocation; the mixed
-    // protocol migrates them at barriers anyway. The home is computed
-    // before create() so it is published under the shard lock: a remote
-    // node running ahead in the SPMD sequence may already address this id.
-    const int32_t home =
-        static_cast<int32_t>(dir_.peek_next_id() % static_cast<uint32_t>(nprocs()));
-    ObjectMeta& m = dir_.create(static_cast<uint32_t>(bytes), home);
+    // Round-robin initial homes; the mixed protocol migrates them at
+    // barriers anyway. The home is computed before create() so it is
+    // published under the shard lock: a remote node running ahead in the
+    // SPMD sequence may already address this id.
+    ObjectMeta& m = dir_.create(static_cast<uint32_t>(bytes),
+                                HomeEngine::initial_home(dir_.peek_next_id(), nprocs()));
     const ObjectId id = m.id;
     if (!rt_.config().large_object_space) {
       // LOTS-x: eager, permanent mapping; the app must fit in the process
@@ -466,8 +466,7 @@ int32_t Node::home_of(ObjectId id) {
 
 void Node::set_home_for_test(ObjectId id, int32_t home) {
   auto lk = dir_.lock_shard(id);
-  dir_.get(id).home = home;
-  dir_.bump_generation(id);  // home write: defeat stale ALB entries
+  home_.move_home(dir_.get(id), home);
 }
 
 // ---------------------------------------------------------------------------
@@ -488,9 +487,7 @@ void Node::on_diff_batch(net::Message&& m) {
     if (!obj) continue;
     coherence_.apply_delivery(*obj, std::move(rec), rank_);
   }
-  net::Message ack;
-  ack.type = net::MsgType::kReply;
-  ep_.reply(m, std::move(ack));
+  ep_.reply(m, {.type = net::MsgType::kReply});
 }
 
 }  // namespace lots::core

@@ -1,9 +1,10 @@
 // The LOTS runtime: node lifecycle and the access check (paper §3.1,
-// §3.3). Node hosts five engines: Mapper (mapper.hpp: DMM area, disk
+// §3.3). Node hosts six engines: Mapper (mapper.hpp: DMM area, disk
 // store, every mapping transition), CoherenceEngine (coherence.hpp:
 // twins, flushes, diff application), FetchEngine (fetch.hpp: object
-// fetches), SyncEngine (sync.hpp: locks, barriers, recovery rendezvous)
-// and RecoveryEngine (recovery.hpp: replication, worker-death recovery).
+// fetches), SyncEngine (sync.hpp: locks, barriers, recovery rendezvous),
+// RecoveryEngine (recovery.hpp: replication, worker-death recovery) and
+// HomeEngine (home.hpp: every home transition, the barrier plan).
 //
 // A Runtime owns one in-process "cluster" (or, under kUdp, one rank of
 // a multi-process one): `nprocs` nodes, each hosting
@@ -51,6 +52,7 @@
 #include "core/coherence.hpp"
 #include "core/diff.hpp"
 #include "core/fetch.hpp"
+#include "core/home.hpp"
 #include "core/mapper.hpp"
 #include "core/object.hpp"
 #include "core/recovery.hpp"
@@ -155,9 +157,9 @@ class Node {
   bool is_valid(ObjectId id);
   /// This node's home view for `id`; -1 when it has no such object.
   int32_t home_of(ObjectId id);
-  /// Test hook: overwrite this node's home view for `id` (shard lock +
-  /// generation bump). Lets tests manufacture the stale-home window the
-  /// redirect-chasing / repair machinery exists for.
+  /// Test hook: move this node's home view for `id` (HomeEngine::
+  /// move_home under the shard lock). Lets tests manufacture the
+  /// stale-home window the redirect-chasing / repair machinery exists for.
   void set_home_for_test(ObjectId id, int32_t home);
   /// Test hook: replicas this node holds as a backup.
   size_t replica_count() { return recovery_.replica_count(); }
@@ -169,23 +171,7 @@ class Node {
   friend class FetchEngine;
   friend class SyncEngine;
   friend class RecoveryEngine;
-
-  // -- the object side of the lock protocol (locks.cpp), called by
-  //    SyncEngine with its mutex released --
-  /// Applies one record of a lock grant's chain under its shard lock: a
-  /// home-commit notice repairs or cedes the home view, a write-
-  /// invalidate notice (`invalidate_only`) drops the copy, a diff
-  /// record lands in place (or pending while unmapped).
-  void apply_grant_record(const DiffRecord& rec, bool invalidate_only);
-  /// Lock-driven migration's home-commit conversion: each release
-  /// record of an object this node homes with a settled copy becomes a
-  /// notice naming this node as the committing home.
-  void commit_in_place(std::vector<DiffRecord>& recs);
-  /// Write-invalidate ablation: pushes the release's records to each
-  /// object's home, one acked kDiffBatch per peer.
-  void push_to_homes(std::vector<DiffRecord>&& recs);
-  void on_home_migrate(net::Message&& m);      // chased along the home chain
-  void on_home_migrate_ack(net::Message&& m);  // old-home side
+  friend class HomeEngine;
 
   // -- barrier (barrier.cpp) --
   /// The node's barrier body, run once by the collective's last arriver
@@ -195,8 +181,6 @@ class Node {
   /// reached one of its kill points of kind `when`?
   [[nodiscard]] bool chaos_due(KillPoint::When when) const;
   void on_diff_batch(net::Message&& m);
-  /// Applies the master's plan (new homes, invalidations).
-  void apply_barrier_plan(const std::vector<BarrierPlanEntry>& plan, uint32_t new_epoch);
 
   void dispatch(net::Message&& m);
 
@@ -256,6 +240,7 @@ class Node {
   FetchEngine fetch_;      ///< all kObjFetch flows (demand/pipelined/home)
   SyncEngine sync_;        ///< lock, barrier and recovery-rendezvous protocol
   RecoveryEngine recovery_;  ///< replicas, death notices and view repair
+  HomeEngine home_;        ///< every home transition, the handoff fence
 
   /// Rendezvous of this node's app threads for the node-level
   /// collectives (alloc/free/barrier/run_barrier/recover).
@@ -271,12 +256,6 @@ class Node {
   /// its own acquire/release; the barrier's store runs with all app
   /// threads quiescent in the collective.
   std::atomic<uint32_t> epoch_{1};
-  /// Barrier generation: bumped once per barrier (apply_barrier_plan).
-  /// kHomeMigrate/kHomeMigrateAck messages are stamped with the sender's
-  /// generation and dropped on mismatch, so a lock-driven handoff can
-  /// never complete across a barrier (whose plan re-decides every
-  /// modified object's home from its own global view).
-  std::atomic<uint32_t> barrier_gen_{0};
 };
 
 /// The cluster. Construct with a Config, then run() SPMD functions.

@@ -166,13 +166,10 @@ void SyncEngine::acquire(uint32_t lock_id) {
     check_death();
     lock_waits_[lock_id] = LockWait{};
   }
-  net::Message req;
-  req.type = net::MsgType::kLockAcquire;
-  req.dst = manager;
   // Every message about one lock shares flow = lock_id: on a striped
   // transport our earlier kLockRelease to this manager must land before
   // this re-acquire, or the manager would forward a token we still hold.
-  req.flow = lock_id;
+  net::Message req{.type = net::MsgType::kLockAcquire, .dst = manager, .flow = lock_id};
   net::Writer w(req.payload);
   w.u32(lock_id);
   w.u32(my_epoch);
@@ -219,7 +216,7 @@ void SyncEngine::acquire(uint32_t lock_id) {
     } else {
       rec = decode_record(r);
     }
-    node_.apply_grant_record(rec, is_notice);
+    node_.home_.apply_grant_record(rec, is_notice);
     tok.chain.push_back(std::move(rec));  // the chain travels with the token
   }
   {
@@ -262,7 +259,7 @@ void SyncEngine::release(uint32_t lock_id) {
 
   std::vector<ObjectId> mods;
   if (migrate_on()) {
-    node_.commit_in_place(recs);
+    node_.home_.commit_in_place(recs);
     for (const auto& rec : recs) mods.push_back(rec.object);
   }
 
@@ -281,7 +278,7 @@ void SyncEngine::release(uint32_t lock_id) {
       notice.epoch = rec.epoch;
       tok->chain.push_back(std::move(notice));
     }
-    node_.push_to_homes(std::move(recs));
+    node_.home_.push_to_homes(std::move(recs));
   } else {
     for (auto& rec : recs) tok->chain.push_back(std::move(rec));
     if (node_.config().diff_mode == DiffMode::kPerWordTimestamp) {
@@ -290,10 +287,8 @@ void SyncEngine::release(uint32_t lock_id) {
     }
   }
 
-  net::Message rel;
-  rel.type = net::MsgType::kLockRelease;
-  rel.dst = manager;
-  rel.flow = lock_id;  // FIFO with this node's later re-acquire
+  // flow: FIFO with this node's later re-acquire.
+  net::Message rel{.type = net::MsgType::kLockRelease, .dst = manager, .flow = lock_id};
   net::Writer w(rel.payload);
   w.u32(lock_id);
   if (!mods.empty()) {
@@ -336,10 +331,8 @@ void SyncEngine::serve_acquire(ManagerState& s, const net::Message& req,
     send_grant_locked(lock_id, req.src);
     return;
   }
-  net::Message fwd;
-  fwd.type = net::MsgType::kLockForward;
-  fwd.dst = s.token_at;
-  fwd.flow = lock_id;  // one FIFO per lock across the whole protocol
+  // flow: one FIFO per lock across the whole protocol.
+  net::Message fwd{.type = net::MsgType::kLockForward, .dst = s.token_at, .flow = lock_id};
   net::Writer w(fwd.payload);
   w.u32(lock_id);
   w.i32(req.src);
@@ -368,7 +361,7 @@ void SyncEngine::on_lock_release(net::Message&& m) {
   std::vector<net::Message> proposals;
   std::unique_lock lk(sync_mu_);
   if (!mods.empty()) {
-    const uint32_t gen = node_.barrier_gen_.load(std::memory_order_relaxed);
+    const uint32_t gen = node_.home_.gen();
     for (const auto& [id, home_view] : mods) {
       MigrateStreak& st = migrate_streaks_[id];
       if (st.last_writer == m.src) {
@@ -385,18 +378,8 @@ void SyncEngine::on_lock_release(net::Message&& m) {
       const bool damped = st.hist.ping_pong(cur);
       st.streak = 0;  // cooldown either way: re-earn the streak
       if (damped) continue;
-      net::Message mig;
-      mig.type = net::MsgType::kHomeMigrate;
-      mig.dst = home_view;  // chases the home chain from our view
-      mig.flow = id;
-      net::Writer w(mig.payload);
-      w.u32(id);
-      w.i32(cur);  // proposed new home: the dominant writer
-      w.i32(-1);   // current home fills itself in when forwarding
-      w.u32(gen);  // dropped if a barrier intervenes
-      w.u32(0);    // home cut: the endorsing home's valid_epoch
-      w.u8(0);     // stale-view chase hops
-      proposals.push_back(std::move(mig));
+      // The current home endorses; the chase starts from our view.
+      proposals.push_back(HomeEngine::encode({.id = id, .new_home = cur, .gen = gen}, home_view));
     }
   }
   ManagerState& s = managed_locks_[lock_id];
@@ -429,10 +412,8 @@ void SyncEngine::send_grant_locked(uint32_t lock_id, int32_t to) {
   tokens_.erase(it);
 
   NodeStats& stats = node_.stats_;
-  net::Message g;
-  g.type = net::MsgType::kLockGrant;
-  g.dst = to;
-  g.flow = lock_id;  // one FIFO per lock across the whole protocol
+  // flow: one FIFO per lock across the whole protocol.
+  net::Message g{.type = net::MsgType::kLockGrant, .dst = to, .flow = lock_id};
   net::Writer w(g.payload);
   w.u32(lock_id);
   w.u32(tok.epoch);
@@ -504,11 +485,9 @@ int SyncEngine::master_rank() const {
 }
 
 net::Message SyncEngine::request(net::MsgType type, std::vector<uint8_t> payload) {
-  net::Message m;
-  m.type = type;
-  m.dst = master_rank();  // rank 0 until it dies, then the next alive rank
-  m.payload = std::move(payload);
-  return sync_request(std::move(m), recovered_view_);
+  // The master is rank 0 until it dies, then the next alive rank.
+  return sync_request({.type = type, .dst = master_rank(), .payload = std::move(payload)},
+                      recovered_view_);
 }
 
 bool SyncEngine::begin_collective(bool run) {
@@ -581,9 +560,7 @@ void SyncEngine::remint_locks() {
 }
 
 net::Message SyncEngine::recover_enter(uint32_t v) const {
-  net::Message enter;
-  enter.type = net::MsgType::kRecoverEnter;
-  enter.dst = master_rank();
+  net::Message enter{.type = net::MsgType::kRecoverEnter, .dst = master_rank()};
   net::Writer w(enter.payload);
   w.u32(v);
   w.u64(coll_seq_);
@@ -664,12 +641,7 @@ std::vector<net::Message> SyncEngine::take(Kind k) {
 }
 
 void SyncEngine::reply_all(std::vector<net::Message>& round, const std::vector<uint8_t>& payload) {
-  for (auto& req : round) {
-    net::Message resp;
-    resp.type = net::MsgType::kReply;
-    resp.payload = payload;
-    node_.ep_.reply(req, std::move(resp));
-  }
+  for (auto& req : round) node_.ep_.reply(req, {.type = net::MsgType::kReply, .payload = payload});
 }
 
 void SyncEngine::on_barrier_enter(net::Message&& m) {
@@ -694,8 +666,7 @@ void SyncEngine::on_barrier_enter(net::Message&& m) {
     // collective alloc of `id`; the object then still has the
     // round-robin initial home alloc_object gives it.
     const int32_t h = node_.home_of(id);
-    homes.emplace_back(id, h >= 0 ? h : static_cast<int32_t>(id % static_cast<uint32_t>(
-                                                                      node_.nprocs())));
+    homes.emplace_back(id, h >= 0 ? h : HomeEngine::initial_home(id, node_.nprocs()));
   }
 
   std::unique_lock lk(sync_mu_);
@@ -757,9 +728,7 @@ void SyncEngine::on_recover_enter(net::Message&& m) {
     // A re-enter for the round already released: the sender's exit
     // reply was swept by a notice for a death it had already counted.
     // Answer with that round's exit; the other survivors have left.
-    net::Message resp;
-    resp.type = net::MsgType::kReply;
-    resp.payload = master_.released.second;
+    net::Message resp{.type = net::MsgType::kReply, .payload = master_.released.second};
     lk.unlock();
     node_.ep_.reply(m, std::move(resp));
     return;

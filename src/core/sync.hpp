@@ -11,11 +11,11 @@
 // The node reaches that state only through the named calls below.
 //
 // Lock order, by construction: sync_mu_ guards everything above and is
-// the only lock the engine takes. Object state belongs to the node —
-// applying a grant's records, the release flush and its home-commit
-// notices, the master's home lookups — and the engine calls into it
-// only with sync_mu_ released, so sync_mu_ is never held while a shard
-// lock is taken. Sends under sync_mu_ are allowed (delivery is queued);
+// the only lock the engine takes. Object state belongs to the node and
+// its HomeEngine — a grant's records, the release flush and its
+// home-commit notices, the master's home lookups — and the engine calls
+// into it only with sync_mu_ released, so sync_mu_ is never held while a
+// shard lock is taken. Sends under sync_mu_ are allowed (delivery is queued);
 // blocking requests never run under it.
 //
 // The master rendezvous: each collective kind (barrier enter, barrier

@@ -19,10 +19,7 @@ void Endpoint::start(Handler handler) {
 
 void Endpoint::stop() {
   if (!running_.exchange(false)) return;
-  Message bye;
-  bye.type = MsgType::kShutdown;
-  bye.dst = rank();
-  transport_->send(std::move(bye));
+  transport_->send({.type = MsgType::kShutdown, .dst = rank()});
   if (service_.joinable()) service_.join();
 }
 

@@ -91,7 +91,7 @@ struct Message {
   int32_t dst = -1;
   uint64_t seq = 0;
   uint64_t req_seq = 0;  ///< nonzero in replies: seq of the request
-  std::vector<uint8_t> payload;
+  std::vector<uint8_t> payload{};
   /// Sender-local stripe-routing key; NOT encoded on the wire. The
   /// striped UDP transport maps flow % nstripes to a socket, so two
   /// one-way messages whose relative order matters (same lock token,

@@ -71,6 +71,43 @@ TEST_F(Migration, DominantWriterAdoptsTheHome) {
   EXPECT_GE(total.home_commit_notices.load(), 1u);
 }
 
+TEST_F(Migration, OldHomeFollowsTheAckBeforeAnyNotice) {
+  // The handoff ack alone must flip the old home's pointer. The writer
+  // runs no critical section after it becomes home, so no home-commit
+  // notice can repair the old home's view instead.
+  Runtime rt(cfg());
+  rt.run([](int rank) {
+    Pointer<int> obj;
+    obj.alloc(64);
+    const int32_t home0 = Runtime::self().home_of(obj.id());
+    const int writer = (home0 + 1) % 4;
+    lots::barrier();
+    if (rank == writer) {
+      for (int round = 0; round < 4; ++round) {
+        lots::acquire(13);
+        for (int i = 0; i < 64; ++i) obj[i] = round * 100 + i;
+        lots::release(13);
+      }
+      for (int spin = 0; spin < 4000 && Runtime::self().home_of(obj.id()) != writer; ++spin) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      ASSERT_EQ(Runtime::self().home_of(obj.id()), writer);
+    }
+    lots::run_barrier();  // event-only: the plan gets no chance to move the home
+    if (rank == home0) {
+      for (int spin = 0; spin < 2000 && Runtime::self().home_of(obj.id()) != writer; ++spin) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      EXPECT_EQ(Runtime::self().home_of(obj.id()), writer);
+    }
+    lots::run_barrier();
+    lots::barrier();
+  });
+  NodeStats total;
+  rt.aggregate_stats(total);
+  EXPECT_EQ(total.lock_migrations.load(), 1u);
+}
+
 TEST_F(Migration, AlternatingWritersDoNotMigrate) {
   // Strict A-B-A-B release alternation on one lock: the single-writer
   // streak never reaches migrate_streak, so the lock path must not move
