@@ -9,6 +9,7 @@
 // thus degrades." The adaptive master detects the alternation and pins
 // those homes.
 #include <cstdio>
+#include <string>
 
 #include "bench_util.hpp"
 
@@ -26,8 +27,10 @@ int main() {
       const auto jia = work::jia_rx(cfg, n, 2, 99);
       const auto mixed = work::lots_rx(cfg, n, 2, 99);
       const auto adapt = work::lots_rx(acfg, n, 2, 99);
-      std::printf("%-10zu %6d %12.3f %12.3f %12.3f %s\n", n, p, jia.time_s(), mixed.time_s(),
-                  adapt.time_s(),
+      const std::string migrations =
+          std::to_string(mixed.home_migrations) + "/" + std::to_string(adapt.home_migrations);
+      std::printf("%-10zu %6d %12.3f %12.3f %12.3f %16s %s\n", n, p, jia.time_s(),
+                  mixed.time_s(), adapt.time_s(), migrations.c_str(),
                   (jia.ok && mixed.ok && adapt.ok) ? "" : "!! VERIFY FAILED");
     }
   }

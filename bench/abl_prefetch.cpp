@@ -1,6 +1,5 @@
-// Ablation: the async fetch engine (pipelined windows + sequential
-// prefetch with piggybacked neighbor diffs) vs the historical
-// one-blocking-round-trip-per-object fetch path.
+// Ablation: the async fetch engine's pipelined windows vs the
+// historical one-blocking-round-trip-per-object fetch path.
 //
 // Workload: P ranks each write their quarter of a large object space,
 // barrier (homes migrate to the writers), then every rank scans the
@@ -9,18 +8,18 @@
 // per-message latency (time_scale = 1), so overlapping round trips is
 // visible in wall time, and serialized ones in fetch_stall_us.
 //
-// Sweep: (fetch_window × prefetch_degree), with 1×0 = the pre-engine
-// behavior as the baseline. Two scan shapes:
+// Sweep: fetch_window 1 and 8, with window 1 = the pre-engine behavior
+// as the baseline. Two scan shapes:
 //  * touch  — the scan warms the next kTouchBatch ids with
-//             lots::prefetch before reading them (the new API; at 1×0
-//             this degenerates to one blocking fetch per object).
-//  * demand — plain reads; prefetching comes only from the per-thread
-//             stride predictor piggybacking neighbors on demand faults.
+//             lots::prefetch before reading them (at window 1 this
+//             degenerates to one blocking fetch per object).
+//  * demand — plain reads: every remote object is a demand fault, one
+//             blocking round trip each whatever the window.
 //
-// Gate (the PR's acceptance): at 8×4 the touch scan must cut blocking
-// round trips at least 2x vs the 1×0 baseline — both the serialized
-// stall time (fetch_stall_us) and the demand RTT count (object_fetches)
-// are reported, and every row's scan digest must be bit-identical.
+// Gate: at window 8 the touch scan must cut blocking round trips at
+// least 2x vs window 1 — both the serialized stall time
+// (fetch_stall_us) and the fetch count (object_fetches) are reported,
+// and every row's scan digest must be bit-identical.
 #include <array>
 #include <cinttypes>
 #include <vector>
@@ -43,24 +42,21 @@ constexpr int kTouchBatch = 32;
 
 struct Row {
   size_t window;
-  size_t degree;
   bool use_touch;
   double wall_ms = 0;
   uint64_t digest = 0;
   uint64_t fetches = 0;
   uint64_t pipelined = 0;
-  uint64_t pf_issued = 0;
   uint64_t pf_hits = 0;
   uint64_t pf_wasted = 0;
   uint64_t stall_us = 0;
 };
 
-Config prefetch_cfg(size_t window, size_t degree) {
+Config prefetch_cfg(size_t window) {
   Config c;
   c.nprocs = kProcs;
   c.dmm_bytes = 32u << 20;
   c.fetch_window = window;
-  c.prefetch_degree = degree;
   // Injected latency: messages really wait on the modeled wire, so
   // serialized round trips cost wall time and overlapped ones do not.
   c.net.latency_us = 300.0;
@@ -71,9 +67,9 @@ Config prefetch_cfg(size_t window, size_t degree) {
 
 uint64_t fnv_mix(uint64_t h, uint64_t v) { return (h ^ v) * 1099511628211ULL; }
 
-Row run_scan(size_t window, size_t degree, bool use_touch) {
-  Row row{window, degree, use_touch};
-  Runtime rt(prefetch_cfg(window, degree));
+Row run_scan(size_t window, bool use_touch) {
+  Row row{window, use_touch};
+  Runtime rt(prefetch_cfg(window));
   std::array<uint64_t, kProcs> rank_digest{};
   std::array<double, kProcs> rank_wall{};
 
@@ -129,7 +125,6 @@ Row run_scan(size_t window, size_t degree, bool use_touch) {
   row.digest = digest;
   row.fetches = total.object_fetches.load();
   row.pipelined = total.fetch_pipelined.load();
-  row.pf_issued = total.prefetch_issued.load();
   row.pf_hits = total.prefetch_hits.load();
   row.pf_wasted = total.prefetch_wasted.load();
   row.stall_us = total.fetch_stall_us.load();
@@ -137,22 +132,19 @@ Row run_scan(size_t window, size_t degree, bool use_touch) {
 }
 
 void emit(const Row& r) {
-  std::printf("%-8s %6zu %7zu %10.1f %9llu %10llu %9llu %7llu %8llu %12llu  %016" PRIx64 "\n",
-              r.use_touch ? "touch" : "demand", r.window, r.degree, r.wall_ms,
+  std::printf("%-8s %6zu %10.1f %9llu %10llu %7llu %8llu %12llu  %016" PRIx64 "\n",
+              r.use_touch ? "touch" : "demand", r.window, r.wall_ms,
               static_cast<unsigned long long>(r.fetches),
               static_cast<unsigned long long>(r.pipelined),
-              static_cast<unsigned long long>(r.pf_issued),
               static_cast<unsigned long long>(r.pf_hits),
               static_cast<unsigned long long>(r.pf_wasted),
               static_cast<unsigned long long>(r.stall_us), r.digest);
   JsonLine("abl_prefetch")
       .str("scan", r.use_touch ? "touch" : "demand")
       .num("fetch_window", static_cast<uint64_t>(r.window))
-      .num("prefetch_degree", static_cast<uint64_t>(r.degree))
       .num("wall_ms", r.wall_ms)
       .num("object_fetches", r.fetches)
       .num("fetch_pipelined", r.pipelined)
-      .num("prefetch_issued", r.pf_issued)
       .num("prefetch_hits", r.pf_hits)
       .num("prefetch_wasted", r.pf_wasted)
       .num("fetch_stall_us", r.stall_us)
@@ -170,35 +162,29 @@ void emit(const Row& r) {
 int main() {
   using namespace lots::bench;
 
-  std::printf("=== abl_prefetch — async fetch engine: pipelined windows x sequential "
-              "prefetch ===\n");
+  std::printf("=== abl_prefetch — async fetch engine: pipelined windows ===\n");
   std::printf("(%d ranks, %d x %d B objects, injected %g us one-way latency; scan of the\n"
               " whole space after a home-migrating barrier; lower stall/fetches is better)\n\n",
               kProcs, kObjects, kIntsPerObject * 4, 300.0);
-  std::printf("%-8s %6s %7s %10s %9s %10s %9s %7s %8s %12s  %s\n", "scan", "window", "degree",
-              "wall_ms", "fetches", "pipelined", "pf_issue", "pf_hit", "pf_waste", "stall_us",
-              "digest");
+  std::printf("%-8s %6s %10s %9s %10s %7s %8s %12s  %s\n", "scan", "window", "wall_ms",
+              "fetches", "pipelined", "pf_hit", "pf_waste", "stall_us", "digest");
 
-  // The acceptance pair first: 1x0 baseline vs the 8x4 engine, same
-  // touch-batch scan shape.
-  const Row base = run_scan(1, 0, /*use_touch=*/true);
+  // The acceptance pair first: window 1 vs window 8, same touch-batch
+  // scan shape.
+  const Row base = run_scan(1, /*use_touch=*/true);
   emit(base);
-  const Row win_only = run_scan(8, 0, true);
-  emit(win_only);
-  const Row pf_only = run_scan(1, 4, true);
-  emit(pf_only);
-  const Row full = run_scan(8, 4, true);
+  const Row full = run_scan(8, true);
   emit(full);
-  // Stride-predictor rows: no touch — prefetch rides demand faults.
-  const Row demand_base = run_scan(1, 0, false);
+  // Demand rows: no touch — the window has nothing to pipeline.
+  const Row demand_base = run_scan(1, false);
   emit(demand_base);
-  const Row demand_pf = run_scan(1, 4, false);
-  emit(demand_pf);
+  const Row demand_win = run_scan(8, false);
+  emit(demand_win);
 
   bool ok = true;
-  for (const Row* r : {&win_only, &pf_only, &full, &demand_base, &demand_pf}) {
+  for (const Row* r : {&full, &demand_base, &demand_win}) {
     if (r->digest != base.digest) {
-      std::printf("!! digest mismatch at %zux%zu(%s)\n", r->window, r->degree,
+      std::printf("!! digest mismatch at window %zu (%s)\n", r->window,
                   r->use_touch ? "touch" : "demand");
       ok = false;
     }
@@ -207,7 +193,7 @@ int main() {
       static_cast<double>(base.stall_us) / static_cast<double>(full.stall_us ? full.stall_us : 1);
   const double fetch_ratio =
       static_cast<double>(base.fetches) / static_cast<double>(full.fetches ? full.fetches : 1);
-  std::printf("\n8x4 vs 1x0: fetch_stall %.1fx lower, demand RTTs %.1fx fewer\n", stall_ratio,
+  std::printf("\nwindow 8 vs 1: fetch_stall %.1fx lower, demand RTTs %.1fx fewer\n", stall_ratio,
               fetch_ratio);
   if (stall_ratio < 2.0 && fetch_ratio < 2.0) {
     std::printf("!! acceptance gate failed: expected >=2x reduction in blocking fetch RTTs\n");

@@ -134,9 +134,7 @@ inline int maybe_multiproc_main(const char* app,
       .num("msgs", r.msgs)
       .num("fetches", r.fetches)
       .num("fetch_window", static_cast<uint64_t>(cfg.fetch_window))
-      .num("prefetch_degree", static_cast<uint64_t>(cfg.prefetch_degree))
       .num("fetch_pipelined", r.fetch_pipelined)
-      .num("prefetch_issued", r.prefetch_issued)
       .num("prefetch_hits", r.prefetch_hits)
       .num("prefetch_wasted", r.prefetch_wasted)
       .num("fetch_stall_us", r.fetch_stall_us)

@@ -92,6 +92,12 @@ mutant settle-skips-stale-home-repair src/core/fetch.cpp core_migration_test \
   '      if (f.hops > 0 && m.home != f.target) node_.home_.move_home(m, f.target);' \
   '      if (false && f.hops > 0 && m.home != f.target) node_.home_.move_home(m, f.target);'
 
+# A fetched full copy must keep a word a lock chain made newer locally.
+mutant full-copy-regresses-newer-word src/core/fetch.cpp core_fetch_engine_test \
+  FetchEngine.FetchedCopyNeverRegressesLocallyNewerWord \
+  '        has_newer = true;' \
+  '        has_newer = false;'
+
 # The handoff ack alone must flip the old home's pointer to the adopter.
 mutant handoff-ack-keeps-old-home src/core/home.cpp core_migration_test \
   Migration.OldHomeFollowsTheAckBeforeAnyNotice \

@@ -8,7 +8,7 @@
 #include "common/error.hpp"
 
 namespace lots::cluster {
-// A typo like LOTS_PREFETCH=four must fail loudly, not silently run the
+// A typo like LOTS_FETCH_WINDOW=four must fail loudly, not silently run the
 // baseline configuration.
 long env_int(const char* name, const char* s, long lo, long hi) {
   char* end = nullptr;
@@ -101,16 +101,10 @@ bool configure_threads_from_env(Config& cfg) {
 }
 
 bool configure_fetch_from_env(Config& cfg) {
-  bool any = false;
-  if (const char* s = std::getenv(kEnvFetchWindow); s && *s) {
-    cfg.fetch_window = static_cast<size_t>(env_int(kEnvFetchWindow, s, 1, 256));
-    any = true;
-  }
-  if (const char* s = std::getenv(kEnvPrefetch); s && *s) {
-    cfg.prefetch_degree = static_cast<size_t>(env_int(kEnvPrefetch, s, 0, 64));
-    any = true;
-  }
-  return any;
+  const char* s = std::getenv(kEnvFetchWindow);
+  if (!s || !*s) return false;
+  cfg.fetch_window = static_cast<size_t>(env_int(kEnvFetchWindow, s, 1, 256));
+  return true;
 }
 
 bool configure_fastpath_from_env(Config& cfg) {

@@ -27,12 +27,10 @@ inline constexpr const char* kEnvNetStripes = "LOTS_NET_STRIPES";
 /// OUTSIDE the launcher by configure_threads_from_env, so the same
 /// binary runs hybrid in-proc: `LOTS_THREADS=4 ./example_quickstart`.
 inline constexpr const char* kEnvThreads = "LOTS_THREADS";
-/// Async fetch engine knobs (fabric-independent, like LOTS_THREADS):
-/// pipelined window size (Config::fetch_window) and sequential-prefetch
-/// degree (Config::prefetch_degree), e.g.
-/// `LOTS_FETCH_WINDOW=8 LOTS_PREFETCH=4 ./bench_fig8_sor`.
+/// Async fetch engine knob (fabric-independent, like LOTS_THREADS):
+/// the pipelined window size (Config::fetch_window) of lots::touch /
+/// lots::prefetch, e.g. `LOTS_FETCH_WINDOW=1 ./bench_fig8_sor`.
 inline constexpr const char* kEnvFetchWindow = "LOTS_FETCH_WINDOW";
-inline constexpr const char* kEnvPrefetch = "LOTS_PREFETCH";
 /// Fast-path knob (fabric-independent): the per-thread access
 /// lookaside buffer (Config::alb — "0" disables, anything else
 /// enables), e.g. `LOTS_ALB=0 ./bench_fig8_sor`.
@@ -90,8 +88,8 @@ bool configure_from_env(Config& cfg);
 /// true when the variable was present.
 bool configure_threads_from_env(Config& cfg);
 
-/// Applies LOTS_FETCH_WINDOW / LOTS_PREFETCH to the async fetch engine
-/// knobs (any fabric). Returns true when any of them was present.
+/// Applies LOTS_FETCH_WINDOW to the async fetch engine's window (any
+/// fabric). Returns true when it was present.
 bool configure_fetch_from_env(Config& cfg);
 
 /// Applies LOTS_ALB to the access fast-path knob (any fabric). Returns

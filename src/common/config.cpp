@@ -35,9 +35,6 @@ void Config::validate() const {
   if (fetch_window < 1 || fetch_window > 256) {
     throw UsageError("Config.fetch_window must be in [1,256]");
   }
-  if (prefetch_degree > 64) {
-    throw UsageError("Config.prefetch_degree must be in [0,64]");
-  }
   if (migrate_streak < 1 || migrate_streak > 1024) {
     throw UsageError("Config.migrate_streak must be in [1,1024]");
   }

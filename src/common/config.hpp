@@ -200,12 +200,6 @@ struct Config {
   /// 1 degenerates to one blocking round trip at a time — the
   /// historical behavior (abl_prefetch's baseline).
   size_t fetch_window = 8;
-  /// Sequential prefetch: when the per-thread fault ring detects an
-  /// ascending/descending object-id stride, the requester asks the home
-  /// to piggyback up to this many neighbor-object diffs on its kObjData
-  /// reply. 0 disables prefetching (default: demand fetches only,
-  /// exactly the pre-engine protocol).
-  size_t prefetch_degree = 0;
 
   // -- Concurrency --------------------------------------------------------
   /// Stripe count of the per-node object directory. Per-object protocol

@@ -58,7 +58,6 @@ void for_each_counter(NodeStats& s, Fn&& fn) {
   fn(s.inflight_waits);
   fn(s.evict_races);
   fn(s.fetch_pipelined);
-  fn(s.prefetch_issued);
   fn(s.prefetch_hits);
   fn(s.prefetch_wasted);
   fn(s.fetch_stall_us);
@@ -109,8 +108,8 @@ void NodeStats::print(std::ostream& os, const std::string& label) const {
      << " inval=" << invalidations.load() << " homemig=" << home_migrations.load()
      << " lockmig=" << lock_migrations.load() << " notices=" << home_commit_notices.load()
      << " redirect_retries=" << fetch_redirect_retries.load()
-     << " pipelined=" << fetch_pipelined.load() << " prefetch(iss/hit/waste)="
-     << prefetch_issued.load() << "/" << prefetch_hits.load() << "/"
+     << " pipelined=" << fetch_pipelined.load() << " prefetch(hit/waste)="
+     << prefetch_hits.load() << "/"
      << prefetch_wasted.load() << " fetch_stall_us=" << fetch_stall_us.load()
      << " checks=" << access_checks.load() << " alb(hit/evict)=" << alb_hits.load() << "/"
      << alb_evictions.load() << " swaps(in/out)=" << swap_ins.load() << "/"

@@ -121,12 +121,9 @@ struct NodeStats {
   // async fetch engine (src/core/fetch.hpp)
   std::atomic<uint64_t> fetch_pipelined{0};  ///< fetches issued through the
                                              ///< async window (touch/prefetch)
-  std::atomic<uint64_t> prefetch_issued{0};  ///< neighbor diffs requested on
-                                             ///< kObjFetch piggyback lists
   std::atomic<uint64_t> prefetch_hits{0};    ///< accesses served warm from a
                                              ///< prefetched/pipelined copy
-  std::atomic<uint64_t> prefetch_wasted{0};  ///< piggybacked neighbors dropped
-                                             ///< on arrival or invalidated
+  std::atomic<uint64_t> prefetch_wasted{0};  ///< prefetched copies invalidated
                                              ///< before any access used them
   std::atomic<uint64_t> fetch_stall_us{0};   ///< wall time app threads spent
                                              ///< blocked on fetch replies

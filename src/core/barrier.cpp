@@ -87,7 +87,6 @@ void Node::barrier_leader() {
   for (auto& e : plan) {
     e.object = pr.u32();
     e.new_home = pr.i32();
-    e.multi_writer = pr.u8();
   }
 
   // ---- phase 2: deliver diffs, one batch message per peer ----

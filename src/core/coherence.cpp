@@ -17,15 +17,8 @@ void CoherenceEngine::ensure_twin(ObjectMeta& m, int thread) {
 
 void CoherenceEngine::apply_pending(ObjectMeta& m) {
   LOTS_CHECK(m.map == MapState::kMapped, "apply_pending: not mapped");
-  uint32_t complete_to = 0;
-  for (const DiffRecord& rec : m.pending) {
-    apply_incoming(m, rec);
-    if (rec.completes_to_epoch) complete_to = std::max(complete_to, rec.epoch);
-  }
+  for (const DiffRecord& rec : m.pending) apply_incoming(m, rec);
   m.pending.clear();
-  // A prefetch landing's diff-since-base (or full copy) makes the copy
-  // complete to the home's cut — but only once it is actually applied.
-  if (complete_to > m.valid_epoch) m.valid_epoch = complete_to;
 }
 
 void CoherenceEngine::apply_incoming(ObjectMeta& m, const DiffRecord& rec) {

@@ -1,13 +1,13 @@
 // FetchEngine implementation: requester-side demand + pipelined fetch
 // flows and the home-side kObjFetch service. See fetch.hpp for the
-// design and the landing rules for piggybacked neighbors.
+// design.
 #include "core/fetch.hpp"
 
 #include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <thread>
-#include <unordered_set>
+#include <vector>
 
 #include "common/clock.hpp"
 #include "core/diff.hpp"
@@ -39,54 +39,6 @@ void redirect_backoff(int retries) {
 
 }  // namespace
 
-FetchEngine::FetchEngine(Node& node)
-    : node_(node), rings_(static_cast<size_t>(node.config().threads_per_node)) {}
-
-// ---------------------------------------------------------------------------
-// Stride predictor (requester side, per app thread)
-// ---------------------------------------------------------------------------
-
-void FetchEngine::note_fault(ObjectId id) {
-  StrideRing& ring = rings_[static_cast<size_t>(Runtime::thread_index())];
-  ring.ids[ring.count % StrideRing::kSlots] = id;
-  ring.count++;
-}
-
-FetchEngine::Wish FetchEngine::wishable(ObjectId nid, int32_t target, NeighborReq& nr) {
-  auto lk = node_.dir_.lock_shard(nid);
-  const ObjectMeta* nm = node_.dir_.find(nid);
-  if (!nm) return Wish::kGone;
-  // A sibling owns its transition, or the copy is already warm.
-  if (nm->inflight || nm->share != ShareState::kInvalid) return Wish::kSkip;
-  if (nm->home != target) return Wish::kOtherHome;
-  nr = {nid, nm->valid_epoch};
-  return Wish::kYes;
-}
-
-std::vector<FetchEngine::NeighborReq> FetchEngine::predict_wish(ObjectId id, int32_t target) {
-  std::vector<NeighborReq> wish;
-  const size_t degree = node_.config().prefetch_degree;
-  if (degree == 0) return wish;
-  const StrideRing& ring = rings_[static_cast<size_t>(Runtime::thread_index())];
-  if (ring.count < 3) return wish;
-  // The three newest faults, oldest first (the newest is `id` itself —
-  // note_fault ran before prediction).
-  const ObjectId prev = ring.ids[(ring.count - 2) % StrideRing::kSlots];
-  const ObjectId prev2 = ring.ids[(ring.count - 3) % StrideRing::kSlots];
-  const int64_t d = static_cast<int64_t>(id) - static_cast<int64_t>(prev);
-  if (d == 0 || static_cast<int64_t>(prev) - static_cast<int64_t>(prev2) != d) return wish;
-
-  for (size_t k = 1; k <= degree; ++k) {
-    const int64_t nid64 = static_cast<int64_t>(id) + d * static_cast<int64_t>(k);
-    if (nid64 < 1 || nid64 > static_cast<int64_t>(UINT32_MAX)) break;
-    NeighborReq nr;
-    const Wish w = wishable(static_cast<ObjectId>(nid64), target, nr);
-    if (w == Wish::kGone) break;  // ran off the allocated id space
-    if (w == Wish::kYes) wish.push_back(nr);
-  }
-  return wish;
-}
-
 // ---------------------------------------------------------------------------
 // Request/reply plumbing shared by the demand and pipelined paths
 // ---------------------------------------------------------------------------
@@ -97,16 +49,6 @@ void FetchEngine::issue(Inflight& f) {
   net::Writer w(req.payload);
   w.u32(f.id);
   w.u32(f.base);  // 0: no retained base, send a full copy
-  w.u8(static_cast<uint8_t>(f.wish.size()));
-  for (const NeighborReq& nr : f.wish) {
-    w.u32(nr.id);
-    w.u32(nr.base);
-  }
-  if (f.hops == 0 && !f.wish.empty()) {
-    // Counted once per fetch, not per redirect hop, so the hit/issued
-    // ratio the benches report is not deflated by home migrations.
-    node_.stats_.prefetch_issued.fetch_add(f.wish.size(), std::memory_order_relaxed);
-  }
   f.reply = node_.ep_.request_async(std::move(req));
   if (f.pipelined) node_.stats_.fetch_pipelined.fetch_add(1, std::memory_order_relaxed);
 }
@@ -165,72 +107,6 @@ int32_t FetchEngine::apply_primary(ObjectMeta& m, net::Reader& r) {
   return -1;
 }
 
-void FetchEngine::land_neighbors(net::Reader& r, std::span<const NeighborReq> wish) {
-  const uint8_t count = r.u8();
-  for (uint8_t i = 0; i < count; ++i) {
-    const ObjectId nid = r.u32();
-    const uint8_t form = r.u8();
-    const uint32_t home_epoch = r.u32();
-    // Decode the body unconditionally: the reader must advance past this
-    // section even when the landing is dropped.
-    DiffRecord rec;
-    rec.object = nid;
-    rec.epoch = home_epoch;
-    std::span<const uint8_t> full_body;
-    if (form == 0) {
-      full_body = r.bytes_view();
-    } else {
-      decode_word_diff(r, rec.word_idx, rec.word_val, rec.word_ts);
-    }
-    // Find the wish entry: the base the home diffed against.
-    const NeighborReq* asked = nullptr;
-    for (const NeighborReq& nr : wish) {
-      if (nr.id == nid) {
-        asked = &nr;
-        break;
-      }
-    }
-
-    auto lk = node_.dir_.lock_shard(nid);
-    ObjectMeta* nm = node_.dir_.find(nid);
-    // Land only while the state the wish was sampled from still holds:
-    // the copy is invalid, nobody is mid-transition on it, the retained
-    // base did not move (an eviction dropping the disk image would make
-    // a diff-since-base incomplete), and the home's cut is not older
-    // than that base.
-    const bool landable = asked != nullptr && nm != nullptr && !nm->inflight &&
-                          nm->share == ShareState::kInvalid && nm->valid_epoch == asked->base &&
-                          home_epoch >= asked->base;
-    if (!landable || (form == 0 && full_body.size() != word_bytes(*nm))) {
-      node_.stats_.prefetch_wasted.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (form == 0) {
-      // Full copy -> a uniform-epoch record covering every word; the
-      // per-word newer-than rule at application time gives it exactly
-      // the blocking full-copy semantics (never regress past the cut).
-      const uint32_t words = nm->words();
-      rec.word_idx.resize(words);
-      rec.word_val.resize(words);
-      for (uint32_t wi = 0; wi < words; ++wi) {
-        rec.word_idx[wi] = wi;
-        std::memcpy(&rec.word_val[wi], full_body.data() + static_cast<size_t>(wi) * 4, 4);
-      }
-    }
-    // The landing parks the delta and flips the copy valid, but does
-    // NOT advance valid_epoch: the claim "complete to the home's cut"
-    // only becomes true when the pending record is applied, and it
-    // travels with the record (completes_to_epoch) so an invalidation
-    // that clears pending drops the claim too — the retained diff base
-    // never overstates what the data words actually hold.
-    rec.completes_to_epoch = true;
-    nm->pending.push_back(std::move(rec));
-    node_.dir_.bump_generation(nid);  // pending landing: no ALB fast path
-    nm->share = ShareState::kValid;
-    nm->prefetched = true;
-  }
-}
-
 void FetchEngine::settle(Inflight& f, std::unique_lock<std::mutex>& lk) {
   for (;;) {
     const uint64_t t0 = now_us();
@@ -245,15 +121,10 @@ void FetchEngine::settle(Inflight& f, std::unique_lock<std::mutex>& lk) {
       // Repair a stale home view: whoever answered IS the home, so later
       // fetches of this object go straight there instead of re-chasing.
       if (f.hops > 0 && m.home != f.target) node_.home_.move_home(m, f.target);
-      if (!r.done()) {  // piggybacked neighbor sections
-        lk.unlock();
-        land_neighbors(r, f.wish);
-        lk.lock();
-      }
       return;
     }
     // The home migrated under us: chase it without giving up the guard
-    // (the object's mapping state stays ours), re-sending the same wish.
+    // (the object's mapping state stays ours).
     lk.unlock();
     ++f.hops;
     f.visited.insert(f.target);
@@ -283,12 +154,9 @@ void FetchEngine::fetch_object(ObjectMeta& m, std::unique_lock<std::mutex>& lk) 
   // A retained stale copy (data + word stamps) serves as the diff base:
   // the home then only sends words newer than our valid_epoch (§3.5).
   f.base = m.valid_epoch;
-  note_fault(f.id);
-  // Wish-list sampling takes other shard locks; it must (and does) run
-  // with the faulted object's lock released — the in-flight guard keeps
-  // m's mapping state ours until settle() returns.
+  // The in-flight guard keeps m's mapping state ours until settle()
+  // returns; the lock is down for the round trip.
   lk.unlock();
-  f.wish = predict_wish(f.id, f.target);
   issue(f);
   settle(f, lk);
 }
@@ -298,23 +166,8 @@ void FetchEngine::fetch_object(ObjectMeta& m, std::unique_lock<std::mutex>& lk) 
 // ---------------------------------------------------------------------------
 
 size_t FetchEngine::fetch_many(std::span<const ObjectId> ids) {
-  const bool piggyback = node_.config().prefetch_degree > 0;
-  std::vector<ObjectId> leftovers;
-  size_t issued = fetch_pass(ids, piggyback, piggyback ? &leftovers : nullptr);
-  if (!leftovers.empty()) {
-    // Neighbors whose landing was dropped (base moved, sibling guard,
-    // already valid) come back through a plain pipelined pass.
-    issued += fetch_pass(leftovers, /*piggyback=*/false, nullptr);
-  }
-  return issued;
-}
-
-size_t FetchEngine::fetch_pass(std::span<const ObjectId> ids, bool piggyback,
-                               std::vector<ObjectId>* leftovers) {
   const size_t window = node_.config().fetch_window;
-  const size_t degree = node_.config().prefetch_degree;
   std::deque<Inflight> out;
-  std::unordered_set<ObjectId> wished;  // riding an outstanding wish-list
   size_t issued = 0;
 
   // Register the window for the eviction scan's drain escape hatch.
@@ -324,12 +177,7 @@ size_t FetchEngine::fetch_pass(std::span<const ObjectId> ids, bool piggyback,
   tls_window_out = &out;
 
   try {
-    for (size_t k = 0; k < ids.size(); ++k) {
-      const ObjectId id = ids[k];
-      if (wished.count(id)) {
-        if (leftovers) leftovers->push_back(id);
-        continue;
-      }
+    for (const ObjectId id : ids) {
       while (out.size() >= window) complete_one(out);
 
       auto lk = node_.dir_.lock_shard(id);
@@ -349,24 +197,7 @@ size_t FetchEngine::fetch_pass(std::span<const ObjectId> ids, bool piggyback,
           f.target = m.home;
           f.base = m.valid_epoch;
           f.pipelined = true;
-          lk.unlock();  // wish sampling locks other shards
-          if (piggyback) {
-            // Piggyback the ids that FOLLOW in the batch while they share
-            // this fetch's home — those land off this reply instead of
-            // costing their own round trips.
-            for (size_t j = k + 1; j < ids.size() && f.wish.size() < degree; ++j) {
-              const ObjectId nid = ids[j];
-              if (nid == id || wished.count(nid)) continue;
-              NeighborReq nr;
-              const Wish w = wishable(nid, f.target, nr);
-              if (w == Wish::kOtherHome) break;  // same-home run ended
-              if (w != Wish::kYes) continue;
-              f.wish.push_back(nr);
-              // Insert as we pick so a duplicate id later in the batch
-              // cannot burn a second wish slot.
-              wished.insert(nid);
-            }
-          }
+          lk.unlock();
           issue(f);
           out.push_back(std::move(f));
           ++issued;
@@ -434,12 +265,23 @@ bool FetchEngine::drain_active_window() {
 // only one shard lock at a time)
 // ---------------------------------------------------------------------------
 
-void FetchEngine::encode_copy(ObjectMeta& obj, uint32_t req_base, net::Writer& w) {
+void FetchEngine::encode_copy(const net::Message& req, ObjectMeta& obj, uint32_t req_base,
+                              std::unique_lock<std::mutex>& lk) {
   const size_t bytes = word_bytes(obj);
   // Read the home copy wherever it lives, without disturbing the DMM
-  // mapping state (a home that never touched it reads zeros).
+  // mapping state (a home that never touched it reads zeros). The reply
+  // is sent while this view is alive: a full copy rides as a span
+  // borrowed from it — the DMM block of a mapped copy, or the image
+  // read back for a swapped-out one. Only the DMM block needs the shard
+  // lock across the send (app threads write it); replying under the
+  // lock is safe: the transport copies the span into its
+  // window-retained datagram buffers before returning, and datagram
+  // drain only needs pump threads, which never take shard locks.
   const Mapper::Words words = node_.mapper_.words(obj);
   const uint8_t* data = words.data();
+  // Replies are req_seq-matched; the flow just spreads load.
+  net::Message resp{.type = net::MsgType::kObjData, .flow = obj.id};
+  net::Writer w(resp.payload);
 
   // Prefer the on-demand diff (§3.5) when the requester kept a base and
   // the ENCODED diff is smaller than the full object — decided on the
@@ -454,98 +296,46 @@ void FetchEngine::encode_copy(ObjectMeta& obj, uint32_t req_base, net::Writer& w
     if (5 + newer * 4 < bytes) {
       std::vector<uint32_t> idx, val, wts;
       diff_since({data, bytes}, ts, req_base, idx, val, wts);
-      std::vector<uint8_t> diff_wire;
-      net::Writer dw(diff_wire);
-      const size_t saved = encode_word_diff(dw, idx, val, wts);
-      if (diff_wire.size() < bytes) {
-        w.u8(1);
-        w.u32(obj.valid_epoch);
-        w.raw(diff_wire.data(), diff_wire.size());
-        node_.stats_.diff_payload_bytes.fetch_add(diff_wire.size(),
-                                                  std::memory_order_relaxed);
+      w.u8(1);
+      w.u32(obj.valid_epoch);
+      const size_t head = resp.payload.size();
+      const size_t saved = encode_word_diff(w, idx, val, wts);
+      const size_t diff_bytes = resp.payload.size() - head;
+      if (diff_bytes < bytes) {
+        node_.stats_.diff_payload_bytes.fetch_add(diff_bytes, std::memory_order_relaxed);
         node_.stats_.diff_bytes_saved.fetch_add(saved, std::memory_order_relaxed);
         node_.stats_.diff_words_sent.fetch_add(idx.size(), std::memory_order_relaxed);
+        lk.unlock();
+        node_.ep_.reply(req, std::move(resp));
         return;
       }
+      resp.payload.clear();  // the full copy is smaller
     }
   }
   w.u8(0);
   w.u32(obj.valid_epoch);
-  w.bytes({data, bytes});
+  w.u32(static_cast<uint32_t>(bytes));  // Reader::bytes_view()'s length prefix
+  resp.borrowed = {data, bytes};
+  if (obj.map != MapState::kMapped) lk.unlock();
+  node_.ep_.reply(req, std::move(resp));
 }
 
 void FetchEngine::serve(net::Message&& m) {
   net::Reader r(m.payload);
   const ObjectId id = r.u32();
   const uint32_t req_base = r.u32();  // 0: the requester keeps no base
-  std::vector<NeighborReq> wish;
-  if (!r.done()) {  // request carries a prefetch wish-list
-    const uint8_t n = r.u8();
-    wish.reserve(n);
-    for (uint8_t i = 0; i < n; ++i) {
-      NeighborReq nr;
-      nr.id = r.u32();
-      nr.base = r.u32();
-      wish.push_back(nr);
-    }
-  }
-
-  // Replies are req_seq-matched; the flow just spreads load.
-  net::Message resp{.type = net::MsgType::kObjData, .flow = id};
-  {
-    auto lk = node_.dir_.lock_shard(id);
-    ObjectMeta& obj = node_.dir_.get(id);
-    if (obj.home != node_.rank_) {  // stale home view at the requester
-      net::Writer w(resp.payload);
-      w.u8(2);
-      w.i32(obj.home);
-      lk.unlock();
-      node_.ep_.reply(m, std::move(resp));
-      return;
-    }
-    // Zero-copy fast path: a plain full-copy reply (no diff base, no
-    // prefetch wish) of a DMM-mapped object goes from the object image
-    // to the wire without an intermediate payload copy — the form-0
-    // header is encoded normally and the image rides as a borrowed
-    // span. Replying under the shard lock is safe (and required: the
-    // span points into the DMM): the transport copies the span into its
-    // window-retained datagram buffers before returning, and datagram
-    // drain only needs pump threads, which never take shard locks.
-    if (req_base == 0 && wish.empty() && obj.map == MapState::kMapped) {
-      const size_t bytes = word_bytes(obj);
-      net::Writer w(resp.payload);
-      w.u8(0);
-      w.u32(obj.valid_epoch);
-      w.u32(static_cast<uint32_t>(bytes));  // w.bytes()'s length prefix
-      resp.borrowed = {node_.mapper_.data(obj), bytes};
-      node_.ep_.reply(m, std::move(resp));
-      return;
-    }
+  auto lk = node_.dir_.lock_shard(id);
+  ObjectMeta& obj = node_.dir_.get(id);
+  if (obj.home != node_.rank_) {  // stale home view at the requester
+    net::Message resp{.type = net::MsgType::kObjData, .flow = id};
     net::Writer w(resp.payload);
-    encode_copy(obj, req_base, w);
+    w.u8(2);
+    w.i32(obj.home);
+    lk.unlock();
+    node_.ep_.reply(m, std::move(resp));
+    return;
   }
-
-  // Neighbor sections, each under its own shard lock with the primary's
-  // released. An object this node no longer homes, one that vanished, or
-  // one mid-transition by a local app thread is silently skipped — the
-  // requester demand-faults it like any other miss.
-  uint8_t count = 0;
-  std::vector<uint8_t> sections;
-  net::Writer nw(sections);
-  for (const NeighborReq& nr : wish) {
-    auto lk = node_.dir_.lock_shard(nr.id);
-    ObjectMeta* nm = node_.dir_.find(nr.id);
-    if (!nm || nm->home != node_.rank_ || nm->inflight) continue;
-    nw.u32(nr.id);
-    encode_copy(*nm, nr.base, nw);
-    ++count;
-  }
-  if (count > 0) {  // optional trailing neighbor sections
-    net::Writer w(resp.payload);
-    w.u8(count);
-    w.raw(sections.data(), sections.size());
-  }
-  node_.ep_.reply(m, std::move(resp));
+  encode_copy(m, obj, req_base, lk);
 }
 
 }  // namespace lots::core

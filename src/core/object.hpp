@@ -69,15 +69,6 @@ struct DiffRecord {
   /// epochs: a single object-level stamp would let an old value of one
   /// word ride a newer word's epoch and bury genuinely newer writes.
   std::vector<uint32_t> word_ts;
-  /// Local-only (never on the wire): applying this record makes the
-  /// copy COMPLETE up to `epoch` — it is a home diff-since-base or full
-  /// copy (a prefetch landing), not a partial update like a lock
-  /// chain's. apply_pending advances ObjectMeta::valid_epoch only off
-  /// such records, and only at application time: a record parked in
-  /// `pending` carries its completeness claim WITH it, so an
-  /// invalidation that clears pending also drops the claim and the
-  /// retained diff base stays truthful.
-  bool completes_to_epoch = false;
   /// ≥ 0 marks a home-commit NOTICE (lock-driven adaptive migration):
   /// the releaser was the object's home, committed its writes locally,
   /// and ships this empty record down the token chain instead of data.
@@ -97,7 +88,6 @@ struct DiffRecord {
 struct BarrierPlanEntry {
   ObjectId object;
   int32_t new_home;
-  uint8_t multi_writer;
 };
 
 struct ObjectMeta {
@@ -125,8 +115,8 @@ struct ObjectMeta {
   /// the shard lock around blocking requests: the flag is what keeps the
   /// mapping state coherent across those windows.
   bool inflight = false;
-  /// Copy was warmed by the async fetch engine (piggybacked neighbor
-  /// diff or pipelined touch) and no access has used it yet. The next
+  /// Copy was warmed by a pipelined lots::touch / lots::prefetch window
+  /// and no access has used it yet. The next
   /// access counts NodeStats::prefetch_hits and clears it; a barrier
   /// invalidation that finds it still set counts prefetch_wasted.
   /// Guarded by the shard lock.

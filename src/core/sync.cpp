@@ -713,7 +713,6 @@ void SyncEngine::on_barrier_enter(net::Message&& m) {
     }
     w.u32(id);
     w.i32(new_home);
-    w.u8(multi ? 1 : 0);
   }
   master_.old_homes.clear();
   lk.unlock();

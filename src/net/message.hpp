@@ -28,14 +28,11 @@ enum class MsgType : uint16_t {
   kReply,         ///< generic reply carrier (matched by req_seq)
 
   // --- LOTS core coherence (paper §3.3-3.5) ---
-  kObjFetch,      ///< request clean copy of an object (carries known epoch
-                  ///< and a prefetch wish-list of neighbor ids+epochs)
-  kObjData,       ///< reply: whole object, per-word diff, or home redirect,
-                  ///< optionally followed by up to Config::prefetch_degree
-                  ///< piggybacked neighbor diffs (per-word stamp discipline
-                  ///< applied per object; requesters land neighbors as
-                  ///< warmed pending state and never regress a
-                  ///< locally-newer word)
+  kObjFetch,      ///< request a clean copy of one object: (id, retained
+                  ///< base epoch; 0 asks for a full copy)
+  kObjData,       ///< reply, one section: whole object, per-word diff
+                  ///< against the base, or home redirect (the requester
+                  ///< never regresses a locally-newer word)
   kDiffBatch,     ///< coalesced diff delivery: ALL records a sync operation
                   ///< (release or barrier phase 2) owes one peer ride in a
                   ///< single message — O(peers), not O(objects), per sync

@@ -29,9 +29,9 @@ struct AppResult {
   uint64_t swap_ins = 0;
   uint64_t swap_outs = 0;
   uint64_t access_checks = 0;
+  uint64_t home_migrations = 0;  ///< home moves: barrier plans + lock handoffs
   // async fetch engine (LOTS backend only; zero for JIAJIA)
   uint64_t fetch_pipelined = 0;
-  uint64_t prefetch_issued = 0;
   uint64_t prefetch_hits = 0;
   uint64_t prefetch_wasted = 0;
   uint64_t fetch_stall_us = 0;

@@ -40,8 +40,8 @@ void collect(Runtime& rt, AppResult& r) {
   r.swap_ins = total.swap_ins.load();
   r.swap_outs = total.swap_outs.load();
   r.access_checks = total.access_checks.load();
+  r.home_migrations = total.home_migrations.load();
   r.fetch_pipelined = total.fetch_pipelined.load();
-  r.prefetch_issued = total.prefetch_issued.load();
   r.prefetch_hits = total.prefetch_hits.load();
   r.prefetch_wasted = total.prefetch_wasted.load();
   r.fetch_stall_us = total.fetch_stall_us.load();

@@ -1,16 +1,15 @@
 // The async fetch engine: pipelined multi-object fetches (lots::touch /
-// lots::prefetch over Endpoint::request_async) and the sequential
-// prefetcher's neighbor diffs piggybacked on the kObjData reply.
+// lots::prefetch over Endpoint::request_async) and the demand fetch of
+// one that shares their settle step.
 //
 // Covered here:
-//  * pipelined + prefetched scans produce digests bit-identical to the
-//    synchronous demand path — in-proc, across hybrid process×thread
-//    splits, and as real forked processes over lossy UDP (drop +
-//    reorder + duplication underneath the window);
-//  * the per-word stamp discipline on piggybacked neighbors: a landed
-//    diff must never regress a word a lock token's scope chain already
-//    made newer locally (the regression the blocking path fixed in the
-//    multi-thread PR, re-proven for the prefetch path);
+//  * pipelined scans produce digests bit-identical to the synchronous
+//    demand path — in-proc, across hybrid process×thread splits, and as
+//    real forked processes over lossy UDP (drop + reorder + duplication
+//    underneath the window);
+//  * the per-word stamp discipline on a fetched copy: it must never
+//    regress a word a lock token's scope chain already made newer
+//    locally, whether a demand fault or a prefetch window fetched it;
 //  * home redirects while a pipelined window is outstanding (the home
 //    migrated or the requester's view was stale) resolve without
 //    losing the window or its in-flight guards.
@@ -32,19 +31,18 @@ namespace {
 
 uint64_t fnv_mix(uint64_t h, uint64_t v) { return (h ^ v) * 1099511628211ULL; }
 
-Config engine_cfg(int nprocs, size_t window, size_t degree, int threads = 1) {
+Config engine_cfg(int nprocs, size_t window, int threads = 1) {
   Config c;
   c.nprocs = nprocs;
   c.dmm_bytes = 16u << 20;
   c.threads_per_node = threads;
   c.fetch_window = window;
-  c.prefetch_degree = degree;
   return c;
 }
 
 // ---------------------------------------------------------------------------
-// Digest parity: the pipelined/prefetched scan reads exactly what the
-// synchronous demand scan reads.
+// Digest parity: the pipelined scan reads exactly what the synchronous
+// demand scan reads.
 // ---------------------------------------------------------------------------
 
 constexpr int kScanObjects = 48;
@@ -98,41 +96,36 @@ uint64_t scan_digest(const Config& cfg, bool use_touch, NodeStats* stats_out = n
 }
 
 TEST(FetchEngine, PipelinedTouchMatchesSynchronousDemandDigest) {
-  const uint64_t want = scan_digest(engine_cfg(4, 1, 0), /*use_touch=*/false);
+  const uint64_t want = scan_digest(engine_cfg(4, 1), /*use_touch=*/false);
 
   NodeStats piped;
-  const uint64_t got = scan_digest(engine_cfg(4, 8, 4), /*use_touch=*/true, &piped);
-  EXPECT_EQ(got, want) << "pipelined+prefetched scan diverged from the demand scan";
+  const uint64_t got = scan_digest(engine_cfg(4, 8), /*use_touch=*/true, &piped);
+  EXPECT_EQ(got, want) << "pipelined scan diverged from the demand scan";
   EXPECT_GT(piped.fetch_pipelined.load(), 0u) << "touch never used the async window";
-  EXPECT_GT(piped.prefetch_issued.load(), 0u) << "no piggyback wish-lists went out";
   EXPECT_GT(piped.prefetch_hits.load(), 0u) << "no access was served warm";
-
-  NodeStats demand;
-  const uint64_t base = scan_digest(engine_cfg(4, 1, 0), false, &demand);
-  EXPECT_EQ(base, want);
-  // The piggyback replaces demand round trips outright, not just
-  // overlaps them.
-  EXPECT_LT(piped.object_fetches.load(), demand.object_fetches.load());
 }
 
 TEST(FetchEngine, HybridProcessThreadSplitsBitIdentical) {
-  const uint64_t w4x1 = scan_digest(engine_cfg(4, 8, 4, 1), true);
-  const uint64_t w2x2 = scan_digest(engine_cfg(2, 8, 4, 2), true);
-  const uint64_t w1x4 = scan_digest(engine_cfg(1, 8, 4, 4), true);
+  const uint64_t w4x1 = scan_digest(engine_cfg(4, 8, 1), true);
+  const uint64_t w2x2 = scan_digest(engine_cfg(2, 8, 2), true);
+  const uint64_t w1x4 = scan_digest(engine_cfg(1, 8, 4), true);
   EXPECT_EQ(w4x1, w2x2) << "2 procs x 2 threads diverged from 4x1";
   EXPECT_EQ(w4x1, w1x4) << "1 proc x 4 threads diverged from 4x1";
 }
 
 // ---------------------------------------------------------------------------
-// Stamp discipline: a piggybacked neighbor diff must not regress a word
-// a lock chain already made newer locally.
+// Stamp discipline: a fetched copy must not regress a word a lock chain
+// already made newer locally.
 // ---------------------------------------------------------------------------
 
-TEST(FetchEngine, PiggybackedNeighborNeverRegressesLocallyNewerWord) {
-  constexpr int kObjs = 6;  // O1..O5 scanned; O6 arrives as a neighbor
+/// Rank 1 holds an invalid copy of `tail` whose word 0 a lock grant's
+/// scope chain made newer than the home's cut, then brings the copy in
+/// by a demand fault or through a lots::prefetch window.
+void chain_word_survives_fetch(bool via_prefetch) {
+  constexpr int kObjs = 6;
   constexpr int kInts = 16;
   constexpr int kChainValue = 777001;
-  Runtime rt(engine_cfg(3, 1, 4));
+  Runtime rt(engine_cfg(3, 8));
   rt.run([&](int rank) {
     std::vector<Pointer<int>> objs(kObjs);
     for (auto& o : objs) o.alloc(kInts);
@@ -175,24 +168,22 @@ TEST(FetchEngine, PiggybackedNeighborNeverRegressesLocallyNewerWord) {
     lots::run_barrier();
     if (rank == 1) {
       lots::acquire(7);  // applies the chain: tail[0] is locally newer now
-      // Ascending scan of O1..O5: the stride predictor's wish-lists pull
-      // the tail object in as a piggybacked neighbor diff.
-      uint64_t fetches_before = Runtime::self().stats().object_fetches.load();
-      int scan = 0;
-      for (int k = 0; k < kObjs - 1; ++k) scan += objs[static_cast<size_t>(k)][1];
-      ASSERT_EQ(scan, (0 + 1 + 2 + 3 + 4) * 2000 + 5 * 1);
-      ASSERT_TRUE(Runtime::self().is_valid(tail.id()))
-          << "tail object was not prefetch-landed by the scan's wish-lists";
-      const uint64_t fetches_mid = Runtime::self().stats().object_fetches.load();
-      // The landed neighbor must keep the chain's (newer) word and take
-      // the home's values for everything else — without a round trip.
+      Node& n = Runtime::self();
+      ASSERT_FALSE(n.is_valid(tail.id())) << "the barrier left tail valid";
+      const uint64_t fetches_before = n.stats().object_fetches.load();
+      if (via_prefetch) {
+        lots::prefetch(std::vector<ObjectId>{tail.id()});
+        ASSERT_TRUE(n.is_valid(tail.id())) << "the prefetch window did not fetch tail";
+      }
+      // The fetched copy must keep the chain's (newer) word and take the
+      // home's values for everything else.
       EXPECT_EQ(tail[0], kChainValue)
-          << "piggybacked diff regressed a locally-newer word (stamp discipline broken)";
+          << "fetched copy regressed a locally-newer word (stamp discipline broken)";
       EXPECT_EQ(tail[1], (kObjs - 1) * 2000 + 1);
-      EXPECT_EQ(Runtime::self().stats().object_fetches.load(), fetches_mid)
-          << "reading the prefetched neighbor still paid a demand fetch";
-      EXPECT_GT(Runtime::self().stats().prefetch_hits.load(), 0u);
-      ASSERT_GT(fetches_mid, fetches_before);
+      EXPECT_EQ(n.stats().object_fetches.load(), fetches_before + 1);
+      if (via_prefetch) {
+        EXPECT_GT(n.stats().prefetch_hits.load(), 0u);
+      }
       lots::release(7);
     }
     lots::barrier();
@@ -203,68 +194,9 @@ TEST(FetchEngine, PiggybackedNeighborNeverRegressesLocallyNewerWord) {
   });
 }
 
-TEST(FetchEngine, InvalidationBetweenLandingAndAccessKeepsDiffBaseTruthful) {
-  // The dangerous window: a piggybacked neighbor LANDS (pending parked,
-  // copy marked valid) but nothing accesses it before the next barrier
-  // invalidates it again and clears pending. The retained diff base
-  // (valid_epoch) must then still describe what the DATA words hold —
-  // if the landing had advanced it to the home's cut, the post-barrier
-  // refetch would ask for a diff since a cut the data never reached and
-  // silently keep stale words.
-  constexpr int kObjs = 5;  // O1..O4 scanned; T = O5 lands as a neighbor
-  constexpr int kInts = 16;
-  Runtime rt(engine_cfg(2, 1, 4));
-  rt.run([&](int rank) {
-    std::vector<Pointer<int>> objs(kObjs);
-    for (auto& o : objs) o.alloc(kInts);
-    auto& t = objs[kObjs - 1];
-
-    // Round 1: rank 0 writes everything, rank 1 reads everything (so
-    // every copy is mapped and later retains a diff base).
-    if (rank == 0) {
-      for (int k = 0; k < kObjs; ++k) {
-        for (int i = 0; i < kInts; ++i) {
-          objs[static_cast<size_t>(k)][static_cast<size_t>(i)] = k * 100 + i + 1;
-        }
-      }
-    }
-    lots::barrier();
-    int sink = 0;
-    for (int k = 0; k < kObjs; ++k) sink += objs[static_cast<size_t>(k)][0];
-    ASSERT_GT(sink, 0);
-    lots::run_barrier();
-
-    // Round 2: rank 0 touches word 5 of every object; rank 1's copies
-    // go invalid with their round-1 bases retained.
-    if (rank == 0) {
-      for (int k = 0; k < kObjs; ++k) objs[static_cast<size_t>(k)][5] = 222000 + k;
-    }
-    lots::barrier();
-
-    // Rank 1 scans O1..O4 only: the stride wish-list pulls T in as a
-    // piggybacked landing that nobody accesses.
-    if (rank == 1) {
-      int scan = 0;
-      for (int k = 0; k < kObjs - 1; ++k) scan += objs[static_cast<size_t>(k)][5];
-      ASSERT_EQ(scan, 4 * 222000 + 0 + 1 + 2 + 3);
-      ASSERT_TRUE(Runtime::self().is_valid(t.id()))
-          << "tail object was not prefetch-landed by the scan's wish-lists";
-    }
-    lots::run_barrier();
-
-    // Round 3: rank 0 touches word 9 of T; the barrier invalidates rank
-    // 1's landed-but-unread copy and discards its pending record.
-    if (rank == 0) t[9] = 333999;
-    lots::barrier();
-    // Rank 1's refetch must recover BOTH the round-2 word (which only
-    // ever existed in the discarded pending record) and the round-3
-    // word. An overstated diff base loses word 5 here.
-    EXPECT_EQ(t[5], 222000 + kObjs - 1)
-        << "discarded prefetch landing left a lying diff base (lost update)";
-    EXPECT_EQ(t[9], 333999);
-    EXPECT_EQ(t[0], (kObjs - 1) * 100 + 1);
-    lots::barrier();
-  });
+TEST(FetchEngine, FetchedCopyNeverRegressesLocallyNewerWord) {
+  chain_word_survives_fetch(/*via_prefetch=*/false);
+  chain_word_survives_fetch(/*via_prefetch=*/true);
 }
 
 // ---------------------------------------------------------------------------
@@ -274,7 +206,7 @@ TEST(FetchEngine, InvalidationBetweenLandingAndAccessKeepsDiffBaseTruthful) {
 TEST(FetchEngine, RedirectMidPipelineChasesMigratedHome) {
   constexpr int kObjs = 24;
   constexpr int kInts = 64;
-  Runtime rt(engine_cfg(3, 8, 0));
+  Runtime rt(engine_cfg(3, 8));
   rt.run([&](int rank) {
     std::vector<Pointer<int>> objs(kObjs);
     for (auto& o : objs) o.alloc(kInts);
@@ -314,13 +246,13 @@ TEST(FetchEngine, RedirectMidPipelineChasesMigratedHome) {
 
 // ---------------------------------------------------------------------------
 // Real processes, lossy UDP: drop + reorder + duplication underneath the
-// pipelined window and the kObjData neighbor piggyback.
+// pipelined window.
 // ---------------------------------------------------------------------------
 
 TEST(FetchEngine, PipelinedScanSurvivesLossyUdpBitIdentical) {
   constexpr int kProcs = 2;
   // Reference: synchronous demand scan on the in-proc fabric.
-  const uint64_t want = scan_digest(engine_cfg(kProcs, 1, 0), /*use_touch=*/false);
+  const uint64_t want = scan_digest(engine_cfg(kProcs, 1), /*use_touch=*/false);
 
   TempDir scratch;
   const std::string digest_path = scratch.path() + "/digest";
@@ -335,7 +267,7 @@ TEST(FetchEngine, PipelinedScanSurvivesLossyUdpBitIdentical) {
     if (pid == 0) {
       int code = 3;
       try {
-        Config cfg = engine_cfg(kProcs, 8, 4);
+        Config cfg = engine_cfg(kProcs, 8);
         cfg.cluster.fabric = FabricKind::kUdp;
         cfg.cluster.coord_port = coord.port();
         cfg.cluster.drop_prob = 0.05;
