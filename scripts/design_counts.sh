@@ -30,11 +30,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 declare -A ceiling=(
-  [src_lines]=12319
+  [src_lines]=12089
   [runtime_hpp]=330
   [config_fields]=20
   [env_knobs]=25
-  [msg_types]=30
+  [msg_types]=26
   [sync_mu_outside]=0
   [replica_state_outside]=0
   [image_layout_outside]=0

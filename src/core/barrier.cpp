@@ -67,7 +67,7 @@ void Node::barrier_leader() {
   epoch_.store(flush_epoch, std::memory_order_relaxed);
   std::vector<ObjectId> mods;
   dir_.for_each([&](ObjectMeta& m) {
-    if (!m.local_writes.empty()) mods.push_back(m.id);
+    if (!m.local_writes.word_idx.empty()) mods.push_back(m.id);
   });
   const uint32_t my_epoch = epoch_.load(std::memory_order_relaxed);
 
@@ -94,32 +94,26 @@ void Node::barrier_leader() {
   std::vector<net::Message> outs;
   std::map<int32_t, std::vector<DiffRecord>> by_peer;
   if (write_update_everywhere) {
-    // Ablation: merged updates broadcast to every other node (payload
-    // encoded once, cloned per peer).
-    std::vector<DiffRecord> merged;
-    uint64_t redundant = 0;
+    // Ablation: each object's interval record (the flush already merged
+    // it) broadcast to every other node (payload encoded once, cloned
+    // per peer).
+    std::vector<DiffRecord> records;
     for (ObjectId id : mods) {
       auto lk = dir_.lock_shard(id);
-      ObjectMeta& m = dir_.get(id);
-      DiffRecord rec = merge_records(m.local_writes, /*since=*/0, &redundant);
-      if (!rec.word_idx.empty()) merged.push_back(std::move(rec));
+      records.push_back(dir_.get(id).local_writes);
     }
-    stats_.merge_redundant_words.fetch_add(redundant, std::memory_order_relaxed);
-    outs = CoherenceEngine::build_broadcast_batches(merged, nprocs(), rank_, stats_);
+    outs = CoherenceEngine::build_broadcast_batches(records, nprocs(), rank_, stats_);
   } else {
     // Mixed / write-invalidate: diffs flow to the (possibly migrated)
     // home, and only for multi-writer objects — a single writer becomes
     // the home, moving zero object data.
-    uint64_t redundant = 0;
     for (const auto& e : plan) {
       auto lk = dir_.lock_shard(e.object);
       ObjectMeta* m = dir_.find(e.object);
-      if (!m || m->local_writes.empty()) continue;  // not my write
-      if (e.new_home == rank_) continue;            // I hold the newest copy
-      DiffRecord rec = merge_records(m->local_writes, /*since=*/0, &redundant);
-      if (!rec.word_idx.empty()) by_peer[e.new_home].push_back(std::move(rec));
+      if (!m || m->local_writes.word_idx.empty()) continue;  // not my write
+      if (e.new_home == rank_) continue;                     // I hold the newest copy
+      by_peer[e.new_home].push_back(m->local_writes);
     }
-    stats_.merge_redundant_words.fetch_add(redundant, std::memory_order_relaxed);
     outs = CoherenceEngine::build_diff_batches(by_peer, stats_);
   }
   for (auto& msg : outs) ep_.request(std::move(msg));  // acked delivery

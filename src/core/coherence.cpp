@@ -1,6 +1,7 @@
 #include "core/coherence.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 namespace lots::core {
@@ -98,13 +99,13 @@ std::vector<DiffRecord> CoherenceEngine::flush_interval(uint32_t flush_epoch, in
     if (thread != kAllThreads) out.push_back(rec);  // the release ships it
     // Coalesce into the standing interval record: keep the newest value
     // and stamp per word instead of appending one record per interval.
-    m->local_writes.push_back(std::move(rec));
-    if (m->local_writes.size() > 1) {
+    if (m->local_writes.word_idx.empty()) {
+      m->local_writes = std::move(rec);
+    } else {
       uint64_t redundant = 0;
-      DiffRecord merged = merge_records(m->local_writes, /*since_epoch=*/0, &redundant);
+      const std::array<DiffRecord, 2> both{std::move(m->local_writes), std::move(rec)};
+      m->local_writes = merge_records(both, /*since_epoch=*/0, &redundant);
       stats_.merge_redundant_words.fetch_add(redundant, std::memory_order_relaxed);
-      m->local_writes.clear();
-      m->local_writes.push_back(std::move(merged));
     }
   }
   if (!keep.empty()) {

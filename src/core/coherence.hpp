@@ -84,9 +84,9 @@ class CoherenceEngine {
   /// they work on separate copies, which the stamps reconcile.
   /// kAllThreads (the barrier, all app threads quiescent)
   /// drains everything. Each record is also coalesced into its meta's
-  /// `local_writes` (newest per-word stamp wins), so the barrier merge
-  /// reads one bounded record per object no matter how many lock
-  /// intervals preceded it. Call with NO shard lock held: the engine
+  /// `local_writes` (newest per-word stamp wins), so the barrier ships
+  /// one bounded, already-merged record per object no matter how many
+  /// lock intervals preceded it. Call with NO shard lock held: the engine
   /// serializes whole flushes on flush_mu_, then locks each object's
   /// shard in turn.
   std::vector<DiffRecord> flush_interval(uint32_t flush_epoch, int thread = kAllThreads);

@@ -271,7 +271,7 @@ void HomeEngine::apply_barrier_plan(const std::vector<BarrierPlanEntry>& plan,
     if (!m) continue;
     if (write_update_everywhere) {
       // Updates were broadcast; everyone stays valid, homes do not move.
-      m->local_writes.clear();
+      m->local_writes = {};
       m->valid_epoch = new_epoch;
       continue;
     }
@@ -305,7 +305,7 @@ void HomeEngine::apply_barrier_plan(const std::vector<BarrierPlanEntry>& plan,
       // while it stays mapped; valid_epoch still names its global cut.
       m->pending.clear();
     }
-    m->local_writes.clear();
+    m->local_writes = {};
   }
   // Adopt remotely parked images for objects we just became home of.
   // Runs before barrier() reports done, so no fetch can observe a home

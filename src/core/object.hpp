@@ -145,11 +145,11 @@ struct ObjectMeta {
   std::atomic<uint64_t> access_stamp{0};
   uint32_t valid_epoch = 0;   ///< copy is complete up to this sync epoch
 
-  /// Local writes since the last barrier (pruned there). Kept coalesced:
-  /// flush merges each interval's record into the existing one (newest
-  /// per-word stamp wins), so a long lock-heavy interval sequence costs
-  /// O(object words), not O(intervals).
-  std::vector<DiffRecord> local_writes;
+  /// Local writes since the last barrier (cleared there), as ONE record:
+  /// flush merges each interval's record into it (newest per-word stamp
+  /// wins), so a long lock-heavy interval sequence costs O(object words),
+  /// not O(intervals). An empty word list means no writes.
+  DiffRecord local_writes;
   /// Updates received while unmapped; applied on the next map-in.
   std::vector<DiffRecord> pending;
 

@@ -106,8 +106,8 @@ void RecoveryEngine::on_peer_dead(int dead) {
   if (!n.ep_.fail_all_pending(dead)) {
     return;  // second verdict (coordinator + transport both noticed)
   }
-  // Lock waits fail too, and a master re-evaluates the recovery round.
-  n.sync_.on_death(dead);
+  // A master re-evaluates the recovery round.
+  n.sync_.on_death();
   if (!n.rt_.in_run()) recover_departed();
 }
 
@@ -369,7 +369,7 @@ void RecoveryEngine::rehome_object(ObjectMeta& m, int holder) {
   m.twinned = false;
   m.twin_writers = 0;
   m.pending.clear();
-  m.local_writes.clear();
+  m.local_writes = {};
   if (n.rank_ == holder) {
     // Materialize the replica as the authoritative home copy at the
     // last barrier cut.

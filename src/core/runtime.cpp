@@ -273,7 +273,6 @@ void Node::dispatch(net::Message&& m) {
     case MsgType::kReplicaUpdate: recovery_.on_replica_update(std::move(m)); break;
     case MsgType::kLockAcquire:
     case MsgType::kLockForward:
-    case MsgType::kLockGrant:
     case MsgType::kLockRelease:
     case MsgType::kBarrierEnter:
     case MsgType::kBarrierDone:

@@ -29,8 +29,15 @@
 // race. Same-lock acquires from one node first serialize on a node-local
 // per-lock mutex (held from acquire through release), so at most one
 // thread per node is inside the manager protocol for a given lock — the
-// single-slot lock_waits_/tokens_ bookkeeping holds. Different locks
-// proceed concurrently from different threads.
+// single-slot tokens_ bookkeeping holds. Different locks proceed
+// concurrently from different threads.
+//
+// A grant is the kReply to the acquirer's kLockAcquire, sent by the node
+// that holds the token (a kLockForward carries the acquire's seq there),
+// so a lock wait is an ordinary Endpoint request: the death sweep fails
+// it and the request deadline bounds it. A grant minted before a death
+// notice lands after the acquirer unwound, finds no pending request and
+// is dropped; its token is void, as recovery re-mints every lock.
 #include "core/sync.hpp"
 
 #include <algorithm>
@@ -92,7 +99,6 @@ void SyncEngine::handle(net::Message&& m) {
   switch (m.type) {
     case MsgType::kLockAcquire: on_lock_acquire(std::move(m)); return;
     case MsgType::kLockForward: on_lock_forward(std::move(m)); return;
-    case MsgType::kLockGrant: on_lock_grant(std::move(m)); return;
     case MsgType::kLockRelease: on_lock_release(std::move(m)); return;
     case MsgType::kBarrierEnter: on_barrier_enter(std::move(m)); return;
     case MsgType::kRecoverEnter: on_recover_enter(std::move(m)); return;
@@ -155,53 +161,23 @@ void SyncEngine::acquire(uint32_t lock_id) {
   // lock; on success it is released un-unlocked and stays held until
   // release() (same thread).
   std::unique_lock local(local_lock_mutex(lock_id));
-  const int32_t manager = manager_of(lock_id);
-  const uint32_t my_epoch = node_.epoch();
-  {
-    // Register the wait and gate on the view in ONE sync_mu_ section:
-    // on_death runs after the view moved, so a death is either seen by
-    // the gate or fails the slot. The gate throws before the slot
-    // exists, leaving nothing behind.
-    std::lock_guard sl(sync_mu_);
-    check_death();
-    lock_waits_[lock_id] = LockWait{};
-  }
   // Every message about one lock shares flow = lock_id: on a striped
   // transport our earlier kLockRelease to this manager must land before
   // this re-acquire, or the manager would forward a token we still hold.
-  net::Message req{.type = net::MsgType::kLockAcquire, .dst = manager, .flow = lock_id};
+  net::Message req{.type = net::MsgType::kLockAcquire, .dst = manager_of(lock_id), .flow = lock_id};
   net::Writer w(req.payload);
   w.u32(lock_id);
-  w.u32(my_epoch);
-  node_.ep_.send(std::move(req));
+  w.u32(node_.epoch());
+  // The grant is the kReply to this request, sent by whichever node
+  // holds the token. A death fails the wait like any other request's
+  // (WorkerDied); `local` unlocks on the throw.
+  const net::Message grant = sync_request(std::move(req), recovered_view_);
 
-  net::Message grant;
-  {
-    std::unique_lock sl(sync_mu_);
-    lock_cv_.wait(sl, [&] {
-      const LockWait& wslot = lock_waits_[lock_id];
-      return wslot.granted || wslot.failed >= 0;
-    });
-    LockWait& wslot = lock_waits_[lock_id];
-    if (!wslot.granted) {
-      // A peer died while we waited: unwind to the application's
-      // recovery handler. `local` unlocks on the throw.
-      const int dead = wslot.failed;
-      lock_waits_.erase(lock_id);
-      throw WorkerDied(dead, "worker " + std::to_string(dead) +
-                                 " died while this thread waited on lock " +
-                                 std::to_string(lock_id));
-    }
-    grant = std::move(wslot.grant);
-    lock_waits_.erase(lock_id);
-  }
-
-  // Decode the token: {lock, holder_epoch, is_notice, nrecs, records}.
+  // Decode the token: {holder_epoch, is_notice, nrecs, records}.
   // Each record's flags byte: 0 = a diff record, 1 = a home-commit
   // notice (object, epoch, home hint). The node applies every record
   // with sync_mu_ released, under that object's shard lock only.
   net::Reader r(grant.payload);
-  r.u32();  // lock id (already known)
   const uint32_t holder_epoch = r.u32();
   const bool is_notice = r.u8() != 0;
   const uint32_t nrecs = r.u32();
@@ -328,15 +304,17 @@ void SyncEngine::serve_acquire(ManagerState& s, const net::Message& req,
   s.busy = true;
   s.granted_to = req.src;
   if (s.token_at == node_.rank()) {
-    send_grant_locked(lock_id, req.src);
+    send_grant_locked(lock_id, req.src, req.seq);
     return;
   }
-  // flow: one FIFO per lock across the whole protocol.
+  // flow: one FIFO per lock across the whole protocol. The acquire's seq
+  // rides along so the holder's grant answers it.
   net::Message fwd{.type = net::MsgType::kLockForward, .dst = s.token_at, .flow = lock_id};
   net::Writer w(fwd.payload);
   w.u32(lock_id);
   w.i32(req.src);
   w.u32(acq_epoch);
+  w.u64(req.seq);
   lk.unlock();
   node_.ep_.send(std::move(fwd));
 }
@@ -395,27 +373,29 @@ void SyncEngine::on_lock_release(net::Message&& m) {
   serve_acquire(s, next, lk);
 }
 
-// --- lock protocol: token holder and acquirer side (service thread) --------
+// --- lock protocol: token holder side (service thread) ----------------------
 
 void SyncEngine::on_lock_forward(net::Message&& m) {
   net::Reader r(m.payload);
   const uint32_t lock_id = r.u32();
   const int32_t acquirer = r.i32();
+  r.u32();  // acquirer epoch
+  const uint64_t acquire_seq = r.u64();
   std::lock_guard lk(sync_mu_);
-  send_grant_locked(lock_id, acquirer);
+  send_grant_locked(lock_id, acquirer, acquire_seq);
 }
 
-void SyncEngine::send_grant_locked(uint32_t lock_id, int32_t to) {
+void SyncEngine::send_grant_locked(uint32_t lock_id, int32_t to, uint64_t acquire_seq) {
   auto it = tokens_.find(lock_id);
   LOTS_CHECK(it != tokens_.end(), "lock forward reached a node without the token");
   LockToken tok = std::move(it->second);
   tokens_.erase(it);
 
   NodeStats& stats = node_.stats_;
-  // flow: one FIFO per lock across the whole protocol.
-  net::Message g{.type = net::MsgType::kLockGrant, .dst = to, .flow = lock_id};
+  // The grant answers the acquirer's kLockAcquire; flow: one FIFO per
+  // lock across the whole protocol.
+  net::Message g{.type = net::MsgType::kReply, .dst = to, .req_seq = acquire_seq, .flow = lock_id};
   net::Writer w(g.payload);
-  w.u32(lock_id);
   w.u32(tok.epoch);
   w.u8(node_.config().protocol == ProtocolMode::kWriteInvalidateOnly ? 1 : 0);
   w.u32(static_cast<uint32_t>(tok.chain.size()));
@@ -440,24 +420,6 @@ void SyncEngine::send_grant_locked(uint32_t lock_id, int32_t to) {
   stats.diff_payload_bytes.fetch_add(g.payload.size() - before, std::memory_order_relaxed);
   stats.diff_bytes_saved.fetch_add(saved, std::memory_order_relaxed);
   node_.ep_.send(std::move(g));
-}
-
-void SyncEngine::on_lock_grant(net::Message&& m) {
-  net::Reader r(m.payload);
-  const uint32_t lock_id = r.u32();
-  std::lock_guard lk(sync_mu_);
-  auto it = lock_waits_.find(lock_id);
-  if (it == lock_waits_.end()) {
-    // After a death notice this is expected: the waiting thread already
-    // unwound with WorkerDied and a grant minted before the notice
-    // landed late. The token it carries is void — recovery re-mints
-    // every lock. With no death in sight it is a protocol bug.
-    LOTS_CHECK(node_.view() > 0, "unsolicited lock grant");
-    return;
-  }
-  it->second.grant = std::move(m);
-  it->second.granted = true;
-  lock_cv_.notify_all();
 }
 
 // --- collectives: node side -------------------------------------------------
@@ -545,7 +507,6 @@ void SyncEngine::remint_locks() {
   // (their managers re-mint them on their own recovery pass).
   std::lock_guard sl(sync_mu_);
   tokens_.clear();
-  lock_waits_.clear();
   for (auto& [lock_id, s] : managed_locks_) {
     s.busy = false;
     s.token_at = node_.rank();
@@ -603,13 +564,8 @@ bool SyncEngine::recover(uint32_t v) {
   return mid_barrier;
 }
 
-void SyncEngine::on_death(int dead) {
+void SyncEngine::on_death() {
   std::unique_lock lk(sync_mu_);
-  for (auto& [id, wslot] : lock_waits_) {
-    (void)id;
-    if (!wslot.granted) wslot.failed = dead;
-  }
-  lock_cv_.notify_all();
   // If we are (or just became) the master, re-evaluate the recovery
   // round: the survivors may ALL have entered already, parked waiting
   // on the rank that just died.

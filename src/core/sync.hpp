@@ -6,7 +6,7 @@
 // chains, the manager queues, the per-lock intra-node mutexes, the
 // lock-driven migration streaks, the master's rendezvous tables, and
 // the node's collective sequence and recovered view — together with
-// every handler that touches it: lock acquire/forward/grant/release and
+// every handler that touches it: lock acquire/forward/release and
 // the master side of barrier enter/done, run barrier and recover enter.
 // The node reaches that state only through the named calls below.
 //
@@ -22,12 +22,11 @@
 // done, run barrier, recover enter) parks requests in its own per-rank
 // table, a retried request replacing its rank's stale one. A round
 // releases when every LIVE rank has an entry — for recover, an entry at
-// the master's own view — and every exit is a plain kReply. The
-// recovery release clears all four tables.
+// the master's own view — and every exit and grant is a plain kReply.
+// The recovery release clears all four tables.
 #pragma once
 
 #include <array>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -78,7 +77,7 @@ class SyncEngine {
   /// The last view this node finished recovering.
   [[nodiscard]] uint32_t recovered_view() const { return recovered_view_; }
   /// Re-mints every lock this node manages and drops every local token
-  /// and wait (the view-change half of repair).
+  /// (the view-change half of repair).
   void remint_locks();
   /// Recovery rendezvous at view `v` (recovery leader): enters until
   /// released, retrying sweeps from deaths `v` already counts. Records
@@ -88,9 +87,10 @@ class SyncEngine {
   /// kRecoverEnter(v, seq) for a node whose application left run():
   /// nobody waits for the exit.
   void send_recover_enter(uint32_t v);
-  /// A death notice: fails every lock wait not yet granted, then lets
-  /// the master re-evaluate the recovery round under the shrunk live set.
-  void on_death(int dead);
+  /// A death notice (after the endpoint's sweep failed every pending
+  /// request, lock waits included): lets the master re-evaluate the
+  /// recovery round under the shrunk live set.
+  void on_death();
 
   /// Service thread: every lock and collective message.
   void handle(net::Message&& m);
@@ -99,11 +99,6 @@ class SyncEngine {
   struct LockToken {
     std::vector<DiffRecord> chain;  ///< scope update history (homeless)
     uint32_t epoch = 0;             ///< epoch of the last release
-  };
-  struct LockWait {
-    bool granted = false;
-    net::Message grant;
-    int failed = -1;  ///< >= 0: a death notice failed this wait
   };
   struct ManagerState {
     bool busy = false;
@@ -160,9 +155,9 @@ class SyncEngine {
   void on_lock_acquire(net::Message&& m);  // manager side
   void on_lock_forward(net::Message&& m);  // token-holder side
   void on_lock_release(net::Message&& m);  // manager side
-  void on_lock_grant(net::Message&& m);    // acquirer side
-  /// Moves the token to `to` as a kLockGrant. Caller holds sync_mu_.
-  void send_grant_locked(uint32_t lock_id, int32_t to);
+  /// Moves the token to `to` as the kReply to its kLockAcquire numbered
+  /// `acquire_seq`. Caller holds sync_mu_.
+  void send_grant_locked(uint32_t lock_id, int32_t to, uint64_t acquire_seq);
   /// Grants (token here) or forwards (token elsewhere) to the parked
   /// kLockAcquire `req`. Caller holds sync_mu_ via `lk`.
   void serve_acquire(ManagerState& s, const net::Message& req, std::unique_lock<std::mutex>& lk);
@@ -220,8 +215,6 @@ class SyncEngine {
   std::mutex sync_mu_;
   std::unordered_map<uint32_t, LockToken> tokens_;
   std::unordered_map<uint32_t, ManagerState> managed_locks_;
-  std::unordered_map<uint32_t, LockWait> lock_waits_;
-  std::condition_variable lock_cv_;
   /// unique_ptr: mutexes must not move on rehash.
   std::unordered_map<uint32_t, std::unique_ptr<std::mutex>> local_lock_mu_;
   std::unordered_map<ObjectId, MigrateStreak> migrate_streaks_;

@@ -106,17 +106,6 @@ void JiaNode::dispatch(net::Message&& m) {
     case MsgType::kJiaLockAcquire: on_lock_acquire(std::move(m)); break;
     case MsgType::kJiaLockRelease: on_lock_release(std::move(m)); break;
     case MsgType::kJiaBarrierEnter: on_barrier_enter(std::move(m)); break;
-    case MsgType::kJiaLockGrant: {
-      net::Reader r(m.payload);
-      const uint32_t lock_id = r.u32();
-      std::lock_guard lk(mu_);
-      auto it = waits_.find(lock_id);
-      LOTS_CHECK(it != waits_.end(), "unsolicited JIAJIA lock grant");
-      it->second.grant = std::move(m);
-      it->second.granted = true;
-      lock_cv_.notify_all();
-      break;
-    }
     default:
       LOTS_CHECK(false, std::string("jia: unexpected message ") + net::to_string(m.type));
   }
@@ -237,22 +226,13 @@ void JiaNode::invalidate_pages(const std::vector<uint32_t>& notices) {
 
 void JiaNode::lock(uint32_t lock_id) {
   const int32_t manager = static_cast<int32_t>(lock_id % static_cast<uint32_t>(nprocs()));
-  {
-    std::lock_guard lk(mu_);
-    waits_[lock_id] = LockWait{};
-  }
   net::Message req;
   req.type = net::MsgType::kJiaLockAcquire;
   req.dst = manager;
   net::Writer w(req.payload);
   w.u32(lock_id);
-  ep_.send(std::move(req));
-
-  std::unique_lock lk(mu_);
-  lock_cv_.wait(lk, [&] { return waits_[lock_id].granted; });
-  net::Message grant = std::move(waits_[lock_id].grant);
-  waits_.erase(lock_id);
-  lk.unlock();
+  // The manager answers when the lock is free: the reply is the grant.
+  const net::Message grant = ep_.request(std::move(req));
 
   // Apply the lock's write notices: invalidate our cached copies.
   net::Reader r(grant.payload);
@@ -287,15 +267,18 @@ void JiaNode::on_lock_acquire(net::Message&& m) {
     return;
   }
   s.busy = true;
-  net::Message g;
-  g.type = net::MsgType::kJiaLockGrant;
-  g.dst = m.src;
+  net::Message grant = grant_locked(lock_id, s);
+  lk.unlock();
+  ep_.reply(m, std::move(grant));
+}
+
+net::Message JiaNode::grant_locked(uint32_t lock_id, const LockState& s) {
+  net::Message g{.type = net::MsgType::kReply};
   net::Writer w(g.payload);
   w.u32(lock_id);
   w.u32(static_cast<uint32_t>(s.notices.size()));
   w.raw(s.notices.data(), s.notices.size() * 4);
-  lk.unlock();
-  ep_.send(std::move(g));
+  return g;
 }
 
 void JiaNode::on_lock_release(net::Message&& m) {
@@ -317,15 +300,9 @@ void JiaNode::on_lock_release(net::Message&& m) {
   net::Message next = std::move(s.waiters.front());
   s.waiters.erase(s.waiters.begin());
   s.busy = true;
-  net::Message g;
-  g.type = net::MsgType::kJiaLockGrant;
-  g.dst = next.src;
-  net::Writer w(g.payload);
-  w.u32(lock_id);
-  w.u32(static_cast<uint32_t>(s.notices.size()));
-  w.raw(s.notices.data(), s.notices.size() * 4);
+  net::Message grant = grant_locked(lock_id, s);
   lk.unlock();
-  ep_.send(std::move(g));
+  ep_.reply(next, std::move(grant));
 }
 
 // ---------------------------------------------------------------------------
@@ -362,19 +339,18 @@ void JiaNode::on_barrier_enter(net::Message&& m) {
   std::unique_lock lk(mu_);
   for (uint32_t i = 0; i < n; ++i) merged_notices_.insert(r.u32());
   enter_reqs_.push_back(std::move(m));
-  if (++arrived_ < static_cast<uint32_t>(nprocs())) return;
+  if (enter_reqs_.size() < static_cast<size_t>(nprocs())) return;
 
   std::vector<uint32_t> notices(merged_notices_.begin(), merged_notices_.end());
   std::vector<net::Message> reqs = std::move(enter_reqs_);
   enter_reqs_.clear();
   merged_notices_.clear();
-  arrived_ = 0;
   // Barriers globally reconcile: per-lock notice history resets too.
   for (auto& [id, s] : managed_) s.notices.clear();
   lk.unlock();
   for (auto& req : reqs) {
     net::Message resp;
-    resp.type = net::MsgType::kJiaBarrierExit;
+    resp.type = net::MsgType::kReply;
     net::Writer w(resp.payload);
     w.u32(static_cast<uint32_t>(notices.size()));
     w.raw(notices.data(), notices.size() * 4);
@@ -426,9 +402,7 @@ void JiaNode::on_page_diff(net::Message&& m) {
     if (prev != vm::Prot::kReadWrite) region_.set_protection(page, prev);
   }
   lk.unlock();
-  net::Message ack;
-  ack.type = net::MsgType::kPageDiffAck;
-  ep_.reply(m, std::move(ack));
+  ep_.reply(m, {.type = net::MsgType::kReply});
 }
 
 }  // namespace lots::jia

@@ -21,9 +21,13 @@
 // machinery of src/vmdetect (the classic TreadMarks construction: the
 // fault is synchronous on an application data access, so the handler may
 // run protocol code and block on the service thread's reply).
+//
+// Every wait is an Endpoint request: a page fetch is answered with
+// kPageData, and a diff ack, a barrier exit and a lock grant are each the
+// plain kReply to their request (the manager parks a kJiaLockAcquire
+// while the lock is busy and answers it at the release).
 #pragma once
 
-#include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -101,15 +105,11 @@ class JiaNode {
     std::vector<uint32_t> notices;  ///< pages written under this lock
   };
   std::unordered_map<uint32_t, LockState> managed_;
-  struct LockWait {
-    bool granted = false;
-    net::Message grant;
-  };
-  std::unordered_map<uint32_t, LockWait> waits_;
-  std::condition_variable lock_cv_;
+  /// The grant for `lock_id`: the kReply carrying its write notices.
+  /// Caller holds mu_.
+  static net::Message grant_locked(uint32_t lock_id, const LockState& s);
 
   // barrier master state (rank 0)
-  uint32_t arrived_ = 0;
   std::vector<net::Message> enter_reqs_;
   std::unordered_set<uint32_t> merged_notices_;
 };

@@ -13,7 +13,6 @@ const char* to_string(MsgType t) {
     case MsgType::kDiffBatch: return "DiffBatch";
     case MsgType::kLockAcquire: return "LockAcquire";
     case MsgType::kLockForward: return "LockForward";
-    case MsgType::kLockGrant: return "LockGrant";
     case MsgType::kLockRelease: return "LockRelease";
     case MsgType::kBarrierEnter: return "BarrierEnter";
     case MsgType::kBarrierDone: return "BarrierDone";
@@ -28,12 +27,9 @@ const char* to_string(MsgType t) {
     case MsgType::kPageFetch: return "PageFetch";
     case MsgType::kPageData: return "PageData";
     case MsgType::kPageDiff: return "PageDiff";
-    case MsgType::kPageDiffAck: return "PageDiffAck";
     case MsgType::kJiaLockAcquire: return "JiaLockAcquire";
-    case MsgType::kJiaLockGrant: return "JiaLockGrant";
     case MsgType::kJiaLockRelease: return "JiaLockRelease";
     case MsgType::kJiaBarrierEnter: return "JiaBarrierEnter";
-    case MsgType::kJiaBarrierExit: return "JiaBarrierExit";
   }
   return "Unknown";
 }

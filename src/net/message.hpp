@@ -25,7 +25,9 @@ enum class MsgType : uint16_t {
   // --- generic ---
   kShutdown,      ///< stop a node's service loop
   kPing,          ///< transport tests
-  kReply,         ///< generic reply carrier (matched by req_seq)
+  kReply,         ///< generic reply carrier (matched by req_seq): every
+                  ///< ack, collective exit and lock grant; only the two
+                  ///< data replies (kObjData, kPageData) keep a type
 
   // --- LOTS core coherence (paper §3.3-3.5) ---
   kObjFetch,      ///< request a clean copy of one object: (id, retained
@@ -36,10 +38,12 @@ enum class MsgType : uint16_t {
   kDiffBatch,     ///< coalesced diff delivery: ALL records a sync operation
                   ///< (release or barrier phase 2) owes one peer ride in a
                   ///< single message — O(peers), not O(objects), per sync
-  kLockAcquire,   ///< acquirer -> static lock manager
-  kLockForward,   ///< manager -> current holder: forward token on release
-  kLockGrant,     ///< holder/manager -> next acquirer (+ scope update chain)
-  kLockRelease,   ///< holder -> manager: token returned, nobody waiting
+  kLockAcquire,   ///< acquirer -> static lock manager; the grant (token +
+                  ///< scope update chain) is the kReply, sent by the
+                  ///< token's holder
+  kLockForward,   ///< manager -> token holder: grant the token to the
+                  ///< acquirer (carries the acquire's seq to answer)
+  kLockRelease,   ///< holder -> manager: token returned
   kBarrierEnter,  ///< node -> master: write summaries (object ids); the
                   ///< kReply carries the plan (new homes, new epoch)
   kBarrierDone,   ///< node -> master: phase 2 diffs delivered; the kReply
@@ -67,14 +71,13 @@ enum class MsgType : uint16_t {
 
   // --- JIAJIA baseline (page-based, home-based) ---
   kPageFetch,     ///< fetch whole page from its fixed home
-  kPageData,
-  kPageDiff,      ///< release/barrier: diff pushed to home
-  kPageDiffAck,
-  kJiaLockAcquire,
-  kJiaLockGrant,  ///< carries write notices for invalidation
-  kJiaLockRelease,
-  kJiaBarrierEnter,  ///< carries write notices of the interval
-  kJiaBarrierExit,   ///< carries merged write notices of all nodes
+  kPageData,      ///< reply: the page
+  kPageDiff,      ///< release/barrier: diff pushed to home; kReply acks it
+  kJiaLockAcquire,   ///< acquirer -> manager; the kReply grant carries the
+                     ///< lock's write notices for invalidation
+  kJiaLockRelease,   ///< holder -> manager: the section's write notices
+  kJiaBarrierEnter,  ///< carries write notices of the interval; the kReply
+                     ///< exit carries the merged notices of all nodes
 };
 
 const char* to_string(MsgType t);

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
+#include <chrono>
+#include <thread>
 
 #include "core/api.hpp"
 
@@ -161,6 +164,42 @@ TEST(Coherence, DisjointLocksDoNotSerialize) {
     }
     lots::barrier();
     for (int r = 0; r < 4; ++r) ASSERT_EQ(slots[static_cast<size_t>(r)], 10);
+  });
+}
+
+TEST(Coherence, DeathFailsAWaitingAcquireAndDropsTheLateGrant) {
+  // Rank 0 holds lock 0 (it is also its manager) while rank 1 waits for
+  // it. A death notice for rank 0 at rank 1 must unwind the wait with
+  // WorkerDied. Rank 0 then releases, so the manager grants the parked
+  // acquire to rank 1 late: nobody waits for it there any more, and it
+  // must be dropped without disturbing the runtime's teardown.
+  Runtime rt(cfg(2));
+  std::atomic<int> stage{0};
+  std::atomic<bool> waiter_done{false};
+  rt.run([&](int rank) {
+    constexpr uint32_t kLock = 0;
+    if (rank == 0) {
+      lots::acquire(kLock);
+      stage.store(1);
+      while (stage.load() < 2) std::this_thread::yield();
+      // Time for rank 1's acquire to park at the manager.
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      rt.node(1).on_peer_dead(0);
+      while (!waiter_done.load()) std::this_thread::yield();
+      lots::release(kLock);
+      // Time for the late grant to land before the runtime tears down.
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      return;
+    }
+    while (stage.load() < 1) std::this_thread::yield();
+    stage.store(2);
+    try {
+      lots::acquire(kLock);
+      ADD_FAILURE() << "a lock wait must fail when a peer dies";
+    } catch (const WorkerDied& e) {
+      EXPECT_EQ(e.rank(), 0);
+    }
+    waiter_done.store(true);
   });
 }
 

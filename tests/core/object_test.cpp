@@ -55,7 +55,7 @@ TEST(ObjectMeta, DefaultsMatchInitialState) {
   EXPECT_FALSE(m.on_disk);
   EXPECT_FALSE(m.twinned);
   EXPECT_EQ(m.valid_epoch, 0u);
-  EXPECT_TRUE(m.local_writes.empty());
+  EXPECT_TRUE(m.local_writes.word_idx.empty());
 }
 
 TEST(ObjectDirectory, ForEachVisitsAll) {
