@@ -95,7 +95,7 @@ inline Config fig8_config(int nprocs) {
 inline void print_header(const char* fig, const char* app, const char* xlabel) {
   std::printf("\n=== %s — %s ===\n", fig, app);
   std::printf("(y = modeled execution time in seconds: measured compute + modeled "
-              "100base-T network; paper shape target in EXPERIMENTS.md)\n");
+              "100base-T network; paper shape targets in ARCHITECTURE.md, Verification)\n");
   std::printf("%-10s %6s %10s %10s %10s %14s\n", xlabel, "p", "JIAJIA", "LOTS", "LOTS-x",
               "LOTS/JIAJIA");
 }

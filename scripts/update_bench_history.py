@@ -16,13 +16,15 @@ The history file is a JSON list of {sha, date, rows} entries, newest
 last; corrupt or missing history is replaced rather than fatal (CI must
 not go red because an artifact rotted).
 
---check turns the script into a regression gate: before appending, the
-new snapshot is compared row-by-row against the LAST history entry, and
-any gated metric that regresses by more than 25% (lower-is-better
-metrics going up, higher-is-better going down) fails the run with a
-non-zero exit. Rows are matched on their identity fields (the string
-fields plus shape parameters like n/p); rows without a historical twin
-are new and pass silently.
+--check turns the script into a regression gate: before appending, each
+row of the new snapshot is compared with its newest historical twin
+(the row with the same identity in the latest entry that has one, so a
+row survives entries that did not measure it), and any gated metric
+that regresses by more than 25% (lower-is-better metrics going up,
+higher-is-better going down) fails the run with a non-zero exit. Rows
+are matched on their identity fields (the string fields plus shape
+parameters like n/p); rows without a historical twin are new and pass
+silently.
 """
 import argparse
 import datetime
@@ -36,15 +38,16 @@ PREFIX = "BENCH_JSON "
 LOWER_IS_BETTER = (
     "p50_us", "p99_us", "mean_us", "ns_per_access", "overhead_pct",
     "syscalls_per_msg", "wall_s", "lots_s", "lotsx_s",
+    "read_p50_us", "write_p50_us", "scan_p50_us",  # perfbench (bench_ledger.sh)
 )
-HIGHER_IS_BETTER = ("qps", "msgs_per_sec", "MB_per_sec", "speedup")
+HIGHER_IS_BETTER = ("qps", "msgs_per_sec", "MB_per_sec", "speedup", "ops_per_s")
 
 # Fields identifying WHICH measurement a row is (never compared as
 # metrics). String fields are always identity; these numeric ones are
 # shape parameters, not results.
 IDENTITY_NUMERIC = ("n", "p", "threads", "clients", "shards", "keys", "read_pct",
                     "zipf", "ops", "stripes", "fetch_window", "prefetch_degree",
-                    "rank", "size", "iters")
+                    "rank", "size", "iters", "seconds", "seed", "alb", "rle")
 
 REGRESSION_RATIO = 1.25
 
@@ -56,29 +59,30 @@ def row_identity(row):
 
 
 def check_regressions(new_rows, history):
-    """Compares gated metrics against the last history entry. Returns a
-    list of human-readable offender strings (empty = gate passes)."""
-    if not history:
-        print("check: no history to compare against — gate passes", file=sys.stderr)
-        return []
-    last = history[-1]
-    if not isinstance(last, dict):
-        # A rotted artifact (truncated write, hand edit) must seed a new
-        # baseline, not crash the gate.
-        print("check: last history entry is malformed — gate passes", file=sys.stderr)
-        return []
+    """Compares gated metrics against each row's newest historical twin.
+    Returns a list of human-readable offender strings (empty = gate
+    passes)."""
     old_by_id = {}
-    for row in last.get("rows", []):
-        if isinstance(row, dict):
-            old_by_id.setdefault(row_identity(row), row)
+    for entry in reversed(history):
+        if not isinstance(entry, dict):
+            # A rotted entry (truncated write, hand edit) holds no twins;
+            # older entries still do.
+            continue
+        for row in entry.get("rows", []):
+            if isinstance(row, dict):
+                old_by_id.setdefault(row_identity(row), (row, entry.get("sha", "?")))
+    if not old_by_id:
+        print("check: no history rows to compare against — gate passes", file=sys.stderr)
+        return []
     offenders = []
     matched = 0
     for row in new_rows:
         if not isinstance(row, dict):
             continue
-        old = old_by_id.get(row_identity(row))
-        if old is None:
+        twin = old_by_id.get(row_identity(row))
+        if twin is None:
             continue
+        old, old_sha = twin
         matched += 1
         for key, lower_better in [(k, True) for k in LOWER_IS_BETTER] + [
                 (k, False) for k in HIGHER_IS_BETTER]:
@@ -92,9 +96,9 @@ def check_regressions(new_rows, history):
             if bad:
                 offenders.append(
                     f"{row.get('bench', '?')}[{row_identity(row)}] {key}: "
-                    f"{old_v:g} -> {new_v:g} ({ratio:.2f}x, "
+                    f"{old_v:g} ({old_sha}) -> {new_v:g} ({ratio:.2f}x, "
                     f"{'lower' if lower_better else 'higher'} is better)")
-    print(f"check: compared {matched} row(s) against {last.get('sha', '?')}",
+    print(f"check: compared {matched} row(s) against their newest historical twins",
           file=sys.stderr)
     return offenders
 
@@ -137,8 +141,8 @@ def main():
     ap.add_argument("--snapshot", help="write this run's rows to FILE (e.g. BENCH_ci.json)")
     ap.add_argument("--history", help="append the entry to this trajectory FILE")
     ap.add_argument("--check", action="store_true",
-                    help="fail (exit 2) when a gated metric regresses >25%% vs the "
-                         "last history entry; requires --history")
+                    help="fail (exit 2) when a gated metric regresses >25%% vs its "
+                         "newest historical twin; requires --history")
     args = ap.parse_args()
     if args.check and not args.history:
         ap.error("--check requires --history")

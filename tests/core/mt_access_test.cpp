@@ -14,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -483,6 +485,102 @@ TEST(MtAccess, StaleAlbEntriesNeverReadAReusedBlock) {
                                << seed << ")";
   EXPECT_EQ(stale.load(), 0) << "words of an old version read (seed " << seed << ")";
   EXPECT_GT(rt.node(0).stats().evictions.load(), 0u);
+}
+
+TEST(MtAccess, AlbHitPinsHoldAgainstASiblingEvictor) {
+  // The hit path's pin store -> fence -> generation load against the
+  // evictor's bump -> fence -> pin recheck, with nothing else in the
+  // way. Thread 0 cycles ALB hits over kHot objects, more than the pin
+  // slots, and keeps the pointers of its last kPinSlots accesses, which
+  // their pins protect, checking all of them after every access. The
+  // DMM holds exactly the hot set, and the least recently hit unpinned
+  // object is the one thread 0 hits next. So every cold object thread 1
+  // maps in evicts that one, racing thread 0's hit on it (a skipped
+  // fence lets the hit's pin store sit unseen in its store buffer).
+  // Thread 1 swaps each cold object out again, so thread 0's re-map
+  // finds a free block and the race repeats. Hot and cold objects sit in
+  // disjoint directory shards, so only evictions defeat thread 0's
+  // entries. A hit whose pin the evictor's recheck missed reads a cold
+  // object's words through the block the eviction handed over.
+  constexpr int kPinSlots = 8;  // Mapper's statement-pin ring
+  constexpr int kHot = kPinSlots + 4;
+  constexpr int kInts = 1024;  // 4 KB
+  constexpr int kChecked = 128;  // words of each held object checked per access
+  constexpr int kShards = 16;
+  constexpr auto kRunFor = std::chrono::seconds(2);
+  Config c;
+  c.nprocs = 1;
+  c.threads_per_node = 2;
+  c.dir_shards = kShards;
+  c.dmm_bytes = kHot * kInts * sizeof(int);
+  core::Runtime rt(c);
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> foreign{0}, hot_accesses{0}, loop_hits{0};
+  rt.run([&](int) {
+    const int t = lots::my_thread();
+    std::vector<core::Pointer<int>> objs(4 * kShards);
+    for (auto& o : objs) o.alloc(kInts);
+    // Ids start at 1: ids 1..kHot are hot, ids in shards past kHot cold.
+    std::vector<size_t> hot, cold;
+    for (size_t k = 0; k < objs.size(); ++k) {
+      const auto shard = static_cast<int>(objs[k].id() % kShards);
+      if (objs[k].id() <= kHot) hot.push_back(k);
+      else if (shard == 0 || shard > kHot) cold.push_back(k);
+    }
+    auto sig = [&](size_t k) { return static_cast<int>(objs[k].id()) * 7919; };
+    auto& node = core::Runtime::self();
+    for (const size_t k : t == 0 ? hot : cold) {
+      for (int i = 0; i < kInts; ++i) objs[k][static_cast<size_t>(i)] = sig(k);
+      // At most one cold object is mapped at a time, so the DMM always
+      // has a hot object to give up and never runs out of unpinned ones.
+      if (t == 1) node.force_swap_out(objs[k].id());
+    }
+    lots::barrier();
+    if (t == 0) {
+      struct Held {
+        const volatile int* p = nullptr;
+        int want = 0;
+      };
+      std::array<Held, kPinSlots> held{};
+      const uint64_t hits0 = node.stats().alb_hits.load();
+      const auto until = std::chrono::steady_clock::now() + kRunFor;
+      uint64_t n = 0;
+      for (; std::chrono::steady_clock::now() < until; ++n) {
+        // Descending ids, against the eviction scan's ascending shard
+        // order: a scan racing the same way could see every object pinned.
+        const size_t k = hot[kHot - 1 - n % kHot];
+        held[n % kPinSlots] = {&objs[k][0], sig(k)};  // one access check
+        for (const Held& h : held) {
+          for (int i = 0; h.p && i < kChecked; ++i) {
+            if (h.p[i] != h.want) foreign.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+      loop_hits = node.stats().alb_hits.load() - hits0;
+      hot_accesses = n;
+      stop = true;
+    } else {
+      for (size_t j = 0; !stop.load(); ++j) {
+        const size_t k = cold[j % cold.size()];
+        try {
+          (void)static_cast<int>(objs[k][0]);  // map-in: evicts a hot object
+        } catch (const UsageError&) {
+          // The scan found every hot object pinned: thread 0's ring
+          // moved under it. Nothing was mapped; try the next one.
+          continue;
+        }
+        node.force_swap_out(objs[k].id());
+      }
+    }
+    lots::barrier();
+  });
+  const uint64_t evictions = rt.node(0).stats().evictions.load();
+  EXPECT_EQ(foreign.load(), 0u) << "words of another object read through a hit whose pin the "
+                                << "evictor's recheck missed (" << hot_accesses.load()
+                                << " accesses, " << loop_hits.load() << " hits, " << evictions
+                                << " evictions)";
+  EXPECT_GT(evictions, 1000u);
+  EXPECT_GT(loop_hits.load(), 100u) << "thread 0 never raced an eviction with a hit";
 }
 
 TEST(MtAccess, CollectiveAllocYieldsOneIdPerNode) {
