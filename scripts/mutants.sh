@@ -110,6 +110,13 @@ mutant barrier-skips-invalidations src/core/home.cpp core_coherence_test \
   $'      m->share = ShareState::kInvalid;\n      // All app threads are parked' \
   $'      // All app threads are parked'
 
+# A barrier record ships the words the flush marked, not only the lock
+# intervals' local_writes.
+mutant barrier-record-ignores-marks src/core/coherence.cpp core_coherence_test \
+  Coherence.BarrierRecordsAreBuiltOnlyForObjectsThatShip \
+  '  for_each_mark(&mark_bits_[m.marks], m.words(), [&](uint32_t wi) {' \
+  '  for_each_mark(&mark_bits_[m.marks], 0, [&](uint32_t wi) {'
+
 # A node with sibling app threads keeps the ALB hit/evictor fence pair.
 mutant alb-multithread-node-skips-fences src/core/runtime.cpp core_mt_access_test \
   MtAccess.AlbHitPinsHoldAgainstASiblingEvictor \

@@ -38,7 +38,7 @@ PREFIX = "BENCH_JSON "
 LOWER_IS_BETTER = (
     "p50_us", "p99_us", "mean_us", "ns_per_access", "overhead_pct",
     "syscalls_per_msg", "wall_s", "lots_s", "lotsx_s",
-    "read_p50_us", "write_p50_us", "scan_p50_us",  # perfbench (bench_ledger.sh)
+    "read_p50_us", "write_p50_us", "scan_p50_us", "peak_rss_mb",  # perfbench (bench_ledger.sh)
 )
 HIGHER_IS_BETTER = ("qps", "msgs_per_sec", "MB_per_sec", "speedup", "ops_per_s")
 

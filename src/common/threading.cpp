@@ -4,7 +4,8 @@
 
 namespace lots {
 
-void run_spmd(int n, const std::function<void(int)>& fn) {
+void run_spmd(int n, const std::function<void(int)>& fn,
+              const std::function<void()>& on_first_error) {
   std::vector<std::thread> threads;
   threads.reserve(static_cast<size_t>(n));
   std::mutex err_mu;
@@ -14,8 +15,13 @@ void run_spmd(int n, const std::function<void(int)>& fn) {
       try {
         fn(rank);
       } catch (...) {
-        std::lock_guard lk(err_mu);
-        if (!first_error) first_error = std::current_exception();
+        bool first = false;
+        {
+          std::lock_guard lk(err_mu);
+          first = !first_error;
+          if (first) first_error = std::current_exception();
+        }
+        if (first && on_first_error) on_first_error();
       }
     });
   }

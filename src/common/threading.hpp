@@ -15,6 +15,8 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/error.hpp"
+
 namespace lots {
 
 /// Reusable counting barrier for N harness threads.
@@ -44,8 +46,12 @@ class SpinBarrier {
 
 /// Runs fn(rank) on `n` threads and joins them all; rethrows the first
 /// exception raised by any worker. This is the SPMD launcher used by the
-/// runtimes' spawn() entry points.
-void run_spmd(int n, const std::function<void(int)>& fn);
+/// runtimes' spawn() entry points. `on_first_error` runs once, on the
+/// thread that raised the first exception, after it was recorded: a
+/// runtime uses it to wake workers that would otherwise wait forever
+/// for the failed one (their own exceptions then lose to the first).
+void run_spmd(int n, const std::function<void(int)>& fn,
+              const std::function<void()>& on_first_error = {});
 
 /// Rendezvous for the M application threads of one DSM node: all parties
 /// call collective(fn); the LAST arriver runs fn exactly once while every
@@ -69,8 +75,9 @@ class CollectiveGroup {
     using R = std::invoke_result_t<Fn&>;
     std::unique_lock lk(mu_);
     const uint64_t gen = generation_;
-    if (++waiting_ < parties_) {
-      cv_.wait(lk, [&] { return generation_ != gen; });
+    if (broken_ || ++waiting_ < parties_) {
+      cv_.wait(lk, [&] { return generation_ != gen || broken_; });
+      if (generation_ == gen) throw SystemError("node collective broken: an app thread failed");
       if (error_) std::rethrow_exception(error_);
       if constexpr (!std::is_void_v<R>) {
         R out;
@@ -114,12 +121,22 @@ class CollectiveGroup {
 
   [[nodiscard]] int parties() const { return parties_; }
 
+  /// A party failed and will never arrive: every waiting and later
+  /// collective() throws SystemError. Blocks while a leader runs its
+  /// operation (it holds the mutex).
+  void abort() {
+    std::lock_guard lk(mu_);
+    broken_ = true;
+    cv_.notify_all();
+  }
+
  private:
   std::mutex mu_;
   std::condition_variable cv_;
   int parties_;
   int waiting_ = 0;
   uint64_t generation_ = 0;
+  bool broken_ = false;
   std::exception_ptr error_;
   alignas(8) unsigned char result_[16] = {};
 };

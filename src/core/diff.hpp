@@ -36,6 +36,12 @@ namespace lots::core {
 DiffRecord compute_twin_diff(ObjectId id, uint32_t epoch, std::span<const uint8_t> data,
                              std::span<const uint8_t> twin);
 
+/// The same scan without building a record: for each changed word i,
+/// sets bit i of `bits` (one bit per word) and stamps word_ts[i] with
+/// `epoch`. Returns how many words changed.
+size_t mark_twin_diff(std::span<const uint8_t> data, std::span<const uint8_t> twin,
+                      uint64_t* bits, uint32_t* word_ts, uint32_t epoch);
+
 /// Applies `rec` onto (data, word_ts): a word is written only when the
 /// record's epoch is newer than the word's current stamp, so replayed or
 /// out-of-date diffs are harmless. Returns the number of words applied.

@@ -316,6 +316,7 @@ void HomeEngine::apply_barrier_plan(const std::vector<BarrierPlanEntry>& plan,
     ObjectMeta* m = n.dir_.find(id);
     if (m && m->on_remote) n.mapper_.rehydrate_remote(*m, lk);
   }
+  n.coherence_.end_barrier();  // every local_writes above is cleared: drop the marks too
   n.sync_.barrier_cut();  // scope chains restart, migration streaks reset
   n.epoch_.store(new_epoch, std::memory_order_relaxed);
 }

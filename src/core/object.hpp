@@ -150,6 +150,10 @@ struct ObjectMeta {
   /// wins), so a long lock-heavy interval sequence costs O(object words),
   /// not O(intervals). An empty word list means no writes.
   DiffRecord local_writes;
+  /// Where the barrier's changed-word bitmap keeps this object's bits
+  /// (CoherenceEngine::flush_barrier); kNoMarks while it has none.
+  static constexpr size_t kNoMarks = SIZE_MAX;
+  size_t marks = kNoMarks;
   /// Updates received while unmapped; applied on the next map-in.
   std::vector<DiffRecord> pending;
 

@@ -59,8 +59,10 @@ class Endpoint {
     int type = -1;      ///< MsgType of the request (timeout diagnostics)
     int died = -1;      ///< >= 0: the request was failed because this
                         ///< rank died; wait() throws WorkerDied instead
-                        ///< of blocking out the full timeout
+                        ///< of blocking out the full timeout. kAborted:
+                        ///< failed by abort_waits(); SystemError
   };
+  static constexpr int kAborted = -2;
 
  public:
   /// Handle on an in-flight request issued with request_async(). The
@@ -127,6 +129,12 @@ class Endpoint {
   /// verdict is new; a repeat verdict for the same rank sweeps nothing.
   /// The flag is set with a seq_cst exchange.
   bool fail_all_pending(int dead_rank);
+  /// The run this node serves failed (an app thread threw): fails every
+  /// outstanding request, and every later one at once, with SystemError,
+  /// so no app thread waits for a reply the failed thread will never
+  /// cause.
+  void abort_waits();
+
   [[nodiscard]] bool rank_dead(int r) const {
     return r >= 0 && r < 256 && dead_[static_cast<size_t>(r)].load(std::memory_order_acquire) != 0;
   }
@@ -137,6 +145,9 @@ class Endpoint {
 
  private:
   void serve_loop();
+  /// Fails every outstanding request that has no reply yet with `died`
+  /// (a dead rank or kAborted), in one sweep of the completion table.
+  void fail_waiters(int died);
 
   std::unique_ptr<Transport> transport_;
   Handler handler_;
@@ -153,6 +164,7 @@ class Endpoint {
   /// Ranks declared dead (coordinator notice or transport verdict): the
   /// node's liveness table (Node::rank_alive).
   std::array<std::atomic<uint8_t>, 256> dead_{};
+  std::atomic<bool> aborted_{false};  ///< see abort_waits()
 };
 
 }  // namespace lots::net

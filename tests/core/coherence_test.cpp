@@ -320,6 +320,50 @@ TEST(Coherence, ManyObjectsManyWritersStress) {
   });
 }
 
+TEST(Coherence, BarrierRecordsAreBuiltOnlyForObjectsThatShip) {
+  // The barrier flush only marks changed words; a record is built after
+  // the plan, for an object another node now homes. `shared` is homed on
+  // rank 2 and written by ranks 0 and 1 on disjoint words, first under a
+  // lock (into local_writes), then outside it (marks only); rank 1's
+  // dirty copy is swapped out in between, so its flush diffs the disk
+  // image. The home must end up with every word, so each writer's
+  // record must carry its marked words merged with its lock interval.
+  // `solo` has one writer, which inherits its home and builds nothing.
+  constexpr int kWords = 64;  // per writer
+  Runtime rt(cfg(3));
+  rt.run([](int rank) {
+    Pointer<int> first, shared, solo;
+    first.alloc(1);
+    shared.alloc(3 * kWords);  // id 2: homed on rank 2
+    solo.alloc(16);            // id 3: homed on rank 0
+    ASSERT_EQ(Runtime::self().home_of(shared.id()), 2);
+    lots::barrier();
+    auto want = [](int i) { return i < 2 * kWords ? 1000 * (i / kWords + 1) + i : 0; };
+    if (rank < 2) {
+      const int base = rank * kWords;
+      lots::acquire(7);
+      for (int i = base; i < base + 16; ++i) shared[i] = want(i);
+      lots::release(7);
+      for (int i = base + 16; i < base + 48; ++i) shared[i] = want(i);
+      if (rank == 1) {
+        for (int i = 0; i < 16; ++i) solo[i] = 7 * i;
+        Runtime::self().force_swap_out(shared.id());  // twinned image on disk
+      }
+      for (int i = base + 48; i < base + kWords; ++i) shared[i] = want(i);
+    }
+    const uint64_t diffs_before = Runtime::self().stats().diffs_created.load();
+    lots::barrier();
+    const uint64_t built = Runtime::self().stats().diffs_created.load() - diffs_before;
+    EXPECT_EQ(built, rank < 2 ? 1u : 0u) << "rank " << rank << " built a record for an "
+                                          << "object it did not ship";
+    EXPECT_EQ(Runtime::self().home_of(solo.id()), 1);
+    EXPECT_EQ(Runtime::self().home_of(shared.id()), 2);
+    for (int i = 0; i < 3 * kWords; ++i) ASSERT_EQ(shared[i], want(i)) << "word " << i;
+    for (int i = 0; i < 16; ++i) ASSERT_EQ(solo[i], 7 * i);
+    lots::barrier();
+  });
+}
+
 // ---- protocol ablations ----------------------------------------------------
 
 class ProtocolModes : public ::testing::TestWithParam<ProtocolMode> {};

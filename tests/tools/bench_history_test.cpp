@@ -124,6 +124,23 @@ TEST_F(BenchHistoryTest, EachRowComparesWithItsNewestTwin) {
   EXPECT_EQ(check(), 2);
 }
 
+TEST_F(BenchHistoryTest, PerfbenchPeakRssRiseFails) {
+  // peak_rss_mb is lower-is-better: against a 60 MB twin, a >25% rise
+  // trips the gate; a rise within the bound or a fall passes. (Each check
+  // appends its entry, so the baseline is rewritten before each one.)
+  const std::string ledger_row =
+      "{\"bench\":\"perfbench\",\"workload\":\"largespace\",\"seconds\":20,"
+      "\"host\":\"ledger\",\"peak_rss_mb\":";
+  auto check_rss = [&](const std::string& mb) {
+    write_file(history_, "[{\"sha\":\"a\",\"rows\":[" + ledger_row + "60.0}]}]");
+    write_file(input_, "BENCH_JSON " + ledger_row + mb + "}\n");
+    return check();
+  };
+  EXPECT_EQ(check_rss("80.0"), 2);
+  EXPECT_EQ(check_rss("70.0"), 0);
+  EXPECT_EQ(check_rss("30.0"), 0);
+}
+
 TEST_F(BenchHistoryTest, MissingInputFailsCleanly) {
   // Exit 1 (our diagnosis), not an uncaught-traceback exit.
   EXPECT_EQ(run("python3 " + kScript + " --history " + history_ + " --check " + dir_ +
