@@ -110,6 +110,18 @@ mutant barrier-skips-invalidations src/core/home.cpp core_coherence_test \
   $'      m->share = ShareState::kInvalid;\n      // All app threads are parked' \
   $'      // All app threads are parked'
 
+# The adaptive barrier plan pins a ping-ponging lone writer's home.
+mutant plan-skips-adaptive-damping src/core/home.cpp core_adaptive_test \
+  Adaptive.PingPongDampingPinsTheHome \
+  '    if (adaptive && !multi && writer_hist_[id].ping_pong(ws.front())) new_home = old_home;' \
+  '    if (adaptive && !multi) (void)writer_hist_[id].ping_pong(ws.front());'
+
+# The barrier plan gives a lone writer the home (Fig. 6).
+mutant plan-keeps-lone-writer-home src/core/home.cpp core_adaptive_test \
+  Adaptive.StableWriterStillMigrates \
+  '    int32_t new_home = multi ? old_home : ws.front();' \
+  '    int32_t new_home = old_home;'
+
 # A barrier record ships the words the flush marked, not only the lock
 # intervals' local_writes.
 mutant barrier-record-ignores-marks src/core/coherence.cpp core_coherence_test \

@@ -7,7 +7,7 @@ This script filters those lines out of raw bench output, writes the
 run's snapshot (BENCH_ci.json in CI), and appends the same entry to a
 history file so the result trajectory is trackable across commits:
 
-    ./bench_abl_sharding | tee abl.out
+    ./bench_abl_prefetch | tee abl.out
     ./lots_launch -n 4 ./bench_fig8_sor | tee sor.out
     scripts/update_bench_history.py --sha "$GITHUB_SHA" \
         --snapshot BENCH_ci.json --history BENCH_history.json abl.out sor.out

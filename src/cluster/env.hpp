@@ -20,7 +20,7 @@ inline constexpr const char* kEnvReorder = "LOTS_NET_REORDER";
 inline constexpr const char* kEnvDup = "LOTS_NET_DUP";
 inline constexpr const char* kEnvFaultSeed = "LOTS_NET_FAULT_SEED";
 /// Socket stripes per node (Config::cluster.net_stripes): sockets, pump
-/// threads and locks all scale with it. 0 = auto (min(dir_shards,
+/// threads and locks all scale with it. 0 = auto (min(16,
 /// hardware threads)).
 inline constexpr const char* kEnvNetStripes = "LOTS_NET_STRIPES";
 /// App threads per node (hybrid N-process × M-thread mode). Also honored

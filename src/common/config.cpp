@@ -26,9 +26,6 @@ void Config::validate() const {
   if (net.time_scale < 0 || disk.time_scale < 0) {
     throw UsageError("time_scale knobs must be non-negative");
   }
-  if (dir_shards < 1 || dir_shards > 4096) {
-    throw UsageError("Config.dir_shards must be in [1,4096]");
-  }
   if (threads_per_node < 1 || threads_per_node > 256) {
     throw UsageError("Config.threads_per_node must be in [1,256]");
   }

@@ -83,8 +83,8 @@ struct ClusterConfig {
   size_t udp_max_retrans = 100;
   /// Socket stripes per node: each stripe is its own socket + pump
   /// thread + lock, and messages spread across them by flow key
-  /// (Message::flow % net_stripes). 0 = auto: min(dir_shards, hardware
-  /// threads), at least 1. Env override: LOTS_NET_STRIPES.
+  /// (Message::flow % net_stripes). 0 = auto: min(16 directory stripes,
+  /// hardware threads), at least 1. Env override: LOTS_NET_STRIPES.
   size_t net_stripes = 0;
   // -- fault injection (outgoing datagrams) ------------------------------
   double drop_prob = 0.0;
@@ -202,12 +202,6 @@ struct Config {
   size_t fetch_window = 8;
 
   // -- Concurrency --------------------------------------------------------
-  /// Stripe count of the per-node object directory. Per-object protocol
-  /// work (access checks, fetch service, diff application) serializes
-  /// only within a stripe, so the app and service threads scale on
-  /// disjoint objects. 1 reproduces the old single-lock node (ablation
-  /// bench abl_sharding measures the difference).
-  size_t dir_shards = 16;
   /// Application threads per node. Runtime::run(fn) calls fn(rank) on
   /// this many threads per locally hosted rank; alloc/free/barrier are
   /// collective across ALL app threads of every node (each thread of a

@@ -22,9 +22,9 @@
 // traffic" the paper argues against. Even that broadcast is one batch
 // message per peer.
 //
-// The master's side (plan computation, the rendezvous) lives in
-// SyncEngine (sync.cpp), the plan application in HomeEngine (home.cpp);
-// this file is the node's barrier body. Per-object work (flush, merge,
+// The master's rendezvous lives in SyncEngine (sync.cpp), the plan's
+// computation and application in HomeEngine (home.cpp); this file is
+// the node's barrier body. Per-object work (flush, merge,
 // plan application) takes only each object's directory-shard lock in
 // turn, never across the blocking enter/diff/done requests.
 #include <csignal>

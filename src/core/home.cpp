@@ -1,6 +1,8 @@
-// HomeEngine: the home transition, the object side of the lock protocol
-// (what a grant's records, a release's flush and a write-invalidate push
-// do to object state), the lock-driven handoff and the barrier plan.
+// HomeEngine: the home-placement policy (the barrier plan's rule, the
+// lock manager's dominance streaks), the home transition, the object
+// side of the lock protocol (what a grant's records, a release's flush
+// and a write-invalidate push do to object state), the lock-driven
+// handoff and the barrier plan's application.
 #include "core/home.hpp"
 
 #include <algorithm>
@@ -33,6 +35,85 @@ bool HomeEngine::move_home(ObjectMeta& m, int32_t new_home) {
   if (new_home == node_.rank_) m.replica_cut = 0;
   return true;
 }
+
+bool HomeEngine::migrate_on() const {
+  const Config& cfg = node_.config();
+  // Replication declines lock-driven migration: the replica map is keyed
+  // by the HOME, and a home that moves between barriers would leave its
+  // objects' last shipped cut parked at the old home's backup while the
+  // new home starts with no replica cut — a recovery in that window
+  // would lose the interval. Homes still migrate at barriers, where
+  // ship_replicas re-ships under the new map before the cut commits.
+  return cfg.lock_migration && !cfg.replication &&
+         (cfg.protocol == ProtocolMode::kMixed || cfg.protocol == ProtocolMode::kAdaptive);
+}
+
+// --- home placement (service thread) -----------------------------------------
+
+std::vector<BarrierPlanEntry> HomeEngine::plan_barrier(
+    const std::map<ObjectId, std::vector<int32_t>>& writers,
+    const std::unordered_map<ObjectId, int32_t>& old_homes) {
+  const bool adaptive = node_.config().protocol == ProtocolMode::kAdaptive;
+  std::vector<BarrierPlanEntry> plan;
+  plan.reserve(writers.size());
+  for (const auto& [id, ws] : writers) {
+    const bool multi = ws.size() > 1;
+    // A writer can enter before the master's own app thread reached the
+    // collective alloc of `id` (no home view, -1); the object then still
+    // has the round-robin initial home alloc_object gives it.
+    const int32_t seen = old_homes.at(id);
+    const int32_t old_home = seen >= 0 ? seen : initial_home(id, node_.nprocs());
+    // Fig. 6: a lone writer inherits the home (no data transfer); with
+    // several writers the existing home arbitrates the merge.
+    int32_t new_home = multi ? old_home : ws.front();
+    // §5 adaptation — ping-pong damping: when the lone writer alternates
+    // (w, x, w, ...), migrating the home bounces it right back next
+    // barrier ("the bucket will be requested next by the process that
+    // originally owns it"), so pin the home instead; the writer then
+    // pushes a diff like any multi-writer would.
+    if (adaptive && !multi && writer_hist_[id].ping_pong(ws.front())) new_home = old_home;
+    if (new_home != old_home) {
+      node_.stats_.home_migrations.fetch_add(1, std::memory_order_relaxed);
+    }
+    plan.push_back({id, new_home});
+  }
+  return plan;
+}
+
+std::vector<net::Message> HomeEngine::on_release_writes(int32_t src,
+                                                        const std::vector<ObjectId>& mods) {
+  std::vector<net::Message> proposals;
+  if (!migrate_on()) return proposals;
+  const uint32_t gen = this->gen();
+  for (const ObjectId id : mods) {
+    const int32_t home_view = node_.home_of(id);
+    if (home_view < 0) continue;
+    MigrateStreak& st = migrate_streaks_[id];
+    // A barrier or view repair since the streak's last release voids its
+    // old-home observations. The HISTORY survives: ping-ponging writers
+    // commonly alternate across barriers (the paper's RX shape), and
+    // wiping the A-B-A record would re-arm the bounce damping stops.
+    if (st.gen != gen) st = {.gen = gen, .hist = st.hist};
+    if (st.last_writer == src) {
+      ++st.streak;
+    } else {
+      st.last_writer = src;
+      st.streak = 1;
+    }
+    if (st.streak < node_.config().migrate_streak || src == home_view) continue;
+    // Dominance threshold reached. Damping, the barrier plan's rule: a
+    // writer that alternates with the previous migration target (A→B→A)
+    // is ping-ponging — pin the home instead of bouncing it.
+    const bool damped = st.hist.ping_pong(src);
+    st.streak = 0;  // cooldown either way: re-earn the streak
+    if (damped) continue;
+    // The current home endorses; the chase starts from our view.
+    proposals.push_back(encode({.id = id, .new_home = src, .gen = gen}, home_view));
+  }
+  return proposals;
+}
+
+// --- the object side of the lock protocol -------------------------------------
 
 void HomeEngine::drop_copy(ObjectMeta& m) {
   if (m.share != ShareState::kValid) return;
@@ -87,9 +168,12 @@ void HomeEngine::apply_grant_record(const DiffRecord& rec, bool invalidate_only)
   }
 }
 
-void HomeEngine::commit_in_place(std::vector<DiffRecord>& recs) {
+std::vector<ObjectId> HomeEngine::commit_in_place(std::vector<DiffRecord>& recs) {
+  std::vector<ObjectId> mods;
+  if (!migrate_on()) return mods;
   Node& n = node_;
   for (auto& rec : recs) {
+    mods.push_back(rec.object);
     // When the releaser IS the object's home and its copy is settled
     // (mapped, valid, nothing pending), the interval's writes are
     // already committed in place — the home copy is the protocol's
@@ -115,6 +199,7 @@ void HomeEngine::commit_in_place(std::vector<DiffRecord>& recs) {
       n.stats_.home_commit_notices.fetch_add(1, std::memory_order_relaxed);
     }
   }
+  return mods;
 }
 
 void HomeEngine::push_to_homes(std::vector<DiffRecord>&& recs) {
@@ -163,7 +248,7 @@ void HomeEngine::push_to_homes(std::vector<DiffRecord>&& recs) {
 
 void HomeEngine::on_home_migrate(net::Message&& m) {
   Node& n = node_;
-  // Belt to SyncEngine::migrate_on's suspenders: replication pins homes
+  // Belt to migrate_on's suspenders: replication pins homes
   // between barriers, so a proposal from a mixed-config peer is dropped
   // rather than moving a home out from under its replica map.
   if (n.config().replication) return;
@@ -261,7 +346,7 @@ void HomeEngine::apply_barrier_plan(const std::vector<BarrierPlanEntry>& plan,
   // kHomeMigrateAck messages stamped with the old generation are dropped
   // from here on, so no handoff decided against pre-barrier state can
   // land after the plan (which re-decides every modified object's home
-  // from the master's global view).
+  // from the master's global view) — and every dominance streak restarts.
   fence();
   const bool write_update_everywhere = n.config().protocol == ProtocolMode::kWriteUpdateOnly;
   std::vector<ObjectId> adopt_remote;
@@ -317,7 +402,7 @@ void HomeEngine::apply_barrier_plan(const std::vector<BarrierPlanEntry>& plan,
     if (m && m->on_remote) n.mapper_.rehydrate_remote(*m, lk);
   }
   n.coherence_.end_barrier();  // every local_writes above is cleared: drop the marks too
-  n.sync_.barrier_cut();  // scope chains restart, migration streaks reset
+  n.sync_.barrier_cut();  // scope chains restart
   n.epoch_.store(new_epoch, std::memory_order_relaxed);
 }
 

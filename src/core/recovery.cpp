@@ -312,9 +312,9 @@ void RecoveryEngine::recover_leader() {
 
 void RecoveryEngine::repair_view() {
   Node& n = node_;
-  // Fence the old view: handoffs stamped with the old barrier generation
-  // die on arrival, and the epoch bump defeats every thread's ALB so no
-  // cached pointer survives the re-homing below.
+  // Fence the old view: old-generation handoffs die on arrival and the
+  // dominance streaks restart; the epoch bump defeats every thread's ALB
+  // so no cached pointer survives the re-homing below.
   n.home_.fence();
   n.epoch_.fetch_add(1, std::memory_order_relaxed);
   // One idempotent pass over the directory. Every object whose home is

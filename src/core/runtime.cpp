@@ -47,7 +47,7 @@ Runtime::Runtime(Config cfg) : cfg_(std::move(cfg)) {
     size_t nstripes = cfg_.cluster.net_stripes;
     if (nstripes == 0) {  // auto: match the directory sharding, capped by the machine
       const size_t hw = std::max<size_t>(1, std::thread::hardware_concurrency());
-      nstripes = std::max<size_t>(1, std::min(cfg_.dir_shards, hw));
+      nstripes = std::max<size_t>(1, std::min(ObjectDirectory::kDefaultShards, hw));
     }
     struct FdGuard {
       std::vector<int> fds;
@@ -229,7 +229,6 @@ Node::Node(Runtime& rt, int rank, std::unique_ptr<net::Transport> transport)
     : rt_(rt),
       rank_(rank),
       ep_((transport->set_stats(&stats_), std::move(transport))),
-      dir_(rt.config().dir_shards),
       mapper_(*this),
       coherence_(dir_, mapper_, stats_),
       fetch_(*this),

@@ -4,7 +4,7 @@
 // twins, flushes, diff application), FetchEngine (fetch.hpp: object
 // fetches), SyncEngine (sync.hpp: locks, barriers, recovery rendezvous),
 // RecoveryEngine (recovery.hpp: replication, worker-death recovery) and
-// HomeEngine (home.hpp: every home transition, the barrier plan).
+// HomeEngine (home.hpp: home placement and every home transition).
 //
 // A Runtime owns one in-process "cluster" (or, under kUdp, one rank of
 // a multi-process one): `nprocs` nodes, each hosting

@@ -137,18 +137,6 @@ int SyncEngine::manager_of(uint32_t lock_id) const {
   return base;
 }
 
-bool SyncEngine::migrate_on() const {
-  const Config& cfg = node_.config();
-  // Replication declines lock-driven migration: the replica map is keyed
-  // by the HOME, and a home that moves between barriers would leave its
-  // objects' last shipped cut parked at the old home's backup while the
-  // new home starts with no replica cut — a recovery in that window
-  // would lose the interval. Homes still migrate at barriers, where
-  // ship_replicas re-ships under the new map before the cut commits.
-  return cfg.lock_migration && !cfg.replication &&
-         (cfg.protocol == ProtocolMode::kMixed || cfg.protocol == ProtocolMode::kAdaptive);
-}
-
 void SyncEngine::acquire(uint32_t lock_id) {
   // Unrecovered death notice: unwind before queueing on the local mutex
   // (a sibling that unwound inside its critical section may still hold
@@ -167,7 +155,6 @@ void SyncEngine::acquire(uint32_t lock_id) {
   net::Message req{.type = net::MsgType::kLockAcquire, .dst = manager_of(lock_id), .flow = lock_id};
   net::Writer w(req.payload);
   w.u32(lock_id);
-  w.u32(node_.epoch());
   // The grant is the kReply to this request, sent by whichever node
   // holds the token. A death fails the wait like any other request's
   // (WorkerDied); `local` unlocks on the throw.
@@ -233,11 +220,7 @@ void SyncEngine::release(uint32_t lock_id) {
       node_.coherence_.flush_interval(flush_epoch, Runtime::thread_index());
   tok->epoch = flush_epoch;
 
-  std::vector<ObjectId> mods;
-  if (migrate_on()) {
-    node_.home_.commit_in_place(recs);
-    for (const auto& rec : recs) mods.push_back(rec.object);
-  }
+  const std::vector<ObjectId> mods = node_.home_.commit_in_place(recs);
 
   if (node_.config().protocol == ProtocolMode::kWriteInvalidateOnly) {
     // The chain carries one empty notice per modified object; the data
@@ -300,9 +283,7 @@ void SyncEngine::serve_acquire(ManagerState& s, const net::Message& req,
                                std::unique_lock<std::mutex>& lk) {
   net::Reader r(req.payload);
   const uint32_t lock_id = r.u32();
-  const uint32_t acq_epoch = r.u32();
   s.busy = true;
-  s.granted_to = req.src;
   if (s.token_at == node_.rank()) {
     send_grant_locked(lock_id, req.src, req.seq);
     return;
@@ -313,7 +294,6 @@ void SyncEngine::serve_acquire(ManagerState& s, const net::Message& req,
   net::Writer w(fwd.payload);
   w.u32(lock_id);
   w.i32(req.src);
-  w.u32(acq_epoch);
   w.u64(req.seq);
   lk.unlock();
   node_.ep_.send(std::move(fwd));
@@ -322,51 +302,15 @@ void SyncEngine::serve_acquire(ManagerState& s, const net::Message& req,
 void SyncEngine::on_lock_release(net::Message&& m) {
   net::Reader r(m.payload);
   const uint32_t lock_id = r.u32();
-  const Config& cfg = node_.config();
-  // Dominance piggyback: (id, this node's home view) pairs, looked up
-  // before sync_mu_. Mirrors release(): without migration the releaser
-  // writes no piggyback, so the manager must not try to read it.
-  std::vector<std::pair<ObjectId, int32_t>> mods;
-  if (migrate_on() && r.remaining()) {
-    const uint32_t n = r.u32();
-    mods.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      const ObjectId id = r.u32();
-      const int32_t home = node_.home_of(id);
-      if (home >= 0) mods.emplace_back(id, home);
-    }
-  }
-  std::vector<net::Message> proposals;
+  // Dominance piggyback (present only when the releaser migrates): the
+  // home engine's streaks decide, with sync_mu_ released.
+  std::vector<ObjectId> mods(r.remaining() ? r.u32() : 0);
+  for (ObjectId& id : mods) id = r.u32();
+  for (auto& p : node_.home_.on_release_writes(m.src, mods)) node_.ep_.send(std::move(p));
   std::unique_lock lk(sync_mu_);
-  if (!mods.empty()) {
-    const uint32_t gen = node_.home_.gen();
-    for (const auto& [id, home_view] : mods) {
-      MigrateStreak& st = migrate_streaks_[id];
-      if (st.last_writer == m.src) {
-        ++st.streak;
-      } else {
-        st.last_writer = m.src;
-        st.streak = 1;
-      }
-      if (st.streak < cfg.migrate_streak || m.src == home_view) continue;
-      // Dominance threshold reached. Damping, the barrier master's rule:
-      // a writer that alternates with the previous migration target
-      // (A→B→A) is ping-ponging — pin the home instead of bouncing it.
-      const int32_t cur = m.src;
-      const bool damped = st.hist.ping_pong(cur);
-      st.streak = 0;  // cooldown either way: re-earn the streak
-      if (damped) continue;
-      // The current home endorses; the chase starts from our view.
-      proposals.push_back(HomeEngine::encode({.id = id, .new_home = cur, .gen = gen}, home_view));
-    }
-  }
   ManagerState& s = managed_locks_[lock_id];
   s.token_at = m.src;
   s.busy = false;
-  s.granted_to = -1;
-  // One-way proposal sends; sending under sync_mu_ is the
-  // send_grant_locked precedent (delivery is queued, never inline).
-  for (auto& p : proposals) node_.ep_.send(std::move(p));
   if (s.waiters.empty()) return;
   net::Message next = std::move(s.waiters.front());
   s.waiters.erase(s.waiters.begin());
@@ -379,7 +323,6 @@ void SyncEngine::on_lock_forward(net::Message&& m) {
   net::Reader r(m.payload);
   const uint32_t lock_id = r.u32();
   const int32_t acquirer = r.i32();
-  r.u32();  // acquirer epoch
   const uint64_t acquire_seq = r.u64();
   std::lock_guard lk(sync_mu_);
   send_grant_locked(lock_id, acquirer, acquire_seq);
@@ -477,21 +420,11 @@ void SyncEngine::run_barrier() {
 }
 
 void SyncEngine::barrier_cut() {
-  // The barrier reconciles everything: scope update chains reset, and
-  // the lock manager's dominance streaks restart from scratch (their
-  // old-home observations are void under the new plan). The migration
-  // HISTORY survives, though — ping-ponging writers commonly alternate
-  // across barriers (the paper's RX shape), and wiping the A-B-A record
-  // here would re-arm exactly the bounce the damping exists to stop.
+  // The barrier reconciles everything: scope update chains reset.
   std::lock_guard sl(sync_mu_);
   for (auto& [lock_id, tok] : tokens_) {
     (void)lock_id;
     tok.chain.clear();
-  }
-  for (auto& [id, st] : migrate_streaks_) {
-    (void)id;
-    st.last_writer = -1;
-    st.streak = 0;
   }
 }
 
@@ -510,13 +443,8 @@ void SyncEngine::remint_locks() {
   for (auto& [lock_id, s] : managed_locks_) {
     s.busy = false;
     s.token_at = node_.rank();
-    s.granted_to = -1;
     s.waiters.clear();
     tokens_[lock_id] = LockToken{};
-  }
-  for (auto& [id, st] : migrate_streaks_) {
-    (void)id;
-    st = MigrateStreak{};
   }
 }
 
@@ -617,13 +545,7 @@ void SyncEngine::on_barrier_enter(net::Message&& m) {
   }
   std::vector<std::pair<ObjectId, int32_t>> homes;
   homes.reserve(unseen.size());
-  for (ObjectId id : unseen) {
-    // A writer can enter before the master's own app thread reached the
-    // collective alloc of `id`; the object then still has the
-    // round-robin initial home alloc_object gives it.
-    const int32_t h = node_.home_of(id);
-    homes.emplace_back(id, h >= 0 ? h : HomeEngine::initial_home(id, node_.nprocs()));
-  }
+  for (ObjectId id : unseen) homes.emplace_back(id, node_.home_of(id));
 
   std::unique_lock lk(sync_mu_);
   for (const auto& [id, h] : homes) master_.old_homes.try_emplace(id, h);
@@ -634,8 +556,11 @@ void SyncEngine::on_barrier_enter(net::Message&& m) {
   std::vector<net::Message> round = park(kEnter, std::move(m));
   if (round.empty()) return;
 
-  // Everyone is here: compute and distribute the plan from the round's
-  // write summaries.
+  // Everyone is here: the home engine plans from the round's write
+  // summaries, with sync_mu_ released.
+  const std::unordered_map<ObjectId, int32_t> old_homes = std::move(master_.old_homes);
+  master_.old_homes.clear();
+  lk.unlock();
   uint32_t max_epoch = 0;
   std::map<ObjectId, std::vector<int32_t>> writers;
   for (const net::Message& req : round) {
@@ -644,35 +569,16 @@ void SyncEngine::on_barrier_enter(net::Message&& m) {
     const uint32_t nmods = r.u32();
     for (uint32_t i = 0; i < nmods; ++i) writers[r.u32()].push_back(req.src);
   }
-  const uint32_t new_epoch = max_epoch + 1;
-  std::vector<uint8_t> plan;
-  net::Writer w(plan);
-  w.u32(new_epoch);
-  w.u32(static_cast<uint32_t>(writers.size()));
-  const bool adaptive = node_.config().protocol == ProtocolMode::kAdaptive;
-  for (const auto& [id, ws] : writers) {
-    const bool multi = ws.size() > 1;
-    const int32_t old_home = master_.old_homes[id];
-    // Fig. 6: a lone writer inherits the home (no data transfer); with
-    // several writers the existing home arbitrates the merge.
-    int32_t new_home = multi ? old_home : ws.front();
-    if (adaptive && !multi) {
-      // §5 adaptation — ping-pong damping: when the lone writer
-      // alternates (w, x, w, ...), migrating the home bounces it right
-      // back next barrier ("the bucket will be requested next by the
-      // process that originally owns it"), so pin the home instead; the
-      // writer then pushes a diff like any multi-writer would.
-      if (master_.writer_hist[id].ping_pong(ws.front())) new_home = old_home;
-    }
-    if (new_home != old_home) {
-      node_.stats_.home_migrations.fetch_add(1, std::memory_order_relaxed);
-    }
-    w.u32(id);
-    w.i32(new_home);
+  const std::vector<BarrierPlanEntry> plan = node_.home_.plan_barrier(writers, old_homes);
+  std::vector<uint8_t> payload;
+  net::Writer w(payload);
+  w.u32(max_epoch + 1);  // the new epoch
+  w.u32(static_cast<uint32_t>(plan.size()));
+  for (const BarrierPlanEntry& e : plan) {
+    w.u32(e.object);
+    w.i32(e.new_home);
   }
-  master_.old_homes.clear();
-  lk.unlock();
-  reply_all(round, plan);
+  reply_all(round, payload);
 }
 
 void SyncEngine::on_recover_enter(net::Message&& m) {

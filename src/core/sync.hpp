@@ -1,22 +1,23 @@
-// The synchronization engine: the lock and barrier protocols of the
+// The synchronization engine: the lock and collective transport of the
 // scope-consistency model (paper §3.4-3.6) and the recovery rendezvous,
 // extracted from the node the way FetchEngine and CoherenceEngine are.
 //
 // The engine owns the protocol state — lock tokens and their scope
 // chains, the manager queues, the per-lock intra-node mutexes, the
-// lock-driven migration streaks, the master's rendezvous tables, and
-// the node's collective sequence and recovered view — together with
-// every handler that touches it: lock acquire/forward/release and
-// the master side of barrier enter/done, run barrier and recover enter.
-// The node reaches that state only through the named calls below.
+// master's rendezvous tables, and the node's collective sequence and
+// recovered view — together with every handler that touches it: lock
+// acquire/forward/release and the master side of barrier enter/done,
+// run barrier and recover enter. The node reaches that state only
+// through the named calls below. Who should be home — the barrier plan
+// and the lock-driven handoff proposals — is HomeEngine's decision.
 //
 // Lock order, by construction: sync_mu_ guards everything above and is
 // the only lock the engine takes. Object state belongs to the node and
 // its HomeEngine — a grant's records, the release flush and its
-// home-commit notices, the master's home lookups — and the engine calls
-// into it only with sync_mu_ released, so sync_mu_ is never held while a
-// shard lock is taken. Sends under sync_mu_ are allowed (delivery is queued);
-// blocking requests never run under it.
+// home-commit notices, the master's home lookups, the home placement —
+// and the engine calls into it only with sync_mu_ released, so sync_mu_
+// is never held while a shard lock is taken. Sends under sync_mu_ are
+// allowed (delivery is queued); blocking requests never run under it.
 //
 // The master rendezvous: each collective kind (barrier enter, barrier
 // done, run barrier, recover enter) parks requests in its own per-rank
@@ -69,8 +70,7 @@ class SyncEngine {
   void end_collective(bool run);
   /// Coherence barriers committed since node birth (chaos kill points).
   [[nodiscard]] uint32_t barriers_done() const { return static_cast<uint32_t>(coll_seq_ >> 32); }
-  /// The barrier cut: scope chains restart and the migration streaks
-  /// reset (their history survives, for the ping-pong damping).
+  /// The barrier cut: scope chains restart.
   void barrier_cut();
 
   // ---- recovery's calls ----
@@ -102,31 +102,8 @@ class SyncEngine {
   };
   struct ManagerState {
     bool busy = false;
-    int32_t token_at = -1;    ///< node where the token (and chain) parks
-    int32_t granted_to = -1;  ///< rank a grant is in flight to while busy
+    int32_t token_at = -1;  ///< node where the token (and chain) parks
     std::vector<net::Message> waiters;  ///< queued kLockAcquire messages
-  };
-  /// The last two writers an adaptive home decision saw for one object
-  /// (-1: none yet) — the §5 ping-pong damping rule shared by the lock
-  /// path and the barrier master.
-  struct WriterHistory {
-    int32_t last = -1;
-    int32_t before = -1;
-    /// Records `w`; true when it alternates with the previous writer
-    /// (A-B-A), the ping-pong shape whose home should stay pinned.
-    bool ping_pong(int32_t w) {
-      const bool alternates = last != w && before == w;
-      before = last;
-      last = w;
-      return alternates;
-    }
-  };
-  /// Per-object single-writer streak, tracked by the lock manager from
-  /// the modified-object ids piggybacked on kLockRelease.
-  struct MigrateStreak {
-    int32_t last_writer = -1;
-    uint32_t streak = 0;
-    WriterHistory hist;
   };
   /// Collective kinds parked at the master.
   enum Kind : size_t { kEnter, kDone, kRun, kRecover, kKinds };
@@ -134,8 +111,8 @@ class SyncEngine {
   struct Master {
     /// Parked requests per kind, by rank (see the file comment).
     std::array<std::unordered_map<int32_t, net::Message>, kKinds> parked;
-    /// The master's home view of each object named this barrier,
-    /// looked up when the first enter naming it arrives.
+    /// The master's home view of each object named this barrier (-1:
+    /// none yet), looked up when the first enter naming it arrives.
     std::unordered_map<ObjectId, int32_t> old_homes;
     /// Ranks inside the two-phase barrier (entered, done not released).
     /// A dead member means the plan may have partially applied; the
@@ -145,10 +122,6 @@ class SyncEngine {
     /// for that view (its exit swept by a death it already counted) is
     /// answered at once.
     std::pair<uint32_t, std::vector<uint8_t>> released;
-    /// Adaptive protocol (paper §5): the last two single-writer ranks
-    /// per object, persisted across barriers. A lone writer alternating
-    /// between two nodes (ping-pong) keeps its home pinned.
-    std::unordered_map<ObjectId, WriterHistory> writer_hist;
   };
 
   // -- lock protocol --
@@ -161,9 +134,6 @@ class SyncEngine {
   /// Grants (token here) or forwards (token elsewhere) to the parked
   /// kLockAcquire `req`. Caller holds sync_mu_ via `lk`.
   void serve_acquire(ManagerState& s, const net::Message& req, std::unique_lock<std::mutex>& lk);
-  /// Lock-driven migration (Config::lock_migration), which replication
-  /// and the non-diff protocols decline.
-  [[nodiscard]] bool migrate_on() const;
   /// The node-local mutex for DSM lock `lock_id`: serializes same-lock
   /// acquires from this node's app threads ahead of the manager.
   std::mutex& local_lock_mutex(uint32_t lock_id);
@@ -217,7 +187,6 @@ class SyncEngine {
   std::unordered_map<uint32_t, ManagerState> managed_locks_;
   /// unique_ptr: mutexes must not move on rehash.
   std::unordered_map<uint32_t, std::unique_ptr<std::mutex>> local_lock_mu_;
-  std::unordered_map<ObjectId, MigrateStreak> migrate_streaks_;
   Master master_;
 
   // -- views and the collective sequence (collective / recovery leader

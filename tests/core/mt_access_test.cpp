@@ -506,12 +506,11 @@ TEST(MtAccess, AlbHitPinsHoldAgainstASiblingEvictor) {
   constexpr int kHot = kPinSlots + 4;
   constexpr int kInts = 1024;  // 4 KB
   constexpr int kChecked = 128;  // words of each held object checked per access
-  constexpr int kShards = 16;
+  constexpr int kShards = static_cast<int>(core::ObjectDirectory::kDefaultShards);
   constexpr auto kRunFor = std::chrono::seconds(2);
   Config c;
   c.nprocs = 1;
   c.threads_per_node = 2;
-  c.dir_shards = kShards;
   c.dmm_bytes = kHot * kInts * sizeof(int);
   core::Runtime rt(c);
   std::atomic<bool> stop{false};

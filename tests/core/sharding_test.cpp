@@ -1,9 +1,7 @@
 // Concurrency semantics of the striped object directory: the app and
 // service threads of one node work on disjoint objects without
 // serializing behind a whole-node lock, and nothing is lost when they
-// overlap. Every scenario also runs with dir_shards=1 (the old
-// single-lock node) to pin down that correctness never depended on the
-// stripe count.
+// overlap.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -13,26 +11,23 @@
 namespace lots::core {
 namespace {
 
-Config shard_cfg(int nprocs, size_t shards) {
+Config shard_cfg(int nprocs) {
   Config c;
   c.nprocs = nprocs;
   c.dmm_bytes = 8u << 20;
-  c.dir_shards = shards;
   return c;
 }
 
 TEST(Sharding, ConfigControlsStripeCount) {
-  Runtime rt16(shard_cfg(1, 16));
-  EXPECT_EQ(rt16.node(0).directory().shard_count(), 16u);
-  Runtime rt1(shard_cfg(1, 1));
-  EXPECT_EQ(rt1.node(0).directory().shard_count(), 1u);
+  Runtime rt(shard_cfg(1));
+  EXPECT_EQ(rt.node(0).directory().shard_count(), ObjectDirectory::kDefaultShards);
 }
 
 TEST(Sharding, ShardLockAcquisitionsAreCounted) {
   // With the ALB disabled, every access check takes exactly one stripe
   // lock; with it enabled (the default), repeat accesses hit the
   // lookaside buffer and skip the lock entirely.
-  Config locked = shard_cfg(1, 8);
+  Config locked = shard_cfg(1);
   locked.alb = false;
   Runtime rt(locked);
   rt.run([](int) {
@@ -45,7 +40,7 @@ TEST(Sharding, ShardLockAcquisitionsAreCounted) {
   EXPECT_GE(rt.node(0).stats().shard_lock_acquires.load(), 3u);
   EXPECT_EQ(rt.node(0).stats().alb_hits.load(), 0u);
 
-  Runtime rt_alb(shard_cfg(1, 8));
+  Runtime rt_alb(shard_cfg(1));
   rt_alb.run([](int) {
     Pointer<int> a;
     a.alloc(64);
@@ -71,18 +66,18 @@ TEST(Sharding, DirectoryStripesSpreadObjects) {
   EXPECT_EQ(d.count(), 64u);
 }
 
-/// The hammer: every rank writes its own object of set A while reading
-/// (and therefore remotely fetching) the other ranks' objects of set B
-/// written in the previous round, alternating sets each round. The
-/// cross-reads land as kObjFetch work on the writers' service threads
-/// while their app threads are mid-write on DISJOINT objects — exactly
-/// the app/service overlap the striped directory exists for. Any lost
-/// update or torn read fails the value assertions.
-void hammer_disjoint_objects(size_t shards) {
+// The hammer: every rank writes its own object of set A while reading
+// (and therefore remotely fetching) the other ranks' objects of set B
+// written in the previous round, alternating sets each round. The
+// cross-reads land as kObjFetch work on the writers' service threads
+// while their app threads are mid-write on DISJOINT objects — exactly
+// the app/service overlap the striped directory exists for. Any lost
+// update or torn read fails the value assertions.
+TEST(Sharding, FetchWhileAccessingDisjointObjectsStriped) {
   constexpr int kProcs = 4;
   constexpr int kInts = 2048;  // 8 KB per object
   constexpr int kRounds = 6;
-  Runtime rt(shard_cfg(kProcs, shards));
+  Runtime rt(shard_cfg(kProcs));
   rt.run([&](int rank) {
     std::vector<Pointer<int>> a(kProcs), b(kProcs);
     for (auto& p : a) p.alloc(kInts);
@@ -126,14 +121,10 @@ void hammer_disjoint_objects(size_t shards) {
   });
 }
 
-TEST(Sharding, FetchWhileAccessingDisjointObjectsStriped) { hammer_disjoint_objects(16); }
-
-TEST(Sharding, FetchWhileAccessingDisjointObjectsSingleShard) { hammer_disjoint_objects(1); }
-
 TEST(Sharding, LockTrafficOverlapsAccessChecks) {
   // Lock-grant application (app thread, per-record shard locks) racing
   // the migratory counter against plain barrier-coherent writes.
-  Runtime rt(shard_cfg(4, 16));
+  Runtime rt(shard_cfg(4));
   rt.run([](int rank) {
     Pointer<int> counter, local;
     counter.alloc(16);
@@ -157,7 +148,7 @@ TEST(Sharding, LocalWritesStayCoalescedAcrossManyIntervals) {
   // local_writes by N records — flush coalesces to a single bounded
   // record (newest per-word stamp), so lock-heavy programs cannot
   // balloon memory between barriers.
-  Runtime rt(shard_cfg(2, 16));
+  Runtime rt(shard_cfg(2));
   rt.run([](int rank) {
     Pointer<int> x;
     x.alloc(256);
@@ -187,7 +178,7 @@ TEST(Sharding, BarrierDiffTrafficIsBatchedPerPeer) {
   // peer into one kDiffBatch message per sync operation. Two writers on
   // disjoint halves of MANY objects -> each writer owes the home one
   // batch, regardless of the object count.
-  Runtime rt(shard_cfg(2, 16));
+  Runtime rt(shard_cfg(2));
   rt.run([](int rank) {
     constexpr int kObjs = 24;
     std::vector<Pointer<int>> objs(kObjs);
