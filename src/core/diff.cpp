@@ -16,16 +16,24 @@ uint32_t load_word(const uint8_t* p, size_t word) {
 
 void store_word(uint8_t* p, size_t word, uint32_t v) { std::memcpy(p + word * 4, &v, 4); }
 
-// The changed-word scan shared by compute_twin_diff and mark_twin_diff:
-// one memcmp per 16-word block finds the unequal blocks, then 64-bit
-// lanes narrow to the changed 32-bit words, calling on_word(index,
-// value) in ascending index order. Same output as the scalar scan, ~1/16th
-// the compares on a clean prefix.
-template <class OnWord>
-void scan_twin_diff(std::span<const uint8_t> data, std::span<const uint8_t> twin,
-                    OnWord&& on_word) {
+}  // namespace
+
+size_t mark_twin_diff(std::span<const uint8_t> data, std::span<const uint8_t> twin,
+                      uint64_t* bits, uint32_t* word_ts, uint32_t epoch, DiffRecord* rec) {
   LOTS_CHECK_EQ(data.size(), twin.size(), "twin/data size mismatch");
   LOTS_CHECK_EQ(data.size() % 4, 0u, "twin diff needs word-aligned images");
+  size_t changed = 0;
+  auto on_word = [&](size_t wi, uint32_t v) {
+    bits[wi / 64] |= uint64_t{1} << (wi % 64);
+    word_ts[wi] = epoch;
+    if (rec) {
+      rec->word_idx.push_back(static_cast<uint32_t>(wi));
+      rec->word_val.push_back(v);
+    }
+    ++changed;
+  };
+  // One memcmp per 16-word block finds the unequal blocks, then 64-bit
+  // lanes narrow to the changed 32-bit words.
   const size_t words = data.size() / 4;
   const uint8_t* d = data.data();
   const uint8_t* t = twin.data();
@@ -45,41 +53,17 @@ void scan_twin_diff(std::span<const uint8_t> data, std::span<const uint8_t> twin
       if (dl != tl) {
         const auto lo_d = static_cast<uint32_t>(dl);
         const auto hi_d = static_cast<uint32_t>(dl >> 32);
-        if (lo_d != static_cast<uint32_t>(tl)) on_word(static_cast<uint32_t>(wi), lo_d);
-        if (hi_d != static_cast<uint32_t>(tl >> 32)) on_word(static_cast<uint32_t>(wi + 1), hi_d);
+        if (lo_d != static_cast<uint32_t>(tl)) on_word(wi, lo_d);
+        if (hi_d != static_cast<uint32_t>(tl >> 32)) on_word(wi + 1, hi_d);
       }
       wi += 2;
     }
     if (wi < end) {
       const uint32_t dv = load_word(d, wi);
-      if (dv != load_word(t, wi)) on_word(static_cast<uint32_t>(wi), dv);
+      if (dv != load_word(t, wi)) on_word(wi, dv);
       ++wi;
     }
   }
-}
-
-}  // namespace
-
-DiffRecord compute_twin_diff(ObjectId id, uint32_t epoch, std::span<const uint8_t> data,
-                             std::span<const uint8_t> twin) {
-  DiffRecord rec;
-  rec.object = id;
-  rec.epoch = epoch;
-  scan_twin_diff(data, twin, [&](uint32_t wi, uint32_t v) {
-    rec.word_idx.push_back(wi);
-    rec.word_val.push_back(v);
-  });
-  return rec;
-}
-
-size_t mark_twin_diff(std::span<const uint8_t> data, std::span<const uint8_t> twin,
-                      uint64_t* bits, uint32_t* word_ts, uint32_t epoch) {
-  size_t changed = 0;
-  scan_twin_diff(data, twin, [&](uint32_t wi, uint32_t) {
-    bits[wi / 64] |= uint64_t{1} << (wi % 64);
-    word_ts[wi] = epoch;
-    ++changed;
-  });
   return changed;
 }
 

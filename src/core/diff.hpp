@@ -27,20 +27,17 @@
 
 namespace lots::core {
 
-/// Compares `data` against `twin` and returns the record of changed
-/// words (empty record if identical). Does not touch timestamps.
-/// Compares cache-block-sized chunks first (memcmp) and descends to
-/// 64-bit lanes and then 32-bit words only inside unequal chunks, so a
-/// mostly-clean twin costs ~1 compare per 64 B instead of per word; the
-/// output is identical to the scalar word-by-word scan.
-DiffRecord compute_twin_diff(ObjectId id, uint32_t epoch, std::span<const uint8_t> data,
-                             std::span<const uint8_t> twin);
-
-/// The same scan without building a record: for each changed word i,
-/// sets bit i of `bits` (one bit per word) and stamps word_ts[i] with
-/// `epoch`. Returns how many words changed.
+/// The twin scan: compares `data` against `twin` and, for each changed
+/// word i in ascending order, sets bit i of `bits` (one bit per word),
+/// stamps word_ts[i] with `epoch` and, when `rec` is given, appends
+/// (i, new value) to it. Returns how many words changed. Compares
+/// 16-word blocks first (memcmp) and descends to 64-bit lanes and then
+/// 32-bit words only inside unequal blocks, so a mostly-clean twin costs
+/// ~1 compare per 64 B instead of per word; the output is identical to
+/// the scalar word-by-word scan.
 size_t mark_twin_diff(std::span<const uint8_t> data, std::span<const uint8_t> twin,
-                      uint64_t* bits, uint32_t* word_ts, uint32_t epoch);
+                      uint64_t* bits, uint32_t* word_ts, uint32_t epoch,
+                      DiffRecord* rec = nullptr);
 
 /// Applies `rec` onto (data, word_ts): a word is written only when the
 /// record's epoch is newer than the word's current stamp, so replayed or

@@ -356,7 +356,6 @@ void HomeEngine::apply_barrier_plan(const std::vector<BarrierPlanEntry>& plan,
     if (!m) continue;
     if (write_update_everywhere) {
       // Updates were broadcast; everyone stays valid, homes do not move.
-      m->local_writes = {};
       m->valid_epoch = new_epoch;
       continue;
     }
@@ -390,7 +389,6 @@ void HomeEngine::apply_barrier_plan(const std::vector<BarrierPlanEntry>& plan,
       // while it stays mapped; valid_epoch still names its global cut.
       m->pending.clear();
     }
-    m->local_writes = {};
   }
   // Adopt remotely parked images for objects we just became home of.
   // Runs before barrier() reports done, so no fetch can observe a home
@@ -401,7 +399,7 @@ void HomeEngine::apply_barrier_plan(const std::vector<BarrierPlanEntry>& plan,
     ObjectMeta* m = n.dir_.find(id);
     if (m && m->on_remote) n.mapper_.rehydrate_remote(*m, lk);
   }
-  n.coherence_.end_barrier();  // every local_writes above is cleared: drop the marks too
+  n.coherence_.end_barrier();  // every written object is planned: drop the marks
   n.sync_.barrier_cut();  // scope chains restart
   n.epoch_.store(new_epoch, std::memory_order_relaxed);
 }

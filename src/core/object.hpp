@@ -9,8 +9,8 @@
 // ObjectMeta is the per-node control record ("only a trace of control
 // information for each object is needed to be resident in the virtual
 // address space"): share/mapping state, current home, DMM offset while
-// mapped, pinning timestamp, and the interval-local write records that
-// feed the coherence protocol.
+// mapped, pinning timestamp, and where the barrier's changed-word bitmap
+// keeps the words this node wrote since the last barrier.
 //
 // The directory is *striped*: object metas live in N independently
 // lockable shards keyed by ObjectId, so the paper's per-object
@@ -145,13 +145,12 @@ struct ObjectMeta {
   std::atomic<uint64_t> access_stamp{0};
   uint32_t valid_epoch = 0;   ///< copy is complete up to this sync epoch
 
-  /// Local writes since the last barrier (cleared there), as ONE record:
-  /// flush merges each interval's record into it (newest per-word stamp
-  /// wins), so a long lock-heavy interval sequence costs O(object words),
-  /// not O(intervals). An empty word list means no writes.
-  DiffRecord local_writes;
-  /// Where the barrier's changed-word bitmap keeps this object's bits
-  /// (CoherenceEngine::flush_barrier); kNoMarks while it has none.
+  /// Where the barrier's changed-word bitmap keeps this object's bits:
+  /// one per word this node wrote since the last applied plan, set by
+  /// every flush, release or barrier (CoherenceEngine::flush_twins). The
+  /// bits are the only record of those writes; the words themselves stay
+  /// in the copy until the barrier ships them. kNoMarks while it has
+  /// none.
   static constexpr size_t kNoMarks = SIZE_MAX;
   size_t marks = kNoMarks;
   /// Updates received while unmapped; applied on the next map-in.

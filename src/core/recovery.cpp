@@ -369,7 +369,6 @@ void RecoveryEngine::rehome_object(ObjectMeta& m, int holder) {
   m.twinned = false;
   m.twin_writers = 0;
   m.pending.clear();
-  m.local_writes = {};
   m.marks = ObjectMeta::kNoMarks;
   if (n.rank_ == holder) {
     // Materialize the replica as the authoritative home copy at the

@@ -321,47 +321,88 @@ TEST(Coherence, ManyObjectsManyWritersStress) {
 }
 
 TEST(Coherence, BarrierRecordsAreBuiltOnlyForObjectsThatShip) {
-  // The barrier flush only marks changed words; a record is built after
-  // the plan, for an object another node now homes. `shared` is homed on
+  // The flushes only mark changed words; a record is built after the
+  // plan, for an object another node now homes. `shared` is homed on
   // rank 2 and written by ranks 0 and 1 on disjoint words, first under a
-  // lock (into local_writes), then outside it (marks only); rank 1's
+  // lock (release marks), then outside it (barrier marks); rank 1's
   // dirty copy is swapped out in between, so its flush diffs the disk
   // image. The home must end up with every word, so each writer's
-  // record must carry its marked words merged with its lock interval.
+  // record must carry its lock-interval words as well as the barrier's.
   // `solo` has one writer, which inherits its home and builds nothing.
+  //
+  // Two more inputs take each writer's copy away after its release: the
+  // home commits a write in place under lock 8 (lock-driven migration
+  // on), so the writers' acquire of lock 8 invalidates their copies, and
+  // each writer then force-swaps its stale copy out, once with an
+  // unlimited disk and once with a disk so small that a clean copy
+  // would spill to the buddy. The bitmap is the only record of the lock
+  // interval, so the stale copy must keep its words (Mapper::evict),
+  // and the refetch that revalidates it must not regress them.
   constexpr int kWords = 64;  // per writer
-  Runtime rt(cfg(3));
-  rt.run([](int rank) {
-    Pointer<int> first, shared, solo;
-    first.alloc(1);
-    shared.alloc(3 * kWords);  // id 2: homed on rank 2
-    solo.alloc(16);            // id 3: homed on rank 0
-    ASSERT_EQ(Runtime::self().home_of(shared.id()), 2);
-    lots::barrier();
-    auto want = [](int i) { return i < 2 * kWords ? 1000 * (i / kWords + 1) + i : 0; };
-    if (rank < 2) {
-      const int base = rank * kWords;
-      lots::acquire(7);
-      for (int i = base; i < base + 16; ++i) shared[i] = want(i);
-      lots::release(7);
-      for (int i = base + 16; i < base + 48; ++i) shared[i] = want(i);
-      if (rank == 1) {
-        for (int i = 0; i < 16; ++i) solo[i] = 7 * i;
-        Runtime::self().force_swap_out(shared.id());  // twinned image on disk
+  struct Input {
+    const char* name;
+    bool invalidate;
+    size_t disk_capacity_bytes;
+  };
+  for (const Input& in : {Input{"plain", false, 0}, Input{"invalidated", true, 0},
+                          Input{"invalidated, full disk", true, 1}}) {
+    SCOPED_TRACE(in.name);
+    Config c = cfg(3);
+    c.lock_migration = in.invalidate;
+    c.disk_capacity_bytes = in.disk_capacity_bytes;
+    Runtime rt(c);
+    rt.run([&](int rank) {
+      Pointer<int> first, shared, solo;
+      first.alloc(1);
+      shared.alloc(3 * kWords);  // id 2: homed on rank 2
+      solo.alloc(16);            // id 3: homed on rank 0
+      ASSERT_EQ(Runtime::self().home_of(shared.id()), 2);
+      lots::barrier();
+      auto want = [&](int i) {
+        if (i < 2 * kWords) return 1000 * (i / kWords + 1) + i;
+        return in.invalidate && i == 2 * kWords ? 3000 : 0;
+      };
+      if (rank < 2) {
+        const int base = rank * kWords;
+        lots::acquire(7);
+        for (int i = base; i < base + 16; ++i) shared[i] = want(i);
+        lots::release(7);
       }
-      for (int i = base + 48; i < base + kWords; ++i) shared[i] = want(i);
-    }
-    const uint64_t diffs_before = Runtime::self().stats().diffs_created.load();
-    lots::barrier();
-    const uint64_t built = Runtime::self().stats().diffs_created.load() - diffs_before;
-    EXPECT_EQ(built, rank < 2 ? 1u : 0u) << "rank " << rank << " built a record for an "
-                                          << "object it did not ship";
-    EXPECT_EQ(Runtime::self().home_of(solo.id()), 1);
-    EXPECT_EQ(Runtime::self().home_of(shared.id()), 2);
-    for (int i = 0; i < 3 * kWords; ++i) ASSERT_EQ(shared[i], want(i)) << "word " << i;
-    for (int i = 0; i < 16; ++i) ASSERT_EQ(solo[i], 7 * i);
-    lots::barrier();
-  });
+      if (in.invalidate) {
+        if (rank == 2) {
+          lots::acquire(8);
+          shared[2 * kWords] = want(2 * kWords);
+          lots::release(8);  // the home commits in place: a notice rides lock 8
+        }
+        lots::run_barrier();
+        if (rank < 2) {
+          lots::acquire(8);
+          lots::release(8);
+          ASSERT_FALSE(Runtime::self().is_valid(shared.id()));
+          Runtime::self().force_swap_out(shared.id());
+        }
+      }
+      if (rank < 2) {
+        const int base = rank * kWords;
+        for (int i = base + 16; i < base + 48; ++i) shared[i] = want(i);
+        if (rank == 1) {
+          for (int i = 0; i < 16; ++i) solo[i] = 7 * i;
+          Runtime::self().force_swap_out(shared.id());  // twinned image on disk
+        }
+        for (int i = base + 48; i < base + kWords; ++i) shared[i] = want(i);
+      }
+      const uint64_t diffs_before = Runtime::self().stats().diffs_created.load();
+      lots::barrier();
+      const uint64_t built = Runtime::self().stats().diffs_created.load() - diffs_before;
+      EXPECT_EQ(built, rank < 2 ? 1u : 0u) << "rank " << rank << " built a record for an "
+                                            << "object it did not ship";
+      EXPECT_EQ(Runtime::self().home_of(solo.id()), 1);
+      EXPECT_EQ(Runtime::self().home_of(shared.id()), 2);
+      for (int i = 0; i < 3 * kWords; ++i) ASSERT_EQ(shared[i], want(i)) << "word " << i;
+      for (int i = 0; i < 16; ++i) ASSERT_EQ(solo[i], 7 * i);
+      lots::barrier();
+    });
+  }
 }
 
 // ---- protocol ablations ----------------------------------------------------

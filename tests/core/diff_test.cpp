@@ -19,16 +19,24 @@ std::vector<uint8_t> words_to_bytes(const std::vector<uint32_t>& w) {
 TEST(Diff, TwinDiffFindsChangedWords) {
   auto twin = words_to_bytes({1, 2, 3, 4, 5});
   auto data = words_to_bytes({1, 9, 3, 8, 5});
-  DiffRecord rec = compute_twin_diff(7, 42, data, twin);
-  EXPECT_EQ(rec.object, 7u);
-  EXPECT_EQ(rec.epoch, 42u);
+  uint64_t bits = 0;
+  std::vector<uint32_t> ts{7, 7, 7, 7, 7};
+  DiffRecord rec;
+  EXPECT_EQ(mark_twin_diff(data, twin, &bits, ts.data(), 42, &rec), 2u);
+  EXPECT_EQ(bits, 0b01010u);  // one bit per changed word
+  EXPECT_EQ(ts, (std::vector<uint32_t>{7, 42, 7, 42, 7}));
   EXPECT_EQ(rec.word_idx, (std::vector<uint32_t>{1, 3}));
   EXPECT_EQ(rec.word_val, (std::vector<uint32_t>{9, 8}));
 }
 
 TEST(Diff, IdenticalDataYieldsEmptyRecord) {
   auto v = words_to_bytes({1, 2, 3});
-  DiffRecord rec = compute_twin_diff(1, 1, v, v);
+  uint64_t bits = 0;
+  std::vector<uint32_t> ts{1, 1, 1};
+  DiffRecord rec;
+  EXPECT_EQ(mark_twin_diff(v, v, &bits, ts.data(), 5, &rec), 0u);
+  EXPECT_EQ(bits, 0u);
+  EXPECT_EQ(ts, (std::vector<uint32_t>{1, 1, 1}));
   EXPECT_TRUE(rec.word_idx.empty());
 }
 

@@ -281,9 +281,9 @@ TEST(DiffWire, FuzzEncodeDecodeApplyIdentical) {
 }
 
 TEST(DiffWire, VectorizedTwinDiffMatchesScalarReference) {
-  // compute_twin_diff descends blockwise; its output must equal the
-  // definitional word-by-word scan for every shape, including odd word
-  // counts and changes at block boundaries.
+  // mark_twin_diff descends blockwise; its record, bits and stamps must
+  // equal the definitional word-by-word scan for every shape, including
+  // odd word counts and changes at block boundaries.
   Rng rng(424242);
   for (int iter = 0; iter < 200; ++iter) {
     const size_t words = 1 + rng.below(200);
@@ -294,7 +294,10 @@ TEST(DiffWire, VectorizedTwinDiffMatchesScalarReference) {
     for (size_t f = 0; f < flips; ++f) {
       data[rng.below(words * 4)] ^= static_cast<uint8_t>(1 + rng.below(255));
     }
-    const DiffRecord rec = compute_twin_diff(1, 5, data, twin);
+    std::vector<uint64_t> bits((words + 63) / 64);
+    std::vector<uint32_t> ts(words, 1);
+    DiffRecord rec;
+    const size_t changed = mark_twin_diff(data, twin, bits.data(), ts.data(), 5, &rec);
     std::vector<uint32_t> want_idx, want_val;
     for (size_t wi = 0; wi < words; ++wi) {
       uint32_t dv, tv;
@@ -307,6 +310,12 @@ TEST(DiffWire, VectorizedTwinDiffMatchesScalarReference) {
     }
     ASSERT_EQ(rec.word_idx, want_idx) << "iter " << iter << " words=" << words;
     ASSERT_EQ(rec.word_val, want_val) << "iter " << iter;
+    ASSERT_EQ(changed, want_idx.size()) << "iter " << iter;
+    for (size_t wi = 0; wi < words; ++wi) {
+      const bool marked = std::count(want_idx.begin(), want_idx.end(), wi) != 0;
+      ASSERT_EQ((bits[wi / 64] >> (wi % 64)) & 1, marked ? 1u : 0u) << "iter " << iter;
+      ASSERT_EQ(ts[wi], marked ? 5u : 1u) << "iter " << iter;
+    }
   }
 }
 

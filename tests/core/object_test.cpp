@@ -55,7 +55,16 @@ TEST(ObjectMeta, DefaultsMatchInitialState) {
   EXPECT_FALSE(m.on_disk);
   EXPECT_FALSE(m.twinned);
   EXPECT_EQ(m.valid_epoch, 0u);
-  EXPECT_TRUE(m.local_writes.word_idx.empty());
+  EXPECT_EQ(m.marks, ObjectMeta::kNoMarks);
+}
+
+TEST(ObjectMeta, FootprintIsATraceOfControlInformation) {
+  // LOTS keeps "only a trace of control information for each object"
+  // resident in the virtual address space (the paper). Every declared
+  // object pays this per node, mapped or not, so a field that grows the
+  // meta is a decision to take here, not a side effect.
+  if constexpr (sizeof(void*) != 8) GTEST_SKIP() << "the pinned size is for LP64";
+  EXPECT_EQ(sizeof(ObjectMeta), 96u);
 }
 
 TEST(ObjectDirectory, ForEachVisitsAll) {

@@ -144,29 +144,32 @@ TEST(Sharding, LockTrafficOverlapsAccessChecks) {
 }
 
 TEST(Sharding, LocalWritesStayCoalescedAcrossManyIntervals) {
-  // Satellite regression: N lock intervals on one object must not grow
-  // local_writes by N records — flush coalesces to a single bounded
-  // record (newest per-word stamp), so lock-heavy programs cannot
-  // balloon memory between barriers.
+  // N lock intervals on one object must not grow what the node keeps of
+  // its writes by N records: every release flush marks the same bitmap
+  // slot (one bit per word), so lock-heavy programs cannot balloon
+  // memory between barriers.
   Runtime rt(shard_cfg(2));
   rt.run([](int rank) {
     Pointer<int> x;
     x.alloc(256);
     lots::barrier();
+    auto marks = [&] {
+      Node& n = Runtime::self();
+      auto lk = n.directory().lock_shard(x.id());
+      return n.directory().get(x.id()).marks;
+    };
+    size_t first_slot = ObjectMeta::kNoMarks;
     for (int round = 0; round < 30; ++round) {
       lots::acquire(3);
       if (rank == 0) {
         for (int i = 0; i < 256; ++i) x[i] = round * 1000 + i;
       }
       lots::release(3);
+      if (rank == 0 && round == 0) first_slot = marks();
     }
     if (rank == 0) {
-      Node& n = Runtime::self();
-      auto lk = n.directory().lock_shard(x.id());
-      const ObjectMeta& m = n.directory().get(x.id());
-      EXPECT_FALSE(m.local_writes.word_idx.empty());
-      EXPECT_LE(m.local_writes.words(), 256u)
-          << "flush must coalesce interval records, not accumulate them";
+      EXPECT_NE(first_slot, ObjectMeta::kNoMarks) << "a release must mark what it wrote";
+      EXPECT_EQ(marks(), first_slot) << "every interval must reuse the object's one mark slot";
     }
     lots::barrier();
     for (int i = 0; i < 256; ++i) ASSERT_EQ(x[i], 29 * 1000 + i);
