@@ -9,8 +9,8 @@
 //     data moves at all ("this information can be piggybacked on the
 //     barrier exit message");
 //   * multi-writer object   -> home stays put; every non-home writer
-//     builds its diff record from its marks, merged with its lock
-//     intervals' writes, and sends it to the home.
+//     builds its diff record from its changed-word marks (barrier and
+//     lock intervals alike) and sends it to the home.
 // Phase 2 — writers deliver diffs, coalesced into ONE kDiffBatch per
 // destination peer (acked), then report done; the master releases
 // everyone. On exit every node invalidates its copies of modified
@@ -76,7 +76,7 @@ void Node::barrier_leader() {
   if (write_update_everywhere) {
     for (ObjectId id : mods) {
       auto lk = dir_.lock_shard(id);
-      broadcast.push_back(coherence_.barrier_record(dir_.get(id)));
+      broadcast.push_back(coherence_.barrier_record(dir_.get(id), lk));
     }
   }
 
@@ -115,7 +115,7 @@ void Node::barrier_leader() {
       auto lk = dir_.lock_shard(e.object);
       ObjectMeta* m = dir_.find(e.object);
       if (!m) continue;
-      DiffRecord rec = coherence_.barrier_record(*m);
+      DiffRecord rec = coherence_.barrier_record(*m, lk);
       if (!rec.word_idx.empty()) by_peer[e.new_home].push_back(std::move(rec));  // my write
     }
     outs = CoherenceEngine::build_diff_batches(by_peer, stats_);

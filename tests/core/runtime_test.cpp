@@ -342,11 +342,12 @@ TEST(Mapper, KeptImageOnlyWithinDiskBudget) {
   });
 }
 
-TEST(Mapper, MarkedCopyStaysLocalPastDiskBudget) {
-  // A copy with barrier marks holds its marked words only in the copy
-  // until the plan says whether they ship (a barrier unwound by a death
-  // keeps them for the redo). Eviction past the disk budget must keep it
-  // on local disk, never spill it to the buddy as a clean copy.
+TEST(Mapper, MarkedCopyPastDiskBudgetParksWithItsWords) {
+  // A copy with marks holds its marked words only in the copy until the
+  // plan says whether they ship (a barrier unwound by a death keeps them
+  // for the redo). Past the disk budget it spills to the buddy like a
+  // clean copy: the parked image holds those words, and the barrier
+  // pulls it back (RemoteSwap.HomeMigrationAdoptsRemotelyParkedImage).
   Config c = small_config(2);
   c.dmm_bytes = 512u << 10;
   c.disk_capacity_bytes = 200u << 10;
@@ -376,10 +377,11 @@ TEST(Mapper, MarkedCopyStaysLocalPastDiskBudget) {
       mark(0);  // as if a barrier flush had marked it
       const uint64_t puts = n.stats().remote_swap_puts.load();
       n.force_swap_out(obj.id());
-      EXPECT_TRUE(n.disk().contains(obj.id())) << "a marked copy left local disk";
-      EXPECT_EQ(n.stats().remote_swap_puts.load(), puts);
+      EXPECT_FALSE(n.disk().contains(obj.id())) << "a marked copy broke the disk budget";
+      EXPECT_EQ(n.stats().remote_swap_puts.load(), puts + 1);
       mark(ObjectMeta::kNoMarks);
       EXPECT_EQ(obj[1000], 1000);
+      EXPECT_GT(n.stats().remote_swap_gets.load(), 0u);
     }
     lots::barrier();
   });
