@@ -34,10 +34,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 declare -A ceiling=(
-  [src_lines]=12337
+  [src_lines]=12313
   [runtime_hpp]=333
   [config_fields]=19
-  [env_knobs]=25
+  [env_knobs]=24
   [msg_types]=26
   [sync_mu_outside]=0
   [replica_state_outside]=0

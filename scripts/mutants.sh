@@ -142,11 +142,12 @@ mutant alb-multithread-node-skips-fences src/core/runtime.cpp core_mt_access_tes
   'one_app_thread_(rt.config().threads_per_node == 1)' \
   'one_app_thread_(true)'
 
-# A compacted lock chain (merge_records) keeps each word's newest value.
-mutant compact-chain-keeps-oldest-word src/core/diff.cpp core_diff_test \
-  Diff.MergeKeepsLastValuePerWord \
-  '      if (slot.second <= wts) slot = {rec.word_val[i], wts};' \
-  '      if (slot.second == 0) slot = {rec.word_val[i], wts};'
+# A release's fold into its lock chain (fold_record) keeps the newer
+# stamp of a word both records carry.
+mutant chain-fold-keeps-oldest-word src/core/diff.cpp core_diff_test \
+  Diff.FoldKeepsLastValuePerWord \
+  '      const bool newer = rec.ts_of(j) >= into.ts_of(i);  // a tie goes to `rec`' \
+  '      const bool newer = false;'
 
 if ((failures)); then
   echo "MUTANTS FAILED"

@@ -8,7 +8,7 @@
 #include "common/error.hpp"
 
 namespace lots::cluster {
-// A typo like LOTS_FETCH_WINDOW=four must fail loudly, not silently run the
+// A typo like LOTS_THREADS=four must fail loudly, not silently run the
 // baseline configuration.
 long env_int(const char* name, const char* s, long lo, long hi) {
   char* end = nullptr;
@@ -100,13 +100,6 @@ bool configure_threads_from_env(Config& cfg) {
   return true;
 }
 
-bool configure_fetch_from_env(Config& cfg) {
-  const char* s = std::getenv(kEnvFetchWindow);
-  if (!s || !*s) return false;
-  cfg.fetch_window = static_cast<size_t>(env_int(kEnvFetchWindow, s, 1, 256));
-  return true;
-}
-
 bool configure_fastpath_from_env(Config& cfg) {
   const char* s = std::getenv(kEnvAlb);
   if (!s || !*s) return false;
@@ -164,7 +157,6 @@ bool configure_from_env(Config& cfg) {
     }
   }
   configure_threads_from_env(cfg);   // fabric-independent hybrid knob
-  configure_fetch_from_env(cfg);     // fabric-independent fetch-engine knobs
   configure_fastpath_from_env(cfg);  // fabric-independent fast-path knobs
   configure_migrate_from_env(cfg);   // fabric-independent migration knobs
   configure_robustness_from_env(cfg);  // fabric-independent fault-tolerance knobs

@@ -27,10 +27,6 @@ inline constexpr const char* kEnvNetStripes = "LOTS_NET_STRIPES";
 /// OUTSIDE the launcher by configure_threads_from_env, so the same
 /// binary runs hybrid in-proc: `LOTS_THREADS=4 ./example_quickstart`.
 inline constexpr const char* kEnvThreads = "LOTS_THREADS";
-/// Async fetch engine knob (fabric-independent, like LOTS_THREADS):
-/// the pipelined window size (Config::fetch_window) of lots::touch /
-/// lots::prefetch, e.g. `LOTS_FETCH_WINDOW=1 ./bench_fig8_sor`.
-inline constexpr const char* kEnvFetchWindow = "LOTS_FETCH_WINDOW";
 /// Fast-path knob (fabric-independent): the per-thread access
 /// lookaside buffer (Config::alb — "0" disables, anything else
 /// enables), e.g. `LOTS_ALB=0 ./bench_fig8_sor`.
@@ -80,17 +76,13 @@ bool under_launcher();
 /// Rewrites `cfg` for the multi-process UDP fabric from the launcher's
 /// environment (nprocs, rendezvous port, fault-injection knobs, app
 /// threads per node). Returns false — and applies only the
-/// fabric-independent LOTS_THREADS / fetch-engine knobs — when the
-/// process is not running under lots_launch.
+/// fabric-independent knobs (LOTS_THREADS, LOTS_ALB, the migration and
+/// robustness knobs) — when the process is not running under lots_launch.
 bool configure_from_env(Config& cfg);
 
 /// Applies LOTS_THREADS to cfg.threads_per_node (any fabric). Returns
 /// true when the variable was present.
 bool configure_threads_from_env(Config& cfg);
-
-/// Applies LOTS_FETCH_WINDOW to the async fetch engine's window (any
-/// fabric). Returns true when it was present.
-bool configure_fetch_from_env(Config& cfg);
 
 /// Applies LOTS_ALB to the access fast-path knob (any fabric). Returns
 /// true when it was present.

@@ -52,11 +52,12 @@ struct NodeStats {
   std::atomic<uint64_t> diff_batch_msgs{0};      ///< kDiffBatch messages sent
   std::atomic<uint64_t> diff_records_batched{0}; ///< records carried by them
   std::atomic<uint64_t> diff_words_redundant{0};  ///< accumulation waste
-  std::atomic<uint64_t> merge_redundant_words{0}; ///< word entries a lock chain's
-                                                  ///< compaction (merge_records)
-                                                  ///< dropped: superseded values
-                                                  ///< the accumulated mode would
-                                                  ///< have re-sent
+  std::atomic<uint64_t> merge_redundant_words{0}; ///< word entries a release's
+                                                  ///< fold into its lock chain
+                                                  ///< (fold_record) dropped:
+                                                  ///< superseded or home-held
+                                                  ///< values the accumulated mode
+                                                  ///< would have re-sent
   std::atomic<uint64_t> diff_payload_bytes{0};    ///< encoded bytes of diff
                                                   ///< records + word diffs put
                                                   ///< on the wire

@@ -178,7 +178,8 @@ DiffRecord CoherenceEngine::barrier_record(ObjectMeta& m, std::unique_lock<std::
     ts.push_back(w.ts()[wi]);
     rec.epoch = std::max(rec.epoch, ts.back());
   });
-  // One stamp for every word: the epoch carries it (merge_records' form).
+  // One stamp for every word: the epoch carries it (a folded chain
+  // record's form, fold_record).
   if (std::any_of(ts.begin(), ts.end(), [&](uint32_t t) { return t != rec.epoch; })) {
     rec.word_ts = std::move(ts);
   }

@@ -101,10 +101,10 @@ class CoherenceEngine {
   /// enter): every word its bitmap marks, barrier and lock intervals
   /// alike, at its current value and stamp. The record's epoch is the
   /// newest of those stamps, and it carries per-word stamps only when
-  /// they differ (the form merge_records gives). Empty when this node
-  /// did not write it. Counts diffs_created. Caller holds the shard lock
-  /// via `lk` (barrier leader only); a copy parked on the swap buddy is
-  /// pulled back first, with `lk` down for the round trip.
+  /// they differ (the form of a folded chain record, fold_record). Empty
+  /// when this node did not write it. Counts diffs_created. Caller holds
+  /// the shard lock via `lk` (barrier leader only); a copy parked on the
+  /// swap buddy is pulled back first, with `lk` down for the round trip.
   ///
   /// Why a word's current value stands for what this node wrote: a
   /// marked word holds either this node's write under the stamp its

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 #include <optional>
 
 namespace lots::core {
@@ -81,43 +80,68 @@ size_t apply_record(const DiffRecord& rec, uint8_t* data, uint32_t* word_ts) {
   return applied;
 }
 
-DiffRecord merge_records(std::span<const DiffRecord> records, uint32_t since_epoch,
-                         uint64_t* redundant_words) {
-  // Last value per word over records newer than since_epoch. The merged
-  // record keeps each word's OWN stamp (§3.5 per-field timestamps): a
-  // uniform stamp would inflate old values of slowly-changing words and
-  // bury newer writes from other nodes at apply time.
-  std::map<uint32_t, std::pair<uint32_t, uint32_t>> latest;  // idx -> (val, word ts)
-  uint64_t total_entries = 0;
-  uint32_t top_epoch = since_epoch;
-  ObjectId obj = kNullObject;
-  for (const DiffRecord& rec : records) {
-    if (rec.epoch <= since_epoch) continue;
-    obj = rec.object;
-    top_epoch = std::max(top_epoch, rec.epoch);
-    total_entries += rec.word_idx.size();
-    for (size_t i = 0; i < rec.word_idx.size(); ++i) {
-      auto& slot = latest[rec.word_idx[i]];
-      const uint32_t wts = rec.ts_of(i);
-      if (slot.second <= wts) slot = {rec.word_val[i], wts};
+namespace {
+
+/// Merges `rec` into `into`, both ascending, keeping only the words
+/// stamped after `floor`: a word in both keeps the newer stamp. Returns
+/// the word entries dropped.
+size_t merge_words(DiffRecord& into, const DiffRecord& rec, uint32_t floor) {
+  DiffRecord out;
+  out.object = into.object;
+  out.epoch = std::max(into.epoch, rec.epoch);
+  const size_t in = into.words() + rec.words();
+  out.word_idx.reserve(in);
+  out.word_val.reserve(in);
+  out.word_ts.reserve(in);
+  const auto take = [&](const DiffRecord& from, size_t k) {
+    if (from.ts_of(k) <= floor) return;
+    out.word_idx.push_back(from.word_idx[k]);
+    out.word_val.push_back(from.word_val[k]);
+    out.word_ts.push_back(from.ts_of(k));
+  };
+  for (size_t i = 0, j = 0; i < into.words() || j < rec.words();) {
+    const uint32_t a = i < into.words() ? into.word_idx[i] : UINT32_MAX;
+    const uint32_t b = j < rec.words() ? rec.word_idx[j] : UINT32_MAX;
+    if (a < b) {
+      take(into, i++);
+    } else if (b < a) {
+      take(rec, j++);
+    } else {
+      const bool newer = rec.ts_of(j) >= into.ts_of(i);  // a tie goes to `rec`
+      take(newer ? rec : into, newer ? j : i);
+      ++i;
+      ++j;
     }
   }
-  DiffRecord merged;
-  merged.object = obj;
-  merged.epoch = top_epoch;
-  merged.word_idx.reserve(latest.size());
-  merged.word_val.reserve(latest.size());
-  merged.word_ts.reserve(latest.size());
-  bool uniform = true;
-  for (const auto& [idx, ve] : latest) {
-    merged.word_idx.push_back(idx);
-    merged.word_val.push_back(ve.first);
-    merged.word_ts.push_back(ve.second);
-    uniform = uniform && ve.second == top_epoch;
+  const auto at_epoch = [&](uint32_t t) { return t == out.epoch; };
+  if (std::all_of(out.word_ts.begin(), out.word_ts.end(), at_epoch)) out.word_ts.clear();
+  const size_t dropped = in - out.words();
+  into = std::move(out);
+  return dropped;
+}
+
+}  // namespace
+
+size_t fold_record(std::vector<DiffRecord>& chain, DiffRecord&& rec) {
+  static const DiffRecord kNoWords;
+  const ObjectId id = rec.object;
+  const bool notice = rec.home_hint >= 0;
+  auto it = std::lower_bound(chain.begin(), chain.end(), id,
+                             [](const DiffRecord& e, ObjectId v) { return e.object < v; });
+  const bool has_notice = it != chain.end() && it->object == id && it->home_hint >= 0;
+  if (notice && has_notice && rec.epoch <= it->epoch) return 0;  // the newer notice stays
+  if (notice && has_notice) *it = std::move(rec);
+  if (notice && !has_notice) it = chain.insert(it, std::move(rec));
+  uint32_t floor = 0;
+  if (notice || has_notice) floor = (it++)->epoch;  // the data entry follows
+  if (it == chain.end() || it->object != id) {  // no data entry yet
+    if (notice) return 0;
+    it = chain.insert(it, DiffRecord{});
+    it->object = id;
   }
-  if (uniform) merged.word_ts.clear();  // compact wire form
-  if (redundant_words) *redundant_words += total_entries - latest.size();
-  return merged;
+  const size_t dropped = merge_words(*it, notice ? kNoWords : rec, floor);
+  if (dropped > 0 && it->word_idx.empty()) chain.erase(it);  // the home holds it all
+  return dropped;
 }
 
 void diff_since(std::span<const uint8_t> data, const uint32_t* word_ts, uint32_t since_epoch,

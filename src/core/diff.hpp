@@ -44,12 +44,27 @@ size_t mark_twin_diff(std::span<const uint8_t> data, std::span<const uint8_t> tw
 /// out-of-date diffs are harmless. Returns the number of words applied.
 size_t apply_record(const DiffRecord& rec, uint8_t* data, uint32_t* word_ts);
 
-/// Merges `records` (oldest first) into a single last-value-per-word
-/// diff containing only words stamped strictly newer than `since_epoch`.
-/// `redundant_words` (optional) receives the number of word entries the
-/// accumulated mode would have sent on top of the merged diff.
-DiffRecord merge_records(std::span<const DiffRecord> records, uint32_t since_epoch,
-                         uint64_t* redundant_words = nullptr);
+/// Folds one released record into a lock token's scope chain (paper
+/// §3.5: an acquirer gets only the latest value of each field). The
+/// chain holds one entry per object, ascending by object id, an
+/// object's home-commit notice (DiffRecord::home_hint >= 0) just before
+/// its data record: an acquirer's notice handling may clear the object's
+/// pending queue, which must keep the data record the same grant parks
+/// after it. Word indices ascend within a record.
+///  * A data record merges into the object's data entry in one pass
+///    over the two index lists: a word in both keeps the newer stamp,
+///    and a tie goes to `rec`. The entry's epoch is the newer of the
+///    two, and it carries per-word stamps only when they differ from it.
+///  * A notice replaces an older notice of its object, and the data
+///    entry keeps only the words stamped after the notice: the home copy
+///    it advertises already holds the rest (epochs are Lamport-ordered
+///    along the token chain). A fold that drops an entry's last words
+///    erases the entry.
+///  * A record without words (the write-invalidate mode's notice) folds
+///    into its entry as a data record does, raising only the epoch.
+/// Returns the word entries the fold dropped: superseded values the
+/// accumulated mode would have re-sent (NodeStats::merge_redundant_words).
+size_t fold_record(std::vector<DiffRecord>& chain, DiffRecord&& rec);
 
 /// Merged diff straight from live data + control words: every word with
 /// stamp > since_epoch, with per-word stamps preserved in `out_ts`.

@@ -12,17 +12,19 @@
 // with no home involved (homeless).
 //
 // Chain representation follows Config::diff_mode:
-//  * kPerWordTimestamp — the chain is compacted at every release to one
-//    last-value-per-word record per object (paper §3.5: outdated data is
-//    never re-sent).
+//  * kPerWordTimestamp — one entry per object, ascending by id: its
+//    home-commit notice, then one last-value-per-word record (paper
+//    §3.5: outdated data is never re-sent). A release folds each record
+//    it flushed into the chain in place (fold_record, core/diff.hpp); a
+//    release that flushed nothing leaves the chain alone.
 //  * kAccumulatedRecords — every interval's record is retained and
 //    re-transmitted with each grant: the TreadMarks-style *diff
 //    accumulation* the paper eliminates, kept for the ablation bench.
 //
-// In the kWriteInvalidateOnly ablation mode a release instead pushes the
-// merged updates to each object's home and the chain carries only
-// invalidation notices (empty records); acquirers invalidate and refetch
-// on access.
+// In the kWriteInvalidateOnly ablation mode a release instead pushes its
+// records to each object's home, and the chain carries only
+// invalidation notices (empty records, one per object, folded the same
+// way in both diff modes); acquirers invalidate and refetch on access.
 //
 // A token being released is mutated without sync_mu_: the manager
 // cannot forward it until our kLockRelease lands, so no grant for it can
@@ -46,52 +48,6 @@
 #include "core/runtime.hpp"
 
 namespace lots::core {
-namespace {
-
-/// Groups records by object and merges each group (last value per word).
-/// The word entries the merge drops are exactly what the accumulated
-/// mode would have re-sent (NodeStats::merge_redundant_words).
-///
-/// Home-commit notices (DiffRecord::home_hint ≥ 0, lock-driven adaptive
-/// migration) compact separately: only the newest notice per object
-/// survives, and the merged data record is filtered down to words
-/// stamped strictly AFTER it — a word ts ≤ the notice epoch was flushed
-/// no later than the committing release, so the home copy the notice
-/// advertises already holds it (epochs are Lamport-ordered along the
-/// token chain). The notice is emitted FIRST: the acquirer's notice
-/// handling may clear the object's pending queue, which must not erase
-/// the data record the same grant parks right after it.
-std::vector<DiffRecord> compact_chain(std::vector<DiffRecord>& chain, NodeStats& stats) {
-  std::map<ObjectId, std::vector<DiffRecord>> by_obj;
-  for (auto& rec : chain) by_obj[rec.object].push_back(std::move(rec));
-  std::vector<DiffRecord> out;
-  out.reserve(by_obj.size());
-  uint64_t redundant = 0;
-  for (auto& [id, recs] : by_obj) {
-    DiffRecord notice;
-    bool have_notice = false;
-    std::vector<DiffRecord> data;
-    for (auto& rec : recs) {
-      if (rec.home_hint >= 0) {
-        if (!have_notice || rec.epoch > notice.epoch) notice = std::move(rec);
-        have_notice = true;
-      } else {
-        data.push_back(std::move(rec));
-      }
-    }
-    DiffRecord merged;
-    if (!data.empty()) {
-      merged = merge_records(data, /*since_epoch=*/have_notice ? notice.epoch : 0, &redundant);
-    }
-    if (have_notice) out.push_back(std::move(notice));
-    if (!merged.word_idx.empty()) out.push_back(std::move(merged));
-  }
-  stats.merge_redundant_words.fetch_add(redundant, std::memory_order_relaxed);
-  return out;
-}
-
-}  // namespace
-
 SyncEngine::SyncEngine(Node& node) : node_(node) {}
 
 void SyncEngine::handle(net::Message&& m) {
@@ -226,24 +182,19 @@ void SyncEngine::release(uint32_t lock_id) {
     // The chain carries one empty notice per modified object; the data
     // goes to the homes.
     for (const auto& rec : recs) {
-      auto it = std::find_if(tok->chain.begin(), tok->chain.end(),
-                             [&](const DiffRecord& e) { return e.object == rec.object; });
-      if (it != tok->chain.end()) {
-        it->epoch = rec.epoch;
-        continue;
-      }
       DiffRecord notice;
       notice.object = rec.object;
       notice.epoch = rec.epoch;
-      tok->chain.push_back(std::move(notice));
+      fold_record(tok->chain, std::move(notice));
     }
     node_.home_.push_to_homes(std::move(recs));
+  } else if (node_.config().diff_mode == DiffMode::kPerWordTimestamp) {
+    // §3.5: keep only the latest value of every field.
+    uint64_t redundant = 0;
+    for (auto& rec : recs) redundant += fold_record(tok->chain, std::move(rec));
+    node_.stats_.merge_redundant_words.fetch_add(redundant, std::memory_order_relaxed);
   } else {
     for (auto& rec : recs) tok->chain.push_back(std::move(rec));
-    if (node_.config().diff_mode == DiffMode::kPerWordTimestamp) {
-      // §3.5: keep only the latest value of every field.
-      tok->chain = compact_chain(tok->chain, node_.stats_);
-    }
   }
 
   // flow: FIFO with this node's later re-acquire.

@@ -507,7 +507,11 @@ TEST(MtAccess, AlbHitPinsHoldAgainstASiblingEvictor) {
   constexpr int kInts = 1024;  // 4 KB
   constexpr int kChecked = 128;  // words of each held object checked per access
   constexpr int kShards = static_cast<int>(core::ObjectDirectory::kDefaultShards);
-  constexpr auto kRunFor = std::chrono::seconds(2);
+  // Thread 0 runs until kRaces evictions have raced its hits, however
+  // fast the host is, and stops at the first foreign read; kCap bounds
+  // a slow host (sanitizers), where the floors below still hold.
+  constexpr uint64_t kRaces = 500'000;
+  constexpr auto kCap = std::chrono::seconds(20);
   Config c;
   c.nprocs = 1;
   c.threads_per_node = 2;
@@ -542,9 +546,15 @@ TEST(MtAccess, AlbHitPinsHoldAgainstASiblingEvictor) {
       };
       std::array<Held, kPinSlots> held{};
       const uint64_t hits0 = node.stats().alb_hits.load();
-      const auto until = std::chrono::steady_clock::now() + kRunFor;
+      const uint64_t evictions0 = node.stats().evictions.load();
+      const auto cap = std::chrono::steady_clock::now() + kCap;
+      auto done = [&] {
+        return foreign.load(std::memory_order_relaxed) != 0 ||
+               node.stats().evictions.load(std::memory_order_relaxed) - evictions0 >= kRaces ||
+               std::chrono::steady_clock::now() >= cap;
+      };
       uint64_t n = 0;
-      for (; std::chrono::steady_clock::now() < until; ++n) {
+      for (; n % 64 != 0 || !done(); ++n) {
         // Descending ids, against the eviction scan's ascending shard
         // order: a scan racing the same way could see every object pinned.
         const size_t k = hot[kHot - 1 - n % kHot];
