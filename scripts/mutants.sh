@@ -52,6 +52,9 @@ PY
     echo "mutant killed $name ($target $filter failed)"
   fi
   mv "$src.orig" "$src"
+  # The restored file is older than the mutant's object: touch it, or the
+  # next mutant's build would link the stale mutated object.
+  touch "$src"
 }
 
 # A lock grant's record applied into a mapped copy must dirty it.
@@ -66,7 +69,24 @@ mutant evict-skips-write-when-image-exists src/core/mapper.cpp core_runtime_test
   '  if (!m.twinned && (m.on_disk || (!marked && m.share != ShareState::kValid))) {' \
   '  if (m.on_disk || (!m.twinned && !marked && m.share != ShareState::kValid)) {'
 
-# Only a twin equal to its data carries no write.
+# Once the node took a lock in the interval (a section may be open), an
+# eviction keeps the victim's twin, so the release flushes the section's
+# write onto its token's chain.
+mutant evict-flush-ignores-open-section src/core/coherence.cpp core_coherence_test \
+  Coherence.EvictionInsideASectionKeepsItsWriteOnTheLockChain \
+  '  if (!fg.owns_lock() || epoch != cut_) return;' \
+  '  if (!fg.owns_lock()) return;'
+
+# After a lock grant handed a peer a newer diff base, the barrier raises
+# the stamps an eviction flush gave, or the peer's refetch skips them.
+mutant evicted-stamps-not-raised src/core/coherence.cpp core_coherence_test \
+  'EvictionFlushThenLock.*' \
+  '      if (m->evict_marked && flush_epoch != evict_stamp) evicted.push_back(id);' \
+  '      if (m->evict_marked && false) evicted.push_back(id);'
+
+# Only a twin equal to its data carries no write; the compare runs before
+# the eviction flush (the test evicts inside a section, where the twin
+# would otherwise stay).
 mutant twin-dropped-without-compare src/core/mapper.cpp core_runtime_test \
   Mapper.CleanEvictionWritesNothingAndKeepsDataAndStamps \
   '  if (m.twinned && std::memcmp(space_.dmm(off), space_.twin(off), bytes) == 0) m.twinned = false;' \
@@ -125,16 +145,16 @@ mutant plan-keeps-lone-writer-home src/core/home.cpp core_adaptive_test \
 # A barrier record ships every word the changed-word bitmap marks.
 mutant barrier-record-ignores-marks src/core/coherence.cpp core_coherence_test \
   Coherence.BarrierRecordsAreBuiltOnlyForObjectsThatShip \
-  '  for_each_mark(&mark_bits_[m.marks], m.words(), [&](uint32_t wi) {' \
-  '  for_each_mark(&mark_bits_[m.marks], 0, [&](uint32_t wi) {'
+  $'  std::vector<uint32_t> ts;\n  for_each_mark(&mark_bits_[m.marks], m.words(), [&](uint32_t wi) {' \
+  $'  std::vector<uint32_t> ts;\n  for_each_mark(&mark_bits_[m.marks], 0, [&](uint32_t wi) {'
 
 # A release flush marks the words it ships on the token chain: the
 # bitmap is the only record the barrier ships them from, so each
 # writer's lock-interval words must still reach the home.
 mutant release-flush-skips-marks src/core/coherence.cpp core_coherence_test \
   Coherence.BarrierRecordsAreBuiltOnlyForObjectsThatShip \
-  '                                      &mark_bits_[m->marks], w.ts(), flush_epoch,' \
-  '                                      release ? std::vector<uint64_t>(mark_bits_.size()).data() + m->marks : &mark_bits_[m->marks], w.ts(), flush_epoch,'
+  '{w.twin(), bytes}, &mark_bits_[m.marks],' \
+  '{w.twin(), bytes}, rec ? std::vector<uint64_t>(mark_bits_.size()).data() + m.marks : &mark_bits_[m.marks],'
 
 # A node with sibling app threads keeps the ALB hit/evictor fence pair.
 mutant alb-multithread-node-skips-fences src/core/runtime.cpp core_mt_access_test \

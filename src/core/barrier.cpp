@@ -2,9 +2,10 @@
 // Fig. 6), orchestrated by a two-phase protocol at the master (node 0).
 //
 // Phase 1 — every node flushes its interval twins into changed-word
-// marks (stamped words, no records) and sends the *ids* of the objects
-// it modified (metadata only) to the master. When all nodes have
-// arrived the master computes the plan:
+// marks (stamped words, no records; a copy evicted before the node's
+// first lock of the interval was flushed at its eviction) and sends
+// the *ids* of the objects it modified (metadata only) to the master.
+// When all nodes have arrived the master computes the plan:
 //   * single-writer object  -> home migrates to the writer; no object
 //     data moves at all ("this information can be piggybacked on the
 //     barrier exit message");

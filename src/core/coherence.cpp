@@ -12,6 +12,8 @@ void CoherenceEngine::ensure_twin(ObjectMeta& m, int thread) {
   std::memcpy(w.twin(), w.data(), word_bytes(m));
   m.twinned = true;
   m.twin_writers = twin_writer_bit(thread);
+  if (m.twin_listed) return;  // re-twinned since an eviction took its twin
+  m.twin_listed = true;
   std::lock_guard g(twins_mu_);
   interval_twins_.push_back(m.id);
 }
@@ -78,14 +80,39 @@ std::vector<DiffRecord> CoherenceEngine::flush_interval(uint32_t flush_epoch, in
 }
 
 std::vector<ObjectId> CoherenceEngine::flush_barrier(uint32_t flush_epoch) {
-  std::vector<DiffRecord> none;
-  std::lock_guard fg(flush_mu_);
-  flush_twins(flush_epoch, kAllThreads, none);
-  std::vector<ObjectId> mods;
-  for (ObjectId id : written_) {
+  std::vector<ObjectId> mods, evicted;
+  uint32_t evict_stamp;
+  {
+    std::vector<DiffRecord> none;
+    std::lock_guard fg(flush_mu_);
+    flush_twins(flush_epoch, kAllThreads, none);
+    evict_stamp = cut_ + 1;
+    for (ObjectId id : written_) {
+      auto lk = dir_.lock_shard(id);
+      const ObjectMeta* m = dir_.find(id);
+      if (!m || m->marks == ObjectMeta::kNoMarks) continue;
+      mods.push_back(id);
+      if (m->evict_marked && flush_epoch != evict_stamp) evicted.push_back(id);
+    }
+  }
+  // An eviction flush stamps cut_ + 1, this flush's stamp unless a lock
+  // was taken since (flush_evicted). A grant may have handed a peer a
+  // newer base since, whose diff_since would skip those words: raise them
+  // to this flush's stamp, as a barrier flush of their twin would. App
+  // threads are parked, so the bitmap needs no flush_mu_, and a parked
+  // copy comes back with its shard lock down.
+  for (ObjectId id : evicted) {
     auto lk = dir_.lock_shard(id);
-    const ObjectMeta* m = dir_.find(id);
-    if (m && m->marks != ObjectMeta::kNoMarks) mods.push_back(id);
+    ObjectMeta& m = dir_.get(id);
+    if (m.on_remote) mapper_.rehydrate_remote(m, lk);
+    Mapper::Words w = mapper_.words(m);
+    bool raised = false;
+    for_each_mark(&mark_bits_[m.marks], m.words(), [&](uint32_t wi) {
+      if (w.ts()[wi] != evict_stamp) return;
+      w.ts()[wi] = flush_epoch;
+      raised = true;
+    });
+    if (raised) w.store();
   }
   std::sort(mods.begin(), mods.end());
   mods.erase(std::unique(mods.begin(), mods.end()), mods.end());
@@ -105,45 +132,21 @@ void CoherenceEngine::flush_twins(uint32_t flush_epoch, int thread,
     twins.swap(interval_twins_);
   }
   std::vector<ObjectId> keep;
+  const bool release = thread != kAllThreads;
   for (ObjectId id : twins) {
     auto lk = dir_.lock_shard(id);
     ObjectMeta* m = dir_.find(id);
-    if (!m || !m->twinned) continue;
-    if (thread != kAllThreads && (m->twin_writers & twin_writer_bit(thread)) == 0) {
+    if (!m) continue;
+    if (m->twinned && release && (m->twin_writers & twin_writer_bit(thread)) == 0) {
       keep.push_back(id);  // untouched by this thread: not in this scope
       continue;
     }
-    m->twin_writers = 0;
-    // The flush clears twinned/twin_writers: a sibling's cached ALB
-    // entry must not skip the re-twin on its next access. (The epoch
-    // stamp already defeats entries at every sync boundary; this bump
-    // closes the window between the epoch advance and this clear.)
-    dir_.bump_generation(id);
-    // A dirty object swapped out mid-interval diffs its disk image in
-    // place, without disturbing the DMM; storing it drops the twin.
-    const size_t bytes = word_bytes(*m);
-    Mapper::Words w = mapper_.words(*m);
-    m->twinned = false;
-    const bool fresh = m->marks == ObjectMeta::kNoMarks;
-    if (fresh) {
-      m->marks = mark_bits_.size();
-      mark_bits_.resize(m->marks + (m->words() + 63) / 64);
-    }
+    m->twin_listed = false;
+    if (!m->twinned) continue;  // flushed at its eviction, or dropped there
     DiffRecord rec;
     rec.object = id;
     rec.epoch = flush_epoch;
-    const bool release = thread != kAllThreads;
-    const bool wrote = mark_twin_diff({w.data(), bytes}, {w.twin(), bytes},
-                                      &mark_bits_[m->marks], w.ts(), flush_epoch,
-                                      release ? &rec : nullptr) != 0;
-    // Read-only access: a mapping stays clean; an image drops its twin.
-    if (wrote || m->map != MapState::kMapped) w.store();
-    if (fresh && wrote) written_.push_back(id);
-    if (fresh && !wrote) {
-      mark_bits_.resize(m->marks);
-      m->marks = ObjectMeta::kNoMarks;
-    }
-    if (release && wrote) {
+    if (flush_twin(*m, flush_epoch, release ? &rec : nullptr) && release) {
       stats_.diffs_created.fetch_add(1, std::memory_order_relaxed);
       out.push_back(std::move(rec));  // the release ships it
     }
@@ -154,6 +157,43 @@ void CoherenceEngine::flush_twins(uint32_t flush_epoch, int thread,
     std::lock_guard g(twins_mu_);
     interval_twins_.insert(interval_twins_.end(), keep.begin(), keep.end());
   }
+}
+
+bool CoherenceEngine::flush_twin(ObjectMeta& m, uint32_t flush_epoch, DiffRecord* rec) {
+  m.twin_writers = 0;
+  // The flush clears twinned/twin_writers: a sibling's cached ALB
+  // entry must not skip the re-twin on its next access. (The epoch
+  // stamp already defeats entries at every sync boundary; this bump
+  // closes the window between the epoch advance and this clear.)
+  dir_.bump_generation(m.id);
+  // A dirty object swapped out mid-interval diffs its disk image in
+  // place, without disturbing the DMM; storing it drops the twin.
+  const size_t bytes = word_bytes(m);
+  Mapper::Words w = mapper_.words(m);
+  m.twinned = false;
+  const bool fresh = m.marks == ObjectMeta::kNoMarks;
+  if (fresh) {
+    m.marks = mark_bits_.size();
+    mark_bits_.resize(m.marks + (m.words() + 63) / 64);
+  }
+  const bool wrote = mark_twin_diff({w.data(), bytes}, {w.twin(), bytes}, &mark_bits_[m.marks],
+                                    w.ts(), flush_epoch, rec) != 0;
+  // Read-only access: a mapping stays clean; an image drops its twin.
+  if (wrote || m.map != MapState::kMapped) w.store();
+  if (fresh && wrote) written_.push_back(m.id);
+  if (fresh && !wrote) {
+    mark_bits_.resize(m.marks);
+    m.marks = ObjectMeta::kNoMarks;
+  }
+  return wrote;
+}
+
+void CoherenceEngine::flush_evicted(ObjectMeta& m, uint32_t epoch) {
+  std::unique_lock fg(flush_mu_, std::try_to_lock);
+  // An epoch past the cut means a lock was taken since the plan: a
+  // section may be open, and its writes must ship on the token's chain.
+  if (!fg.owns_lock() || epoch != cut_) return;
+  if (flush_twin(m, cut_ + 1, nullptr)) m.evict_marked = true;
 }
 
 DiffRecord CoherenceEngine::barrier_record(ObjectMeta& m, std::unique_lock<std::mutex>& lk) {
@@ -187,12 +227,16 @@ DiffRecord CoherenceEngine::barrier_record(ObjectMeta& m, std::unique_lock<std::
   return rec;
 }
 
-void CoherenceEngine::end_barrier() {
+void CoherenceEngine::end_barrier(uint32_t new_epoch) {
   std::lock_guard fg(flush_mu_);
   for (ObjectId id : written_) {
     auto lk = dir_.lock_shard(id);
-    if (ObjectMeta* m = dir_.find(id)) m->marks = ObjectMeta::kNoMarks;
+    if (ObjectMeta* m = dir_.find(id)) {
+      m->marks = ObjectMeta::kNoMarks;
+      m->evict_marked = false;
+    }
   }
+  cut_ = new_epoch;
   written_.clear();
   mark_bits_.clear();
 }

@@ -8,8 +8,9 @@
 // locking contract against the striped ObjectDirectory:
 //
 //  * per-meta calls (ensure_twin / apply_pending / apply_incoming /
-//    apply_delivery) require the caller to hold the meta's shard lock
-//    and reach the object's words, mapped or not, through Mapper::Words;
+//    apply_delivery / flush_evicted) require the caller to hold the
+//    meta's shard lock and reach the object's words, mapped or not,
+//    through Mapper::Words;
 //  * flush_interval / flush_barrier / end_barrier take shard locks
 //    themselves, one object at a time, and must be called with NO shard
 //    lock held; barrier_record runs under the caller's shard lock;
@@ -37,11 +38,17 @@ class CoherenceEngine {
   CoherenceEngine& operator=(const CoherenceEngine&) = delete;
 
   /// Copies the object's current data into its twin slot and records it
-  /// as twinned this interval, seeding twin_writers with app thread
-  /// `thread` (the faulting thread; every later access check ORs its
-  /// own bit in). Caller holds the shard lock; the object must be
-  /// mapped.
+  /// as twinned this interval (its id is listed once between flushes,
+  /// however often evictions take its twin), seeding twin_writers with
+  /// app thread `thread` (the faulting thread; every later access check
+  /// ORs its own bit in). Caller holds the shard lock; the object must
+  /// be mapped.
   void ensure_twin(ObjectMeta& m, int thread = 0);
+  /// Test hook: ids on the interval twin list.
+  size_t interval_twins() {
+    std::lock_guard g(twins_mu_);
+    return interval_twins_.size();
+  }
 
   /// Applies all updates parked while the object was unmapped. Caller
   /// holds the shard lock; the object must be mapped.
@@ -92,9 +99,22 @@ class CoherenceEngine {
   /// objects never ship (a lone writer inherits the home, Fig. 6), so
   /// the record waits for the plan (barrier_record). Returns the
   /// barrier's write summary: every object with bits, set by this flush
-  /// or by a release since the last plan, ascending. Call with NO shard
+  /// or by a release or an eviction (flush_evicted) since the last plan,
+  /// ascending. When a lock was taken after an eviction flush, the words
+  /// that flush stamped are raised to `flush_epoch`. Call with NO shard
   /// lock held.
   std::vector<ObjectId> flush_barrier(uint32_t flush_epoch);
+
+  /// Mapper::evict's flush of a twinned mapped victim, while the node's
+  /// `epoch` is still the last plan's (no lock taken since, so no
+  /// critical section open): the barrier flush's step for this one
+  /// object, stamped cut_ + 1. It marks and stamps the changed words and
+  /// drops the twin, so the image goes out untwinned and the barrier
+  /// finds nothing to read back; should a lock be taken later in the
+  /// interval, flush_barrier raises those stamps to its own. Otherwise,
+  /// or when another flush holds flush_mu_ (ordered before shard locks,
+  /// and the caller holds the victim's), the twin stays.
+  void flush_evicted(ObjectMeta& m, uint32_t epoch);
 
   /// The record this node ships for a written object the plan homes
   /// elsewhere (under kWriteUpdateOnly: every mod, built before the
@@ -122,8 +142,9 @@ class CoherenceEngine {
   DiffRecord barrier_record(ObjectMeta& m, std::unique_lock<std::mutex>& lk);
 
   /// The plan was applied: clears the bitmap and the write summary's id
-  /// list for the next barrier interval. Call with NO shard lock held.
-  void end_barrier();
+  /// list for the next barrier interval, which starts at `new_epoch`.
+  /// Call with NO shard lock held.
+  void end_barrier(uint32_t new_epoch);
 
   /// Packages per-peer record groups into ONE kDiffBatch message per
   /// peer — the release/barrier paths send O(peers) messages per sync
@@ -146,6 +167,12 @@ class CoherenceEngine {
   /// The shared flush pass: `thread`'s twins (a release: bitmap marks
   /// and records into `out`) or every twin (the barrier: marks only).
   void flush_twins(uint32_t flush_epoch, int thread, std::vector<DiffRecord>& out);
+  /// One twinned object's flush step, the pass's and an eviction's:
+  /// compares data with twin, marks and stamps the changed words at
+  /// `flush_epoch` (appending them to `rec` when given) and drops the
+  /// twin. Returns whether a word changed. Caller holds flush_mu_ and
+  /// the object's shard lock.
+  bool flush_twin(ObjectMeta& m, uint32_t flush_epoch, DiffRecord* rec);
 
   ObjectDirectory& dir_;
   Mapper& mapper_;
@@ -162,17 +189,21 @@ class CoherenceEngine {
   /// Objects a flush marked since the last plan: the write summary's
   /// candidates (guarded by flush_mu_).
   std::vector<ObjectId> written_;
+  /// The node's epoch at the last plan (Node::epoch_ starts at 1); an
+  /// eviction flush stamps cut_ + 1. Guarded by flush_mu_.
+  uint32_t cut_ = 1;
 
   /// Objects twinned since the last flush (selection happens per meta
-  /// via twin_writers). Guarded by its own (leaf) mutex: ensure_twin
-  /// appends under a shard lock; flush drains the list, and re-appends
-  /// the entries it did not select.
+  /// via twin_writers), each once (ObjectMeta::twin_listed). Guarded by
+  /// its own (leaf) mutex: ensure_twin appends under a shard lock; flush
+  /// drains the list, and re-appends the entries it did not select.
   std::mutex twins_mu_;
   std::vector<ObjectId> interval_twins_;
   /// Serializes whole flush passes: two concurrent releases must not
   /// race over the drained list, or the later one would find it empty
   /// and ship a chain missing its own writes. Ordered BEFORE shard
-  /// locks; never held while blocking on the network.
+  /// locks (an evictor under one only try_locks it, flush_evicted);
+  /// never held while blocking on the network.
   std::mutex flush_mu_;
 };
 

@@ -1,6 +1,7 @@
 #include "core/diff.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <optional>
 
@@ -15,53 +16,51 @@ uint32_t load_word(const uint8_t* p, size_t word) {
 
 void store_word(uint8_t* p, size_t word, uint32_t v) { std::memcpy(p + word * 4, &v, 4); }
 
+/// Bit j set when word j of the first `n` (at most 64) words of `d` and
+/// `t` differ. A clean group, the common one (every accessed object is
+/// twinned, read-only ones too), costs one memcmp.
+uint64_t changed_mask(const uint8_t* d, const uint8_t* t, size_t n) {
+  if (std::memcmp(d, t, n * 4) == 0) return 0;
+  uint64_t mask = 0;
+  for (size_t j = 0; j < n; ++j) {
+    if (load_word(d, j) != load_word(t, j)) mask |= uint64_t{1} << j;
+  }
+  return mask;
+}
+
 }  // namespace
 
 size_t mark_twin_diff(std::span<const uint8_t> data, std::span<const uint8_t> twin,
                       uint64_t* bits, uint32_t* word_ts, uint32_t epoch, DiffRecord* rec) {
   LOTS_CHECK_EQ(data.size(), twin.size(), "twin/data size mismatch");
   LOTS_CHECK_EQ(data.size() % 4, 0u, "twin diff needs word-aligned images");
-  size_t changed = 0;
-  auto on_word = [&](size_t wi, uint32_t v) {
-    bits[wi / 64] |= uint64_t{1} << (wi % 64);
-    word_ts[wi] = epoch;
-    if (rec) {
-      rec->word_idx.push_back(static_cast<uint32_t>(wi));
-      rec->word_val.push_back(v);
-    }
-    ++changed;
-  };
-  // One memcmp per 16-word block finds the unequal blocks, then 64-bit
-  // lanes narrow to the changed 32-bit words.
   const size_t words = data.size() / 4;
-  const uint8_t* d = data.data();
-  const uint8_t* t = twin.data();
-  constexpr size_t kBlockWords = 16;
-  size_t wi = 0;
-  while (wi < words) {
-    const size_t block = std::min(kBlockWords, words - wi);
-    if (std::memcmp(d + wi * 4, t + wi * 4, block * 4) == 0) {
-      wi += block;
+  size_t changed = 0;
+  for (size_t g = 0; g < words; g += 64) {
+    const uint8_t* d = data.data() + g * 4;
+    const uint64_t mask = changed_mask(d, twin.data() + g * 4, std::min<size_t>(64, words - g));
+    if (mask == 0) continue;
+    bits[g / 64] |= mask;
+    if (mask == ~uint64_t{0}) {  // a fully rewritten group: one fill
+      std::fill_n(word_ts + g, 64, epoch);
+      if (rec) {
+        for (size_t j = 0; j < 64; ++j) rec->word_idx.push_back(static_cast<uint32_t>(g + j));
+        const size_t at = rec->word_val.size();
+        rec->word_val.resize(at + 64);
+        std::memcpy(rec->word_val.data() + at, d, 64 * 4);
+      }
+      changed += 64;
       continue;
     }
-    const size_t end = wi + block;
-    while (wi + 2 <= end) {
-      uint64_t dl, tl;
-      std::memcpy(&dl, d + wi * 4, 8);
-      std::memcpy(&tl, t + wi * 4, 8);
-      if (dl != tl) {
-        const auto lo_d = static_cast<uint32_t>(dl);
-        const auto hi_d = static_cast<uint32_t>(dl >> 32);
-        if (lo_d != static_cast<uint32_t>(tl)) on_word(wi, lo_d);
-        if (hi_d != static_cast<uint32_t>(tl >> 32)) on_word(wi + 1, hi_d);
+    for (uint64_t x = mask; x != 0; x &= x - 1) {
+      const auto j = static_cast<size_t>(std::countr_zero(x));
+      word_ts[g + j] = epoch;
+      if (rec) {
+        rec->word_idx.push_back(static_cast<uint32_t>(g + j));
+        rec->word_val.push_back(load_word(d, j));
       }
-      wi += 2;
     }
-    if (wi < end) {
-      const uint32_t dv = load_word(d, wi);
-      if (dv != load_word(t, wi)) on_word(wi, dv);
-      ++wi;
-    }
+    changed += static_cast<size_t>(std::popcount(mask));
   }
   return changed;
 }

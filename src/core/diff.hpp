@@ -30,11 +30,12 @@ namespace lots::core {
 /// The twin scan: compares `data` against `twin` and, for each changed
 /// word i in ascending order, sets bit i of `bits` (one bit per word),
 /// stamps word_ts[i] with `epoch` and, when `rec` is given, appends
-/// (i, new value) to it. Returns how many words changed. Compares
-/// 16-word blocks first (memcmp) and descends to 64-bit lanes and then
-/// 32-bit words only inside unequal blocks, so a mostly-clean twin costs
-/// ~1 compare per 64 B instead of per word; the output is identical to
-/// the scalar word-by-word scan.
+/// (i, new value) to it. Returns how many words changed. Works one
+/// 64-word group at a time: the group's changed mask (changed_mask,
+/// diff.cpp) is ORed into `bits` whole, so bits already set stay set; a
+/// clean group costs one memcmp, and a fully rewritten one stamps its 64
+/// words with one fill. The output is identical to the word-by-word
+/// scan.
 size_t mark_twin_diff(std::span<const uint8_t> data, std::span<const uint8_t> twin,
                       uint64_t* bits, uint32_t* word_ts, uint32_t epoch,
                       DiffRecord* rec = nullptr);

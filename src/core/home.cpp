@@ -399,7 +399,7 @@ void HomeEngine::apply_barrier_plan(const std::vector<BarrierPlanEntry>& plan,
     ObjectMeta* m = n.dir_.find(id);
     if (m && m->on_remote) n.mapper_.rehydrate_remote(*m, lk);
   }
-  n.coherence_.end_barrier();  // every written object is planned: drop the marks
+  n.coherence_.end_barrier(new_epoch);  // every written object is planned: drop the marks
   n.sync_.barrier_cut();  // scope chains restart
   n.epoch_.store(new_epoch, std::memory_order_relaxed);
 }

@@ -201,8 +201,12 @@ void Mapper::evict(ObjectMeta& m, std::unique_lock<std::mutex>& lk) {
   const size_t bytes = word_bytes(m);
   const size_t off = m.dmm_offset;
   // A twin equal to its data carries no write (its flush would diff
-  // empty): drop it, so a read-only twin never reaches disk.
+  // empty): drop it, so a read-only twin never reaches disk. Until the
+  // node takes a lock in the interval, a written twin is flushed here,
+  // as the barrier would flush it, and the image goes out untwinned;
+  // after, a section's write must still ship on its token's chain.
   if (m.twinned && std::memcmp(space_.dmm(off), space_.twin(off), bytes) == 0) m.twinned = false;
+  if (m.twinned) node_.coherence_.flush_evicted(m, node_.epoch_.load(std::memory_order_relaxed));
   const bool marked = m.marks != ObjectMeta::kNoMarks;
   if (!m.twinned && (m.on_disk || (!marked && m.share != ShareState::kValid))) {
     // Clean: a kept image equals the data while mapped (Words::store

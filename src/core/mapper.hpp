@@ -106,8 +106,10 @@ class Mapper {
   [[nodiscard]] bool stmt_pinned(ObjectId id) const;
 
   /// Unmaps a settled object whose guard the caller owns: drops a twin
-  /// equal to its data, then a dirty copy writes its image (or parks it
-  /// on the buddy), a valid clean one only unmaps, a stale one is dropped.
+  /// equal to its data and flushes a written one until the node takes a
+  /// lock in the interval, then a dirty copy writes its image (or parks
+  /// it on the buddy), a valid clean one only unmaps, a stale one is
+  /// dropped.
   void evict(ObjectMeta& m, std::unique_lock<std::mutex>& lk);
   size_t alloc_dmm_or_evict(ObjectMeta& target, std::unique_lock<std::mutex>& lk);
   /// A kSwap* message for this node's image of `id` to the buddy (the

@@ -101,6 +101,14 @@ struct ObjectMeta {
   bool on_disk = false;     ///< local disk image (core/mapper.cpp); mapped: a clean copy
   bool on_remote = false;   ///< image parked on a peer's disk (§5 remote swap)
   bool twinned = false;     ///< twin holds the pre-interval image
+  /// On CoherenceEngine's interval twin list (or in a flush's drained
+  /// copy of it) until a flush takes the id off: a twin made again after
+  /// an eviction flush is not listed twice. Guarded by the shard lock.
+  bool twin_listed = false;
+  /// Its marks include words an eviction flush stamped at the last
+  /// plan's epoch + 1 (CoherenceEngine::flush_evicted), which the barrier
+  /// flush raises to its own stamp. Guarded by the shard lock.
+  bool evict_marked = false;
   /// App threads that ran an access check on this object since it was
   /// twinned (one bit per thread, bit 63 saturates for threads ≥ 63).
   /// A release flushes exactly the twins its thread touched, so a

@@ -109,9 +109,7 @@ class Node {
   void release(uint32_t lock_id) { sync_.release(lock_id); }
   void barrier();
   /// Event-only, no memory effect.
-  void run_barrier() {
-    group_.collective([&] { sync_.run_barrier(); });
-  }
+  void run_barrier() { group_.collective([&] { sync_.run_barrier(); }); }
 
   // ---- worker-death recovery (RecoveryEngine, recovery.hpp) ----
   void on_peer_dead(int dead) { recovery_.on_peer_dead(dead); }
@@ -163,8 +161,10 @@ class Node {
   /// move_home under the shard lock). Lets tests manufacture the
   /// stale-home window the redirect-chasing / repair machinery exists for.
   void set_home_for_test(ObjectId id, int32_t home);
-  /// Test hook: replicas this node holds as a backup.
+  /// Test hooks: replicas this node holds as a backup; ids on the
+  /// interval twin list (CoherenceEngine::ensure_twin).
   size_t replica_count() { return recovery_.replica_count(); }
+  size_t interval_twins() { return coherence_.interval_twins(); }
 
  private:
   friend class Runtime;

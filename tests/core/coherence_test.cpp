@@ -405,6 +405,220 @@ TEST(Coherence, BarrierRecordsAreBuiltOnlyForObjectsThatShip) {
   }
 }
 
+// ---- eviction flush: Mapper::evict outside and inside critical sections ----
+
+TEST(Coherence, EvictionInsideASectionKeepsItsWriteOnTheLockChain) {
+  // Rank 0 writes a word inside acquire(4) and its object is evicted
+  // before release(4). The eviction must keep the twinned image, so the
+  // release flushes the write from it onto lock 4's chain and rank 1's
+  // next acquire of lock 4 sees it. Flushing at the eviction would leave
+  // the release nothing to ship: rank 1 homes the object, so its copy
+  // stays valid and would hold the old word until the barrier.
+  Runtime rt(cfg(2));
+  rt.run([](int rank) {
+    Pointer<int> a, b;
+    a.alloc(256);
+    b.alloc(256);
+    Node& n = Runtime::self();
+    Pointer<int>& x = n.home_of(a.id()) == 1 ? a : b;
+    ASSERT_EQ(n.home_of(x.id()), 1);
+    lots::barrier();
+    if (rank == 0) {
+      lots::acquire(4);
+      x[10] = 77;
+      n.force_swap_out(x.id());
+      ASSERT_FALSE(n.is_mapped(x.id()));
+      lots::release(4);
+    }
+    lots::run_barrier();
+    if (rank == 1) {
+      lots::acquire(4);
+      EXPECT_EQ(x[10], 77) << "a write evicted inside its section missed the lock chain";
+      lots::release(4);
+    }
+    lots::barrier();
+    EXPECT_EQ(x[10], 77);
+  });
+}
+
+TEST(Coherence, EvictionOutsideASectionLeavesTheBarrierNoImageToRead) {
+  // Before the node takes a lock in the interval, an eviction flushes
+  // the victim's twin as the barrier would (marks and stamps, untwinned
+  // image): the barrier then reads no image back, and the writes still
+  // reach the peer.
+  Runtime rt(cfg(2));
+  rt.run([](int rank) {
+    constexpr int kInts = 4096;
+    Pointer<int> x;
+    x.alloc(kInts);
+    lots::barrier();
+    Node& n = Runtime::self();
+    uint64_t ins = 0;
+    if (rank == 0) {
+      for (int i = 0; i < kInts; i += 3) x[i] = i + 1;
+      n.force_swap_out(x.id());
+      ASSERT_FALSE(n.is_mapped(x.id()));
+      ins = n.stats().swap_ins.load();
+    }
+    lots::barrier();
+    if (rank == 0) {
+      EXPECT_EQ(n.stats().swap_ins.load(), ins) << "the barrier read an evicted image back";
+    }
+    lots::run_barrier();  // before rank 1's fetch reads the image
+    for (int i = 0; i < kInts; ++i) ASSERT_EQ(x[i], i % 3 == 0 ? i + 1 : 0) << "word " << i;
+    lots::barrier();
+  });
+}
+
+// An eviction flush stamps the words it marks with the last plan's epoch
+// + 1, the barrier's stamp while the node takes no lock. Here it takes
+// one afterwards, and a lock grant hands a peer a newer diff base first.
+// Rank 0 writes x[5] outside any section and evicts x (stamp cut + 1).
+// Rank 1, x's home, writes x[0] under lock 9: its push (write-invalidate)
+// or its commit notice (lock migration) raises the home copy's
+// valid_epoch to its release epoch, cut + 2. Rank 2 then acquires lock 9
+// and fetches x, so its copy is valid to cut + 2. Rank 0 then takes and
+// releases lock 9. At the barrier rank 2's copy is invalidated and
+// refetched as a diff since cut + 2: x[5] reaches it only if the barrier
+// raised its stamp to its own flush epoch.
+struct LockMode {
+  const char* name;
+  ProtocolMode protocol;
+  bool lock_migration;
+};
+
+void PrintTo(const LockMode& mode, std::ostream* os) { *os << mode.name; }
+
+class EvictionFlushThenLock : public ::testing::TestWithParam<LockMode> {};
+
+TEST_P(EvictionFlushThenLock, EvictedWordReachesAPeerWithANewerBase) {
+  Config c = cfg(3, GetParam().protocol);
+  c.lock_migration = GetParam().lock_migration;
+  Runtime rt(c);
+  std::atomic<int> stage{0};
+  auto await = [&](int s) {
+    while (stage.load() < s) std::this_thread::yield();
+  };
+  rt.run([&](int rank) {
+    Pointer<int> x;
+    x.alloc(64);
+    Node& n = Runtime::self();
+    ASSERT_EQ(n.home_of(x.id()), 1);
+    lots::barrier();
+    if (rank == 0) {
+      x[5] = 55;
+      n.force_swap_out(x.id());
+      ASSERT_FALSE(n.is_mapped(x.id()));
+      stage = 1;
+    }
+    if (rank == 1) {
+      await(1);
+      lots::acquire(9);
+      x[0] = 1;
+      lots::release(9);
+      stage = 2;
+    }
+    if (rank == 2) {
+      await(2);
+      lots::acquire(9);
+      EXPECT_EQ(x[0], 1);
+      EXPECT_EQ(x[5], 0);
+      lots::release(9);
+      stage = 3;
+    }
+    if (rank == 0) {
+      await(3);
+      lots::acquire(9);
+      lots::release(9);
+    }
+    lots::barrier();
+    EXPECT_EQ(x[0], 1) << "rank " << rank;
+    EXPECT_EQ(x[5], 55) << "rank " << rank << " lost a write flushed at its eviction";
+    lots::barrier();
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    , EvictionFlushThenLock,
+    ::testing::Values(LockMode{"WriteInvalidate", ProtocolMode::kWriteInvalidateOnly, false},
+                      LockMode{"LockMigration", ProtocolMode::kMixed, true}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+TEST(Coherence, EvictionFlushesListEachTwinOnce) {
+  // Each eviction flush drops the twin and the next access makes a new
+  // one, but the interval twin list names the object once: evicting and
+  // re-touching it 1,000 times in one interval lists nothing more. The
+  // barrier's flush empties the list.
+  Runtime rt(cfg(2));
+  rt.run([](int rank) {
+    constexpr int kRounds = 1000;
+    Pointer<int> x;
+    x.alloc(kRounds + 1);
+    lots::barrier();
+    Node& n = Runtime::self();
+    if (rank == 0) {
+      x[0] = -1;  // twinned and listed
+      ASSERT_EQ(n.interval_twins(), 1u);
+      for (int i = 1; i <= kRounds; ++i) {
+        n.force_swap_out(x.id());
+        x[i] = i;  // maps it back and twins it again
+      }
+      EXPECT_EQ(n.interval_twins(), 1u) << "re-twins grew the interval list";
+    }
+    lots::barrier();
+    EXPECT_EQ(n.interval_twins(), 0u);
+    if (rank == 0) {
+      ASSERT_EQ(x[0], -1);
+      EXPECT_EQ(n.interval_twins(), 1u) << "a flush left the object marked as listed";
+    }
+    for (int i = 1; i <= kRounds; ++i) ASSERT_EQ(x[i], i) << "word " << i;
+    lots::barrier();
+  });
+}
+
+TEST(Coherence, BarrierFlushesATwinnedImageEvictedBesideAnOpenSection) {
+  // Once an app thread of the node has taken a lock in the interval, an
+  // eviction keeps the victim's twinned image (a section's writes ship
+  // on its token's chain, which the eviction cannot tell apart), and the
+  // barrier flushes that image from disk. Thread 0 of rank 0 writes `x`
+  // outside any section and evicts it while thread 1 holds lock 6: the
+  // barrier reads the image back, and the write reaches rank 1.
+  Config c = cfg(2);
+  c.threads_per_node = 2;
+  Runtime rt(c);
+  std::atomic<bool> in_section{false}, evicted{false};
+  rt.run([&](int rank) {
+    constexpr int kInts = 1024;
+    Pointer<int> x;
+    x.alloc(kInts);
+    lots::barrier();
+    Node& n = Runtime::self();
+    const int t = lots::my_thread();
+    uint64_t ins = 0;
+    if (rank == 0 && t == 1) {
+      lots::acquire(6);
+      in_section = true;
+      while (!evicted) std::this_thread::yield();
+      lots::release(6);
+    }
+    if (rank == 0 && t == 0) {
+      while (!in_section) std::this_thread::yield();
+      for (int i = 0; i < kInts; i += 5) x[i] = -i - 1;
+      n.force_swap_out(x.id());
+      EXPECT_FALSE(n.is_mapped(x.id()));
+      ins = n.stats().swap_ins.load();
+      evicted = true;
+    }
+    lots::barrier();
+    if (rank == 0 && t == 0) {
+      EXPECT_GT(n.stats().swap_ins.load(), ins) << "the barrier found no twinned image";
+    }
+    lots::run_barrier();  // before rank 1's fetch reads the image
+    for (int i = 0; i < kInts; ++i) ASSERT_EQ(x[i], i % 5 == 0 ? -i - 1 : 0) << "word " << i;
+    lots::barrier();
+  });
+}
+
 // ---- protocol ablations ----------------------------------------------------
 
 class ProtocolModes : public ::testing::TestWithParam<ProtocolMode> {};

@@ -281,24 +281,57 @@ TEST(DiffWire, FuzzEncodeDecodeApplyIdentical) {
 }
 
 TEST(DiffWire, VectorizedTwinDiffMatchesScalarReference) {
-  // mark_twin_diff descends blockwise; its record, bits and stamps must
-  // equal the definitional word-by-word scan for every shape, including
-  // odd word counts and changes at block boundaries.
+  // mark_twin_diff works in 64-word groups: a clean group stops at its
+  // memcmp, a changed one builds its mask, a fully rewritten group takes
+  // the fill branch and a partial tail group is shorter. Its record,
+  // bits and stamps must equal the definitional word-by-word scan for
+  // every shape: sparse byte flips, fully rewritten groups, red-black
+  // (alternating) words, everything changed, word counts that are not a
+  // multiple of 64 and a 65,536-word (256 KB) object. Bits set before
+  // the scan must survive it (the scan ORs into them), and a scan
+  // without a record must leave the same bits and stamps.
   Rng rng(424242);
-  for (int iter = 0; iter < 200; ++iter) {
-    const size_t words = 1 + rng.below(200);
+  size_t full_groups = 0, partial_groups = 0;
+  enum Shape { kFlips, kWholeGroups, kRedBlack, kAll, kShapes };
+  for (int iter = 0; iter < 240; ++iter) {
+    const auto shape = static_cast<Shape>(iter % kShapes);
+    size_t words = 1 + rng.below(300);
+    if (iter % 40 == 0) words = 65536;
+    if (iter % 40 == 1) words = 65536 - 27;
+    if (iter % 40 == 2) words = 128;
     std::vector<uint8_t> twin(words * 4), data;
     for (auto& b : twin) b = static_cast<uint8_t>(rng.below(256));
     data = twin;
-    const size_t flips = rng.below(words + 1);
-    for (size_t f = 0; f < flips; ++f) {
-      data[rng.below(words * 4)] ^= static_cast<uint8_t>(1 + rng.below(255));
+    auto change_word = [&](size_t wi) {
+      data[wi * 4 + rng.below(4)] ^= static_cast<uint8_t>(1 + rng.below(255));
+    };
+    switch (shape) {
+      case kFlips:
+        for (size_t f = rng.below(words + 1); f > 0; --f) {
+          data[rng.below(words * 4)] ^= static_cast<uint8_t>(1 + rng.below(255));
+        }
+        break;
+      case kWholeGroups:
+        for (size_t g = 0; g < words; g += 64) {
+          if (rng.below(2) == 0) continue;
+          for (size_t wi = g; wi < std::min(words, g + 64); ++wi) change_word(wi);
+        }
+        break;
+      case kRedBlack: {
+        const size_t color = rng.below(2);
+        for (size_t wi = color; wi < words; wi += 2) change_word(wi);
+        break;
+      }
+      default:
+        for (size_t wi = 0; wi < words; ++wi) change_word(wi);
     }
-    std::vector<uint64_t> bits((words + 63) / 64);
-    std::vector<uint32_t> ts(words, 1);
-    DiffRecord rec;
-    const size_t changed = mark_twin_diff(data, twin, bits.data(), ts.data(), 5, &rec);
+    std::vector<uint64_t> preset((words + 63) / 64);
+    if (iter % 3 == 0) {
+      for (auto& b : preset) b = rng.next_u64() & rng.next_u64();
+      if ((words % 64) != 0) preset.back() &= (uint64_t{1} << (words % 64)) - 1;
+    }
     std::vector<uint32_t> want_idx, want_val;
+    std::vector<uint64_t> changed_bits(preset.size());
     for (size_t wi = 0; wi < words; ++wi) {
       uint32_t dv, tv;
       std::memcpy(&dv, data.data() + wi * 4, 4);
@@ -306,17 +339,36 @@ TEST(DiffWire, VectorizedTwinDiffMatchesScalarReference) {
       if (dv != tv) {
         want_idx.push_back(static_cast<uint32_t>(wi));
         want_val.push_back(dv);
+        changed_bits[wi / 64] |= uint64_t{1} << (wi % 64);
       }
     }
-    ASSERT_EQ(rec.word_idx, want_idx) << "iter " << iter << " words=" << words;
-    ASSERT_EQ(rec.word_val, want_val) << "iter " << iter;
-    ASSERT_EQ(changed, want_idx.size()) << "iter " << iter;
-    for (size_t wi = 0; wi < words; ++wi) {
-      const bool marked = std::count(want_idx.begin(), want_idx.end(), wi) != 0;
-      ASSERT_EQ((bits[wi / 64] >> (wi % 64)) & 1, marked ? 1u : 0u) << "iter " << iter;
-      ASSERT_EQ(ts[wi], marked ? 5u : 1u) << "iter " << iter;
+    std::vector<uint64_t> want_bits = preset;
+    for (size_t b = 0; b < want_bits.size(); ++b) {
+      want_bits[b] |= changed_bits[b];
+      if (changed_bits[b] != 0) ++(changed_bits[b] == ~uint64_t{0} ? full_groups : partial_groups);
+    }
+    for (const bool with_rec : {true, false}) {
+      std::vector<uint64_t> bits = preset;
+      std::vector<uint32_t> ts(words, 1);
+      DiffRecord rec;
+      const size_t changed = mark_twin_diff(data, twin, bits.data(), ts.data(), 5,
+                                            with_rec ? &rec : nullptr);
+      ASSERT_EQ(changed, want_idx.size()) << "iter " << iter << " words=" << words;
+      if (with_rec) {
+        ASSERT_EQ(rec.word_idx, want_idx) << "iter " << iter << " words=" << words;
+        ASSERT_EQ(rec.word_val, want_val) << "iter " << iter;
+      }
+      ASSERT_EQ(bits, want_bits) << "iter " << iter << ": a preset bit was lost or a mark is wrong";
+      size_t next = 0;
+      for (size_t wi = 0; wi < words; ++wi) {
+        const bool marked = next < want_idx.size() && want_idx[next] == wi;
+        next += marked ? 1 : 0;
+        ASSERT_EQ(ts[wi], marked ? 5u : 1u) << "iter " << iter << " word " << wi;
+      }
     }
   }
+  EXPECT_GT(full_groups, 100u) << "the fill branch went untested";
+  EXPECT_GT(partial_groups, 100u);
 }
 
 TEST(DiffWire, DiffSinceBlockScanMatchesScalarReference) {

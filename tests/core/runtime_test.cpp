@@ -187,8 +187,10 @@ TEST(Mapper, PinningProtectsStatementOperands) {
 }
 
 TEST(Mapper, HomeServesFetchFromItsDirtyImage) {
-  // The home swaps out an object it is writing (twinned image on disk)
-  // and then answers a peer's fetch from that image without mapping it.
+  // The home swaps out an object it is writing inside a critical section
+  // (the eviction keeps the twinned image on disk) and then answers a
+  // peer's fetch from that image without mapping it. Its release then
+  // flushes the image in place.
   Runtime rt(small_config(2));
   rt.run([](int rank) {
     Pointer<int> a;
@@ -200,6 +202,7 @@ TEST(Mapper, HomeServesFetchFromItsDirtyImage) {
     lots::barrier();  // the peer's copy goes invalid
     Node& n = Runtime::self();
     if (rank == home) {
+      lots::acquire(1);
       a[7] = -7;  // re-twins
       n.force_swap_out(a.id());
     }
@@ -212,7 +215,10 @@ TEST(Mapper, HomeServesFetchFromItsDirtyImage) {
       EXPECT_TRUE(a[7] == 7 || a[7] == -7) << "a[7] = " << a[7];
     }
     lots::run_barrier();
-    if (rank == home) EXPECT_FALSE(n.is_mapped(a.id())) << "the fetch mapped the home copy";
+    if (rank == home) {
+      EXPECT_FALSE(n.is_mapped(a.id())) << "the fetch mapped the home copy";
+      lots::release(1);
+    }
     lots::barrier();
     EXPECT_EQ(a[7], -7);
   });
@@ -223,7 +229,9 @@ TEST(Mapper, CleanEvictionWritesNothingAndKeepsDataAndStamps) {
   // the eviction then writes nothing, and the remapped copy still holds
   // the data and the per-word stamps (the peer's diff-since-base fetch
   // ships exactly the one word stamped after its base). A write into a
-  // kept image's mapping is written back and still propagates.
+  // kept image's mapping, evicted inside a critical section (so the
+  // eviction keeps its twin rather than flushing it), is written back
+  // and still propagates.
   Runtime rt(small_config(2));
   rt.run([](int rank) {
     Pointer<int> a;
@@ -259,11 +267,13 @@ TEST(Mapper, CleanEvictionWritesNothingAndKeepsDataAndStamps) {
     lots::run_barrier();
     if (rank == home) {
       EXPECT_EQ(n.stats().diff_words_sent.load() - sent, 1u) << "stamps lost in the image";
+      lots::acquire(2);
       a[9] = 99;  // twinned write into a mapping whose image is kept
       const uint64_t out = n.stats().swap_bytes_out.load();
       n.force_swap_out(a.id());
       EXPECT_GT(n.stats().swap_bytes_out.load(), out) << "a dirty eviction skipped its write";
       EXPECT_EQ(a[9], 99);
+      lots::release(2);
     }
     lots::barrier();
     EXPECT_EQ(a[9], 99);
