@@ -12,60 +12,87 @@
 # identity): ledger rows, taken on one developer host, twin only each
 # other and never the rows CI's bench-gates job checks on its runners.
 #
-# Usage: scripts/bench_ledger.sh [--runs N] [--seconds S] NAME [HISTORY]
+# With --parent DIR (a checkout of the parent commit) it measures a pair:
+# every microbench and perfbench run alternates between DIR and this
+# tree, so host drift lands on both sides alike. It then appends DIR's
+# entry (named PNAME) and this tree's, each --check'ed; this tree's rows
+# twin the parent's just appended.
+#
+# Usage: scripts/bench_ledger.sh [--runs N] [--seconds S]
+#            [--parent DIR --parent-name PNAME] NAME [HISTORY]
 #   NAME     the entry's name (its "sha" field): the change it measures
 #   HISTORY  the ledger file (default: BENCH_history.json at the repo root)
 #   --runs N      perfbench runs per workload (default 3)
 #   --seconds S   timed seconds per perfbench run (default 20)
-# After the builds it takes about N x 3 x (S + 6) seconds; run it on a
-# quiet host, as perfbench/NOTES.md describes.
+# After the builds it takes about N x 3 x (S + 6) seconds per tree; run
+# it on a quiet host, as perfbench/NOTES.md describes.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 runs=3
 seconds=20
+parent=""
+parent_name=""
 while [[ $# -gt 0 && "$1" == --* ]]; do
   case "$1" in
     --runs) runs=$2; shift 2 ;;
     --seconds) seconds=$2; shift 2 ;;
+    --parent) parent=$(realpath "$2"); shift 2 ;;
+    --parent-name) parent_name=$2; shift 2 ;;
     *) echo "unknown option $1" >&2; exit 1 ;;
   esac
 done
-if [[ $# -lt 1 || $# -gt 2 ]]; then
-  echo "usage: $0 [--runs N] [--seconds S] NAME [HISTORY]" >&2
+if [[ $# -lt 1 || $# -gt 2 || ( -n "$parent" && -z "$parent_name" ) ]]; then
+  echo "usage: $0 [--runs N] [--seconds S] [--parent DIR --parent-name PNAME] NAME [HISTORY]" >&2
   exit 1
 fi
-name=$1
 history=$(realpath -m "${2:-$repo/BENCH_history.json}")
+# The trees measured, in the order their entries are appended.
+trees=("$repo")
+names=("$1")
+if [[ -n "$parent" ]]; then
+  trees=("$parent" "$repo")
+  names=("$parent_name" "$1")
+fi
 
-build="$repo/build-ledger"
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
 
-cmake -S "$repo" -B "$build" -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS_RELEASE="-O2 -g" \
-  >"$out/configure.log"
-cmake --build "$build" -j "$(nproc)" --target bench_sec42_access_check bench_abl_fastpath \
-  >"$out/build.log"
+for t in "${!trees[@]}"; do
+  build="${trees[$t]}/build-ledger"
+  mkdir -p "$out/$t"
+  cmake -S "${trees[$t]}" -B "$build" -DCMAKE_BUILD_TYPE=Release \
+    -DCMAKE_CXX_FLAGS_RELEASE="-O2 -g" >"$out/$t/configure.log"
+  cmake --build "$build" -j "$(nproc)" --target bench_sec42_access_check bench_abl_fastpath \
+    >"$out/$t/build.log"
+done
 for ((r = 1; r <= 5; ++r)); do
-  "$build/bench_sec42_access_check" >>"$out/micro.out"
-  "$build/bench_abl_fastpath" >>"$out/micro.out"
+  for t in "${!trees[@]}"; do
+    "${trees[$t]}/build-ledger/bench_sec42_access_check" >>"$out/$t/micro.out"
+    "${trees[$t]}/build-ledger/bench_abl_fastpath" >>"$out/$t/micro.out"
+  done
 done
 
 for workload in kv_zipf sor largespace; do
   for ((r = 1; r <= runs; ++r)); do
-    echo "perfbench $workload run $r/$runs" >&2
-    if ! python3 "$repo/perfbench/run.py" --workload "$workload" --seed 1 \
-        --seconds "$seconds" --trace 0 >"$out/run.out" 2>"$out/run.err"; then
-      tail -n 20 "$out/run.err" >&2
-      exit 1
-    fi
-    tail -n 1 "$out/run.out" >"$out/$workload.$r.json"
+    for t in "${!trees[@]}"; do
+      echo "perfbench $workload run $r/$runs (${names[$t]})" >&2
+      if ! python3 "${trees[$t]}/perfbench/run.py" --workload "$workload" --seed 1 \
+          --seconds "$seconds" --trace 0 >"$out/run.out" 2>"$out/run.err"; then
+        tail -n 20 "$out/run.err" >&2
+        exit 1
+      fi
+      tail -n 1 "$out/run.out" >"$out/$t/$workload.$r.json"
+    done
   done
 done
 
-# One BENCH_JSON row per microbench row identity and per workload, each
-# numeric field the median over the runs, tagged as a ledger row.
-python3 - "$out" "$runs" "$seconds" "$repo/scripts" >"$out/ledger.out" <<'PY'
+# Per tree: one BENCH_JSON row per microbench row identity and per
+# workload, each numeric field the median over the runs, tagged as a
+# ledger row; then the --check'ed append.
+status=0
+for t in "${!trees[@]}"; do
+  python3 - "$out/$t" "$runs" "$seconds" "$repo/scripts" >"$out/$t/ledger.out" <<'PY'
 import json, statistics, sys
 out, runs, seconds = sys.argv[1], int(sys.argv[2]), float(sys.argv[3])
 seconds = int(seconds) if seconds.is_integer() else seconds  # one identity per length
@@ -95,5 +122,7 @@ for workload in ("kv_zipf", "sor", "largespace"):
     print(PREFIX + json.dumps(row))
 PY
 
-python3 "$repo/scripts/update_bench_history.py" --sha "$name" --history "$history" --check \
-  "$out/ledger.out"
+  python3 "$repo/scripts/update_bench_history.py" --sha "${names[$t]}" --history "$history" \
+    --check "$out/$t/ledger.out" || status=$?
+done
+exit "$status"

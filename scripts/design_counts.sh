@@ -10,8 +10,8 @@
 #                    files naming replicas_ or replica_mu_ other than
 #                    core/recovery.{hpp,cpp}
 #   image_layout_outside
-#                    files naming ctrl_words, read_object or write_object
-#                    other than core/mapper.{hpp,cpp} (the one owner of
+#                    files naming ctrl_words, read_object, read_prefix or
+#                    write_object other than core/mapper.{hpp,cpp} (the one owner of
 #                    the object image layout), mem/space_layout.hpp
 #                    (defines ctrl_words) and storage/disk_store.{hpp,cpp}
 #                    (defines the opaque image store)
@@ -34,7 +34,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 declare -A ceiling=(
-  [src_lines]=12420
+  [src_lines]=12500
   [runtime_hpp]=333
   [config_fields]=19
   [env_knobs]=24
@@ -71,7 +71,7 @@ count[sync_mu_outside]=$(grep -rl 'sync_mu_' src |
   grep -cv -e '^src/core/sync\.hpp$' -e '^src/core/sync\.cpp$' || true)
 count[replica_state_outside]=$(grep -rlE 'replicas_|replica_mu_' src |
   grep -cv -e '^src/core/recovery\.hpp$' -e '^src/core/recovery\.cpp$' || true)
-count[image_layout_outside]=$(grep -rlE 'ctrl_words|read_object|write_object' src |
+count[image_layout_outside]=$(grep -rlE 'ctrl_words|read_object|read_prefix|write_object' src |
   grep -cv -e '^src/core/mapper\.hpp$' -e '^src/core/mapper\.cpp$' \
     -e '^src/mem/space_layout\.hpp$' -e '^src/storage/disk_store\.hpp$' \
     -e '^src/storage/disk_store\.cpp$' || true)

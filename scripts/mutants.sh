@@ -66,8 +66,8 @@ mutant incoming-diff-leaves-mapping-clean src/core/coherence.cpp core_runtime_te
 # A twinned copy is dirty even when its kept image exists.
 mutant evict-skips-write-when-image-exists src/core/mapper.cpp core_runtime_test \
   Mapper.CleanEvictionWritesNothingAndKeepsDataAndStamps \
-  '  if (!m.twinned && (m.on_disk || (!marked && m.share != ShareState::kValid))) {' \
-  '  if (m.on_disk || (!m.twinned && !marked && m.share != ShareState::kValid)) {'
+  '  if (!m.twinned && (m.on_disk || (!news && m.share != ShareState::kValid))) {' \
+  '  if (m.on_disk || (!m.twinned && !news && m.share != ShareState::kValid)) {'
 
 # Once the node took a lock in the interval (a section may be open), an
 # eviction keeps the victim's twin, so the release flushes the section's
@@ -77,10 +77,11 @@ mutant evict-flush-ignores-open-section src/core/coherence.cpp core_coherence_te
   '  if (!fg.owns_lock() || epoch != cut_) return;' \
   '  if (!fg.owns_lock()) return;'
 
-# After a lock grant handed a peer a newer diff base, the barrier raises
-# the stamps an eviction flush gave, or the peer's refetch skips them.
+# After a lock grant moved the home to a node whose copy carries a newer
+# stamp, the barrier raises the stamps an eviction flush gave, or the
+# new home rejects them.
 mutant evicted-stamps-not-raised src/core/coherence.cpp core_coherence_test \
-  'EvictionFlushThenLock.*' \
+  Coherence.EvictedWordReachesAHomeAdoptedUnderALock \
   '      if (m->evict_marked && flush_epoch != evict_stamp) evicted.push_back(id);' \
   '      if (m->evict_marked && false) evicted.push_back(id);'
 
@@ -112,11 +113,26 @@ mutant settle-skips-stale-home-repair src/core/fetch.cpp core_migration_test \
   '      if (f.hops > 0 && m.home != f.target) node_.home_.move_home(m, f.target);' \
   '      if (false && f.hops > 0 && m.home != f.target) node_.home_.move_home(m, f.target);'
 
-# A fetched full copy must keep a word a lock chain made newer locally.
+# A fetched full copy must keep a word a lock chain made newer locally:
+# the copy's newest stamp decides between the bulk copy and the per-word one.
 mutant full-copy-regresses-newer-word src/core/fetch.cpp core_fetch_engine_test \
   FetchEngine.FetchedCopyNeverRegressesLocallyNewerWord \
-  '        has_newer = true;' \
-  '        has_newer = false;'
+  $'    if (home_base >= m.newest_ts) {\n      std::memcpy(data, body.data(), bytes);' \
+  $'    if (true) {\n      std::memcpy(data, body.data(), bytes);'
+
+# An applied record raises the copy's newest stamp: without it an evicted
+# copy holding a chain word looks stale, and the refetch loses the word.
+mutant newest-stamp-skips-incoming src/core/coherence.cpp core_fetch_engine_test \
+  FetchEngine.EvictedCopyKeepsAChainWordThroughTheRefetch \
+  $'  m.newest_ts = std::max(m.newest_ts, rec.epoch);\n  for (uint32_t t : rec.word_ts) m.newest_ts = std::max(m.newest_ts, t);\n' \
+  ''
+
+# Only a flush that changed every word sets the floor: after a sparse
+# rewrite a requester's base is not below it, and the refetch is a diff.
+mutant floor-set-by-partial-flush src/core/coherence.cpp core_largespace_test \
+  LargeSpace.HomeAnswersABaseBelowItsFloorFromTheDataAlone \
+  '    m.ts_floor = changed == m.words() ? flush_epoch : std::min(m.ts_floor, flush_epoch);' \
+  '    m.ts_floor = flush_epoch;'
 
 # The handoff ack alone must flip the old home's pointer to the adopter.
 mutant handoff-ack-keeps-old-home src/core/home.cpp core_migration_test \
@@ -153,8 +169,8 @@ mutant barrier-record-ignores-marks src/core/coherence.cpp core_coherence_test \
 # writer's lock-interval words must still reach the home.
 mutant release-flush-skips-marks src/core/coherence.cpp core_coherence_test \
   Coherence.BarrierRecordsAreBuiltOnlyForObjectsThatShip \
-  '{w.twin(), bytes}, &mark_bits_[m.marks],' \
-  '{w.twin(), bytes}, rec ? std::vector<uint64_t>(mark_bits_.size()).data() + m.marks : &mark_bits_[m.marks],'
+  '                                        &mark_bits_[m.marks], w.ts(), flush_epoch, rec);' \
+  '                                        rec ? std::vector<uint64_t>(mark_bits_.size()).data() + m.marks : &mark_bits_[m.marks], w.ts(), flush_epoch, rec);'
 
 # A node with sibling app threads keeps the ALB hit/evictor fence pair.
 mutant alb-multithread-node-skips-fences src/core/runtime.cpp core_mt_access_test \

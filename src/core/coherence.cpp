@@ -28,6 +28,8 @@ void CoherenceEngine::apply_incoming(ObjectMeta& m, const DiffRecord& rec) {
   Mapper::Words w = mapper_.words(m);
   const size_t applied = apply_record(rec, w.data(), w.ts());
   stats_.diff_words_redundant.fetch_add(rec.words() - applied, std::memory_order_relaxed);
+  m.newest_ts = std::max(m.newest_ts, rec.epoch);
+  for (uint32_t t : rec.word_ts) m.newest_ts = std::max(m.newest_ts, t);
   if (m.twinned && applied) {
     // Mirror the accepted words into the twin so the next flush diffs
     // only this node's own writes. A word was accepted exactly when its
@@ -112,7 +114,9 @@ std::vector<ObjectId> CoherenceEngine::flush_barrier(uint32_t flush_epoch) {
       w.ts()[wi] = flush_epoch;
       raised = true;
     });
-    if (raised) w.store();
+    if (!raised) continue;
+    m.newest_ts = std::max(m.newest_ts, flush_epoch);
+    w.store();
   }
   std::sort(mods.begin(), mods.end());
   mods.erase(std::unique(mods.begin(), mods.end()), mods.end());
@@ -176,8 +180,14 @@ bool CoherenceEngine::flush_twin(ObjectMeta& m, uint32_t flush_epoch, DiffRecord
     m.marks = mark_bits_.size();
     mark_bits_.resize(m.marks + (m.words() + 63) / 64);
   }
-  const bool wrote = mark_twin_diff({w.data(), bytes}, {w.twin(), bytes}, &mark_bits_[m.marks],
-                                    w.ts(), flush_epoch, rec) != 0;
+  const size_t changed = mark_twin_diff({w.data(), bytes}, {w.twin(), bytes},
+                                        &mark_bits_[m.marks], w.ts(), flush_epoch, rec);
+  const bool wrote = changed != 0;
+  if (wrote) {
+    // A whole rewrite gives every word this stamp: it becomes the floor.
+    m.ts_floor = changed == m.words() ? flush_epoch : std::min(m.ts_floor, flush_epoch);
+    m.newest_ts = std::max(m.newest_ts, flush_epoch);
+  }
   // Read-only access: a mapping stays clean; an image drops its twin.
   if (wrote || m.map != MapState::kMapped) w.store();
   if (fresh && wrote) written_.push_back(m.id);

@@ -145,6 +145,11 @@ class CoherenceEngine {
   /// list for the next barrier interval, which starts at `new_epoch`.
   /// Call with NO shard lock held.
   void end_barrier(uint32_t new_epoch);
+  /// The node's epoch at the last applied plan.
+  uint32_t cut() {
+    std::lock_guard fg(flush_mu_);
+    return cut_;
+  }
 
   /// Packages per-peer record groups into ONE kDiffBatch message per
   /// peer — the release/barrier paths send O(peers) messages per sync

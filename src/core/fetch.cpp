@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -65,16 +66,26 @@ void FetchEngine::issue(Inflight& f) {
   if (f.pipelined) node_.stats_.fetch_pipelined.fetch_add(1, std::memory_order_relaxed);
 }
 
-int32_t FetchEngine::apply_primary(ObjectMeta& m, net::Reader& r) {
+int32_t FetchEngine::apply_primary(ObjectMeta& m, net::Reader& r,
+                                   std::unique_lock<std::mutex>& lk) {
   const uint8_t form = r.u8();
   if (form == 2) return r.i32();  // redirect: home migrated under us
 
   node_.stats_.object_fetches.fetch_add(1, std::memory_order_relaxed);
   const size_t bytes = word_bytes(m);
+  const uint32_t home_base = r.u32();
+  if (m.map != MapState::kMapped) {
+    // Mapped only now that the reply is here. A full copy at a cut no
+    // local word is newer than (newest_ts) replaces every word: with no
+    // twin, marks or parked image to keep, its stale image is freed
+    // unread and the copy goes into a fresh block.
+    const bool fresh = form == 0 && home_base >= m.newest_ts && !m.twinned &&
+                       m.marks == ObjectMeta::kNoMarks && !m.on_remote;
+    node_.mapper_.map_in(m, lk, fresh);
+  }
   Mapper::Words words = node_.mapper_.words(m);
   uint8_t* data = words.data();
   uint32_t* ts = words.ts();
-  const uint32_t home_base = r.u32();
   if (form == 0) {  // full copy at the home's cut
     auto body = r.bytes_view();
     LOTS_CHECK_EQ(body.size(), bytes, "fetch: full copy size mismatch");
@@ -84,16 +95,10 @@ int32_t FetchEngine::apply_primary(ObjectMeta& m, net::Reader& r) {
     // applied from a lock token's scope chain that the home has not
     // merged yet. Common case first: no locally newer word -> one bulk
     // copy.
-    bool has_newer = false;
-    for (uint32_t wi = 0; wi < m.words(); ++wi) {
-      if (ts[wi] > home_base) {
-        has_newer = true;
-        break;
-      }
-    }
-    if (!has_newer) {
+    if (home_base >= m.newest_ts) {
       std::memcpy(data, body.data(), bytes);
-      for (uint32_t wi = 0; wi < m.words(); ++wi) ts[wi] = home_base;
+      std::fill_n(ts, m.words(), home_base);
+      m.newest_ts = home_base;
     } else {
       for (uint32_t wi = 0; wi < m.words(); ++wi) {
         if (ts[wi] > home_base) continue;  // locally newer than the home's cut
@@ -102,10 +107,12 @@ int32_t FetchEngine::apply_primary(ObjectMeta& m, net::Reader& r) {
         ts[wi] = home_base;
       }
     }
+    m.ts_floor = home_base;
   } else {  // per-word diff against our retained stale base
     std::vector<uint32_t> idx, val, wts;
     decode_word_diff(r, idx, val, wts);
     apply_word_diff(idx, val, wts, data, ts);
+    for (uint32_t t : wts) m.newest_ts = std::max(m.newest_ts, t);
   }
   if (m.twinned) {
     // A twinned object re-validated mid-interval (write-invalidate lock
@@ -128,7 +135,7 @@ void FetchEngine::settle(Inflight& f, std::unique_lock<std::mutex>& lk) {
 
     ObjectMeta& m = node_.dir_.get(f.id);
     net::Reader r(reply.payload);
-    const int32_t redirect = apply_primary(m, r);
+    const int32_t redirect = apply_primary(m, r, lk);
     if (redirect < 0) {
       // Repair a stale home view: whoever answered IS the home, so later
       // fetches of this object go straight there instead of re-chasing.
@@ -272,17 +279,6 @@ bool FetchEngine::drain_active_window() {
 void FetchEngine::encode_copy(const net::Message& req, ObjectMeta& obj, uint32_t req_base,
                               bool marked, std::unique_lock<std::mutex>& lk) {
   const size_t bytes = word_bytes(obj);
-  // Read the home copy wherever it lives, without disturbing the DMM
-  // mapping state (a home that never touched it reads zeros). The reply
-  // is sent while this view is alive: a full copy rides as a span
-  // borrowed from it — the DMM block of a mapped copy, or the image
-  // read back for a swapped-out one. Only the DMM block needs the shard
-  // lock across the send (app threads write it); replying under the
-  // lock is safe: the transport copies the span into its
-  // window-retained datagram buffers before returning, and datagram
-  // drain only needs pump threads, which never take shard locks.
-  const Mapper::Words words = node_.mapper_.words(obj);
-  const uint8_t* data = words.data();
   // Replies are req_seq-matched; the flow just spreads load.
   net::Message resp{.type = net::MsgType::kObjData, .flow = obj.id};
   net::Writer w(resp.payload);
@@ -293,9 +289,16 @@ void FetchEngine::encode_copy(const net::Message& req, ObjectMeta& obj, uint32_t
   // wins where the flat 12 B/word estimate would have shipped the
   // whole object. The newer words are counted first: the diff is built
   // only when even a best-case run form (4 B/word + headers) can win. A
-  // marked requester gets the diff whatever its size (fetch.hpp).
-  if (req_base > 0 || marked) {
-    const uint32_t* ts = words.ts();
+  // marked requester gets the diff whatever its size (fetch.hpp). A
+  // base below the floor (ObjectMeta::ts_floor) finds every word newer,
+  // so the stamps are read only while a diff can still win.
+  std::optional<Mapper::Words> words;
+  if (marked || (req_base > 0 && req_base >= obj.ts_floor)) {
+    // The home copy wherever it lives, without disturbing the DMM
+    // mapping state (a home that never touched it reads zeros).
+    words.emplace(node_.mapper_.words(obj));
+    const uint8_t* data = words->data();
+    const uint32_t* ts = words->ts();
     const size_t newer = static_cast<size_t>(
         std::count_if(ts, ts + obj.words(), [&](uint32_t t) { return t > req_base; }));
     if (marked || 5 + newer * 4 < bytes) {
@@ -320,8 +323,25 @@ void FetchEngine::encode_copy(const net::Message& req, ObjectMeta& obj, uint32_t
   w.u8(0);
   w.u32(obj.valid_epoch);
   w.u32(static_cast<uint32_t>(bytes));  // Reader::bytes_view()'s length prefix
-  resp.borrowed = {data, bytes};
-  if (obj.map != MapState::kMapped) lk.unlock();
+  if (obj.map == MapState::kMapped) {
+    // The DMM block rides borrowed, and app threads write it: reply
+    // under the lock. The transport copies the span into its
+    // window-retained datagram buffers before returning, and datagram
+    // drain only needs pump threads, which never take shard locks.
+    resp.borrowed = {node_.mapper_.data(obj), bytes};
+  } else {
+    // A swapped-out copy's data words go straight into the payload,
+    // read now unless the diff attempt read the image.
+    const size_t head = resp.payload.size();
+    resp.payload.resize(head + bytes);
+    const std::span<uint8_t> out(resp.payload.data() + head, bytes);
+    if (words) {
+      std::memcpy(out.data(), words->data(), bytes);
+    } else {
+      node_.mapper_.read_data(obj, out);
+    }
+    lk.unlock();
+  }
   node_.ep_.reply(req, std::move(resp));
 }
 

@@ -23,7 +23,11 @@
 //
 // Either copy form lands under the per-word newer-than rule: a word
 // whose local stamp exceeds the home's cut (e.g. a value applied from a
-// lock token's scope chain the home has not merged yet) is kept. A copy
+// lock token's scope chain the home has not merged yet) is kept. Each
+// copy's stamp range (ObjectMeta::ts_floor) lets a home answer a base
+// below its floor from the data words alone, and a demand fetch maps a
+// swapped-out copy only when the reply lands, skipping its stale image
+// when the reply replaces every word. A copy
 // that still holds words this node wrote since the last barrier
 // (ObjectMeta::marks: a lock interval's words in a copy a home-commit
 // notice invalidated) asks for the diff form whatever its size: the
@@ -60,9 +64,10 @@ class FetchEngine {
   FetchEngine& operator=(const FetchEngine&) = delete;
 
   /// Blocking demand fetch of one invalid object (the access-check slow
-  /// path). Caller holds the object's shard lock via `lk` AND its
-  /// in-flight guard; the lock is dropped around the network wait. On
-  /// return the copy is valid at the home's cut (see settle()).
+  /// path), mapped or not. Caller holds the object's shard lock via `lk`
+  /// AND its in-flight guard; the lock is dropped around the network
+  /// wait. On return the copy is mapped and valid at the home's cut (see
+  /// settle()).
   void fetch_object(ObjectMeta& m, std::unique_lock<std::mutex>& lk);
 
   /// Pipelined revalidation of `ids` (best effort): brings every listed
@@ -112,10 +117,11 @@ class FetchEngine {
   /// repairs a stale home view. Call with `lk` (f.id's shard lock)
   /// released; returns holding it. The caller owns the in-flight guard.
   void settle(Inflight& f, std::unique_lock<std::mutex>& lk);
-  /// Applies a kObjData reply to `m` (caller holds the shard lock +
-  /// guard; m is mapped). Returns the redirect target for form 2, -1
-  /// when the copy was installed (share -> valid at the home's cut).
-  int32_t apply_primary(ObjectMeta& m, net::Reader& r);
+  /// Applies a kObjData reply to `m` (caller holds the shard lock via
+  /// `lk` + guard), mapping an unmapped copy first (map_in may drop `lk`
+  /// meanwhile). Returns the redirect target for form 2, -1 when the
+  /// copy was installed (share -> valid at the home's cut).
+  int32_t apply_primary(ObjectMeta& m, net::Reader& r, std::unique_lock<std::mutex>& lk);
   /// Settles the oldest window entry, marks it prefetched and releases
   /// its in-flight guard.
   void complete_one(std::deque<Inflight>& out);

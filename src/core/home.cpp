@@ -349,6 +349,7 @@ void HomeEngine::apply_barrier_plan(const std::vector<BarrierPlanEntry>& plan,
   // from the master's global view) — and every dominance streak restarts.
   fence();
   const bool write_update_everywhere = n.config().protocol == ProtocolMode::kWriteUpdateOnly;
+  const uint32_t cut = n.coherence_.cut();
   std::vector<ObjectId> adopt_remote;
   for (const auto& e : plan) {
     auto lk = n.dir_.lock_shard(e.object);
@@ -385,8 +386,12 @@ void HomeEngine::apply_barrier_plan(const std::vector<BarrierPlanEntry>& plan,
       // still defeats their cached entries the moment they resume (belt
       // to the epoch-stamp suspenders).
       if (!moved) n.dir_.bump_generation(e.object);
-      // The stale copy (and its word stamps) is retained as a diff base
-      // while it stays mapped; valid_epoch still names its global cut.
+      // The stale copy (and its word stamps) is retained as a diff base,
+      // unless it was fetched from a home whose base a lock push or
+      // notice raised past the cut: a writer that took no lock stamps
+      // its words from cut + 1, possibly below that base, so a diff
+      // would skip them and the copy's raised stamps would beat them.
+      if (m->valid_epoch > cut) m->valid_epoch = 0;  // a full copy next
       m->pending.clear();
     }
   }

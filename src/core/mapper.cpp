@@ -74,9 +74,16 @@ bool Mapper::stmt_pinned(ObjectId id) const {
   return false;
 }
 
-uint8_t* Mapper::map_in(ObjectMeta& m, std::unique_lock<std::mutex>& lk) {
+uint8_t* Mapper::map_in(ObjectMeta& m, std::unique_lock<std::mutex>& lk, bool discard) {
   LOTS_CHECK(m.map == MapState::kUnmapped, "map_in: already mapped");
   const size_t bytes = word_bytes(m);
+  if (discard) {
+    // Before the eviction scan drops `lk`: an update landing meanwhile
+    // parks in `pending` instead of entering the discarded image, and a
+    // throw leaves a copy with no base rather than a base with no words.
+    LOTS_CHECK(!m.twinned && !m.on_remote, "map_in: a discarded copy keeps a twin or parked image");
+    drop_mapping(m, /*keep_disk_image=*/false);
+  }
   if (m.on_remote) rehydrate_remote(m, lk);
   const size_t off = alloc_dmm_or_evict(m, lk);
   if (m.on_disk) {
@@ -90,13 +97,23 @@ uint8_t* Mapper::map_in(ObjectMeta& m, std::unique_lock<std::mutex>& lk) {
       disk_.free_object(m.id);
       m.on_disk = false;
     }
-  } else {
+  } else if (!discard) {
     std::memset(space_.dmm(off), 0, bytes);
     std::memset(space_.ctrl_words(off), 0, bytes);
+    m.ts_floor = m.newest_ts = 0;
   }
   m.dmm_offset = off;
   m.map = MapState::kMapped;
   return space_.dmm(off);
+}
+
+void Mapper::read_data(const ObjectMeta& m, std::span<uint8_t> out) {
+  LOTS_CHECK(m.map == MapState::kUnmapped && out.size() == word_bytes(m), "read_data: bad call");
+  if (m.on_disk) {
+    LOTS_CHECK(disk_.read_prefix(m.id, out), "disk image vanished");  // data leads the image
+  } else {
+    std::memset(out.data(), 0, out.size());
+  }
 }
 
 void Mapper::rehydrate_remote(ObjectMeta& m, std::unique_lock<std::mutex>& lk) {
@@ -207,13 +224,15 @@ void Mapper::evict(ObjectMeta& m, std::unique_lock<std::mutex>& lk) {
   // after, a section's write must still ship on its token's chain.
   if (m.twinned && std::memcmp(space_.dmm(off), space_.twin(off), bytes) == 0) m.twinned = false;
   if (m.twinned) node_.coherence_.flush_evicted(m, node_.epoch_.load(std::memory_order_relaxed));
-  const bool marked = m.marks != ObjectMeta::kNoMarks;
-  if (!m.twinned && (m.on_disk || (!marked && m.share != ShareState::kValid))) {
+  // Words the home may not hold yet: this node's (marked: the next
+  // barrier ships them, CoherenceEngine::barrier_record) or a lock
+  // chain's (stamped past the copy's base).
+  const bool news = m.marks != ObjectMeta::kNoMarks || m.newest_ts > m.valid_epoch;
+  if (!m.twinned && (m.on_disk || (!news && m.share != ShareState::kValid))) {
     // Clean: a kept image equals the data while mapped (Words::store
     // frees it on any change). A stale copy is dropped with its image,
-    // unless marked: it holds words the next barrier ships
-    // (CoherenceEngine::barrier_record), so it is kept or written out.
-    drop_mapping(m, /*keep_disk_image=*/m.share == ShareState::kValid || marked);
+    // unless it holds news: then it is kept or written out.
+    drop_mapping(m, /*keep_disk_image=*/m.share == ShareState::kValid || news);
     return;
   }
   const Config& cfg = node_.config();
@@ -264,6 +283,7 @@ void Mapper::drop_mapping(ObjectMeta& m, bool keep_disk_image) {
       m.on_remote = false;
     }
     m.valid_epoch = 0;  // no diff base left: next fetch is a full copy
+    m.ts_floor = m.newest_ts = 0;
   }
 }
 

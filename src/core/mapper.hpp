@@ -66,8 +66,14 @@ class Mapper {
 
   /// Maps an unmapped object (evicting as needed) from its disk image —
   /// pulled back first when parked on the buddy — or as zeros. An
-  /// untwinned image is kept while the store is within its budget.
-  uint8_t* map_in(ObjectMeta& m, std::unique_lock<std::mutex>& lk);
+  /// untwinned image is kept while the store is within its budget. With
+  /// `discard` (an untwinned copy with no parked image) the local image
+  /// is freed unread and the block is left as it was: the caller writes
+  /// every data word and stamp.
+  uint8_t* map_in(ObjectMeta& m, std::unique_lock<std::mutex>& lk, bool discard = false);
+  /// An unmapped copy's data words (zeros without a local image), read
+  /// into `out` (word_bytes(m) long) without its stamps or twin.
+  void read_data(const ObjectMeta& m, std::span<uint8_t> out);
   /// Pulls a parked image back onto the local disk (kSwapGet + kSwapDrop).
   void rehydrate_remote(ObjectMeta& m, std::unique_lock<std::mutex>& lk);
   /// Frees the DMM block; unless `keep_disk_image`, also the local and the

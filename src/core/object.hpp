@@ -109,12 +109,6 @@ struct ObjectMeta {
   /// plan's epoch + 1 (CoherenceEngine::flush_evicted), which the barrier
   /// flush raises to its own stamp. Guarded by the shard lock.
   bool evict_marked = false;
-  /// App threads that ran an access check on this object since it was
-  /// twinned (one bit per thread, bit 63 saturates for threads ≥ 63).
-  /// A release flushes exactly the twins its thread touched, so a
-  /// lock-guarded write lands on that lock's token chain even when a
-  /// sibling thread created the twin. Guarded by the shard lock.
-  uint64_t twin_writers = 0;
   /// In-flight mapper guard (N-app-thread model): set — under the shard
   /// lock — by the one thread currently running this object's slow path
   /// (map-in, fetch, swap-out). Peers that need the object wait on the
@@ -135,6 +129,12 @@ struct ObjectMeta {
   /// notice or the next barrier plan). While set the home declines
   /// further proposals for the object. Guarded by the shard lock.
   bool migrating = false;
+  /// App threads that ran an access check on this object since it was
+  /// twinned (one bit per thread, bit 63 saturates for threads ≥ 63).
+  /// A release flushes exactly the twins its thread touched, so a
+  /// lock-guarded write lands on that lock's token chain even when a
+  /// sibling thread created the twin. Guarded by the shard lock.
+  uint64_t twin_writers = 0;
   /// Home-side replication bookkeeping (barrier-consistent replication,
   /// Config::replication = R total copies): the word-ts cut of the last
   /// kReplicaUpdate this home shipped; only words newer than it ride the
@@ -145,6 +145,16 @@ struct ObjectMeta {
   /// the next barrier ships a FULL image. Cuts are >= 2, so 0 is free.
   /// Guarded by the shard lock.
   uint32_t replica_cut = 0;
+  /// The stamp range of this node's copy: ts_floor is at most, and
+  /// newest_ts at least, every word stamp. Every site that writes stamps
+  /// keeps them so (the flushes, an applied record, a fetched reply, the
+  /// barrier's raise of eviction stamps, recovery's re-home); both are 0
+  /// while the words are zero or gone. A requester whose base is below
+  /// the home's floor needs every word, so the home ships a full copy
+  /// without reading its stamps; a full copy at a cut at or above the
+  /// requester's newest_ts replaces every word, so its stale image need
+  /// not be read (FetchEngine). Guarded by the shard lock.
+  uint32_t ts_floor = 0;
   /// Pinning / LRU recency (paper §3.3). Atomic because an ALB hit
   /// refreshes it WITHOUT the shard lock (the pin clock must keep
   /// ticking on cached accesses or the eviction recency window sees a
@@ -152,6 +162,7 @@ struct ObjectMeta {
   /// everywhere — it is a heuristic clock, not a synchronization edge.
   std::atomic<uint64_t> access_stamp{0};
   uint32_t valid_epoch = 0;   ///< copy is complete up to this sync epoch
+  uint32_t newest_ts = 0;     ///< see ts_floor
 
   /// Where the barrier's changed-word bitmap keeps this object's bits:
   /// one per word this node wrote since the last applied plan, set by

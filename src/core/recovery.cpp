@@ -387,6 +387,9 @@ void RecoveryEngine::rehome_object(ObjectMeta& m, int holder) {
       Mapper::Words w = n.mapper_.words(m);
       std::memcpy(w.data(), r.data.data(), std::min(bytes, r.data.size()));
       std::memcpy(w.ts(), r.ts.data(), std::min(bytes, r.ts.size() * 4));
+      const auto [lo, hi] = std::minmax_element(w.ts(), w.ts() + m.words());
+      m.ts_floor = *lo;
+      m.newest_ts = *hi;
       w.store();
       m.valid_epoch = r.epoch;
     } else {

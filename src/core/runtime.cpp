@@ -456,8 +456,8 @@ void* Node::access(ObjectId id) {
     auto& counter = m.share == ShareState::kValid ? stats_.prefetch_hits : stats_.prefetch_wasted;
     counter.fetch_add(1, std::memory_order_relaxed);
   }
+  if (m.share == ShareState::kInvalid) fetch_.fetch_object(m, lk);  // maps it on the reply
   if (m.map != MapState::kMapped) mapper_.map_in(m, lk);
-  if (m.share == ShareState::kInvalid) fetch_.fetch_object(m, lk);
   if (!m.pending.empty()) coherence_.apply_pending(m);
   if (!m.twinned) coherence_.ensure_twin(m, Runtime::thread_index());
   m.twin_writers |= tbit;

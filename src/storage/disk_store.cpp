@@ -139,6 +139,15 @@ bool DiskStore::read_object(uint64_t id, std::span<const std::span<uint8_t>> par
   return true;
 }
 
+bool DiskStore::read_prefix(uint64_t id, std::span<uint8_t> out) {
+  std::lock_guard lk(mu_);
+  auto it = objects_.find(id);
+  if (it == objects_.end()) return false;
+  LOTS_CHECK(out.size() <= it->second.length, "DiskStore: prefix longer than the image");
+  transfer<uint8_t>({&out, 1}, it->second.offset, out.size());
+  return true;
+}
+
 void DiskStore::free_object(uint64_t id) {
   std::lock_guard lk(mu_);
   auto it = objects_.find(id);

@@ -51,6 +51,8 @@ class DiskStore {
   bool read_object(uint64_t id, std::span<uint8_t> out) { return read_object(id, {&out, 1}); }
   /// The same into consecutive parts, with one preadv.
   bool read_object(uint64_t id, std::span<const std::span<uint8_t>> parts);
+  /// Reads only the first out.size() bytes of the image of `id`.
+  bool read_prefix(uint64_t id, std::span<uint8_t> out);
 
   /// Releases the extent of `id` (no-op if absent).
   void free_object(uint64_t id);

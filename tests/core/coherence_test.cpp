@@ -538,11 +538,123 @@ TEST_P(EvictionFlushThenLock, EvictedWordReachesAPeerWithANewerBase) {
   });
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    , EvictionFlushThenLock,
+const auto kLockModes =
     ::testing::Values(LockMode{"WriteInvalidate", ProtocolMode::kWriteInvalidateOnly, false},
-                      LockMode{"LockMigration", ProtocolMode::kMixed, true}),
-    [](const auto& info) { return std::string(info.param.name); });
+                      LockMode{"LockMigration", ProtocolMode::kMixed, true});
+const auto kLockModeName = [](const auto& info) { return std::string(info.param.name); };
+
+INSTANTIATE_TEST_SUITE_P(, EvictionFlushThenLock, kLockModes, kLockModeName);
+
+// Lock migration hands x's home to rank 2 between the eviction flush
+// and the barrier. Rank 2 fetched x as a full copy at the old home's
+// raised base, so every word of the copy it adopts carries that stamp,
+// above the cut + 1 rank 0's eviction flush gave x[5]. Rank 0 then takes
+// the lock and learns the new home from its commit notice, so the plan
+// sends rank 0's record there: x[5] lands only if the barrier raised its
+// stamp to rank 0's own flush epoch. (A peer's base alone cannot catch
+// this: the plan's base reset covers every copy but the home's.)
+TEST(Coherence, EvictedWordReachesAHomeAdoptedUnderALock) {
+  Config c = cfg(3);
+  c.lock_migration = true;
+  Runtime rt(c);
+  std::atomic<int> stage{0};
+  auto await = [&](int s) {
+    while (stage.load() < s) std::this_thread::yield();
+  };
+  rt.run([&](int rank) {
+    Pointer<int> x;
+    x.alloc(64);
+    Node& n = Runtime::self();
+    ASSERT_EQ(n.home_of(x.id()), 1);
+    lots::barrier();
+    if (rank == 0) {
+      x[5] = 55;
+      n.force_swap_out(x.id());
+      stage = 1;
+    }
+    if (rank == 1) {
+      await(1);
+      lots::acquire(9);
+      x[0] = 1;
+      lots::release(9);  // a commit notice: the home's base passes the cut
+      stage = 2;
+    }
+    if (rank == 2) {
+      await(2);
+      // Dominant writer: the manager proposes the handoff after a streak.
+      for (int i = 0; i < 200 && n.home_of(x.id()) != 2; ++i) {
+        lots::acquire(9);
+        x[0] = 2 + i;
+        lots::release(9);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      ASSERT_EQ(n.home_of(x.id()), 2) << "rank 2 never adopted x";
+      lots::acquire(9);
+      x[1] = 7;
+      lots::release(9);  // the new home's notice rides the chain
+      stage = 3;
+    }
+    if (rank == 0) {
+      await(3);
+      lots::acquire(9);
+      lots::release(9);
+      EXPECT_EQ(n.home_of(x.id()), 2);
+      stage = 4;
+    }
+    await(4);  // the master looks x's home up when the first enter lands
+    lots::barrier();
+    EXPECT_EQ(x[1], 7) << "rank " << rank;
+    EXPECT_EQ(x[5], 55) << "rank " << rank << " lost a write flushed at its eviction";
+    lots::barrier();
+  });
+}
+
+// The same schedule without the eviction and without rank 0's lock: rank
+// 0 never sees the lock's epochs, so its barrier flush stamps x[5] with
+// its own epoch + 1 = cut + 1, below rank 2's base (cut + 2). The
+// barrier invalidates rank 2's copy; its refetch must still bring x[5].
+// The rewrite is partial, so the home answers with the diff form.
+class OutOfSectionWriteThenLock : public ::testing::TestWithParam<LockMode> {};
+
+TEST_P(OutOfSectionWriteThenLock, WriteReachesAPeerWithANewerBase) {
+  Config c = cfg(3, GetParam().protocol);
+  c.lock_migration = GetParam().lock_migration;
+  Runtime rt(c);
+  std::atomic<int> stage{0};
+  auto await = [&](int s) {
+    while (stage.load() < s) std::this_thread::yield();
+  };
+  rt.run([&](int rank) {
+    Pointer<int> x;
+    x.alloc(64);
+    ASSERT_EQ(Runtime::self().home_of(x.id()), 1);
+    lots::barrier();
+    if (rank == 0) {
+      x[5] = 55;
+      stage = 1;
+    }
+    if (rank == 1) {
+      await(1);
+      lots::acquire(9);
+      x[0] = 1;
+      lots::release(9);
+      stage = 2;
+    }
+    if (rank == 2) {
+      await(2);
+      lots::acquire(9);
+      EXPECT_EQ(x[0], 1);
+      EXPECT_EQ(x[5], 0);
+      lots::release(9);
+    }
+    lots::barrier();
+    EXPECT_EQ(x[0], 1) << "rank " << rank;
+    EXPECT_EQ(x[5], 55) << "rank " << rank << " lost a write made outside any section";
+    lots::barrier();
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(, OutOfSectionWriteThenLock, kLockModes, kLockModeName);
 
 TEST(Coherence, EvictionFlushesListEachTwinOnce) {
   // Each eviction flush drops the twin and the next access makes a new

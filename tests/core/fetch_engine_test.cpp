@@ -9,7 +9,8 @@
 //    underneath the window);
 //  * the per-word stamp discipline on a fetched copy: it must never
 //    regress a word a lock token's scope chain already made newer
-//    locally, whether a demand fault or a prefetch window fetched it;
+//    locally, whether a demand fault or a prefetch window fetched it,
+//    nor after the copy was swapped out;
 //  * home redirects while a pipelined window is outstanding (the home
 //    migrated or the requester's view was stale) resolve without
 //    losing the window or its in-flight guards.
@@ -120,8 +121,9 @@ TEST(FetchEngine, HybridProcessThreadSplitsBitIdentical) {
 
 /// Rank 1 holds an invalid copy of `tail` whose word 0 a lock grant's
 /// scope chain made newer than the home's cut, then brings the copy in
-/// by a demand fault or through a lots::prefetch window.
-void chain_word_survives_fetch(bool via_prefetch) {
+/// by a demand fault or through a lots::prefetch window, after swapping
+/// it out when `evict_first`.
+void chain_word_survives_fetch(bool via_prefetch, bool evict_first = false) {
   constexpr int kObjs = 6;
   constexpr int kInts = 16;
   constexpr int kChainValue = 777001;
@@ -170,6 +172,10 @@ void chain_word_survives_fetch(bool via_prefetch) {
       lots::acquire(7);  // applies the chain: tail[0] is locally newer now
       Node& n = Runtime::self();
       ASSERT_FALSE(n.is_valid(tail.id())) << "the barrier left tail valid";
+      if (evict_first) {
+        n.force_swap_out(tail.id());
+        ASSERT_FALSE(n.is_mapped(tail.id()));
+      }
       const uint64_t fetches_before = n.stats().object_fetches.load();
       if (via_prefetch) {
         lots::prefetch(std::vector<ObjectId>{tail.id()});
@@ -197,6 +203,14 @@ void chain_word_survives_fetch(bool via_prefetch) {
 TEST(FetchEngine, FetchedCopyNeverRegressesLocallyNewerWord) {
   chain_word_survives_fetch(/*via_prefetch=*/false);
   chain_word_survives_fetch(/*via_prefetch=*/true);
+}
+
+TEST(FetchEngine, EvictedCopyKeepsAChainWordThroughTheRefetch) {
+  // The word stamped past the copy's base keeps the swapped-out image
+  // (the home does not hold the word yet), and the reply, a full copy
+  // at a cut below that stamp, is applied over the mapped-in image
+  // rather than into a fresh block.
+  chain_word_survives_fetch(/*via_prefetch=*/false, /*evict_first=*/true);
 }
 
 // ---------------------------------------------------------------------------

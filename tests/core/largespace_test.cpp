@@ -124,5 +124,104 @@ TEST(LargeSpace, SwappedObjectsKeepWordTimestamps) {
   });
 }
 
+// The stamp range (ObjectMeta::ts_floor, newest_ts) on both ends of a
+// refetch of a swapped-out 64 KB row: `rank` 0 is the requester, its
+// home is rank 1.
+constexpr int kRowInts = 16 * 1024;
+
+Config stamp_range_cfg() {
+  Config c;
+  c.nprocs = 2;
+  c.dmm_bytes = 1u << 20;
+  return c;
+}
+
+/// Writes row[i] = base + i on every `stride`-th word.
+void rewrite(Pointer<int>& row, int stride, int base) {
+  for (int i = 0; i < kRowInts; i += stride) row[static_cast<size_t>(i)] = base + i;
+}
+
+TEST(LargeSpace, HomeAnswersABaseBelowItsFloorFromTheDataAlone) {
+  // A home whose whole row was rewritten since the requester's base
+  // ships a full copy without its stamps: from a swapped-out image it
+  // reads the data part only. A sparse rewrite after that leaves the
+  // floor where it was, so the next refetch still gets the diff form.
+  Runtime rt(stamp_range_cfg());
+  rt.run([](int rank) {
+    Pointer<int> row;
+    row.alloc(kRowInts);
+    Node& n = Runtime::self();
+    ASSERT_EQ(n.home_of(row.id()), 1);
+    if (rank == 1) rewrite(row, 1, 1000);
+    lots::barrier();
+    if (rank == 0) {
+      ASSERT_EQ(row[77], 1077);  // the requester's base
+    }
+    lots::barrier();
+    if (rank == 1) {
+      rewrite(row, 1, 2000);
+      n.force_swap_out(row.id());
+    }
+    lots::barrier();
+    const uint64_t bytes_in = n.stats().swap_bytes_in.load();
+    lots::run_barrier();
+    if (rank == 0) {
+      for (int i = 0; i < kRowInts; ++i) ASSERT_EQ(row[static_cast<size_t>(i)], 2000 + i) << i;
+    }
+    lots::run_barrier();
+    if (rank == 1) {
+      EXPECT_EQ(n.stats().swap_bytes_in.load() - bytes_in, kRowInts * 4u)
+          << "the home read more than the data words of its image";
+    }
+    lots::barrier();
+    if (rank == 1) rewrite(row, 64, 3000);
+    lots::barrier();
+    const uint64_t diff_words = n.stats().diff_words_sent.load();
+    lots::run_barrier();
+    if (rank == 0) {
+      for (int i = 0; i < kRowInts; ++i) {
+        ASSERT_EQ(row[static_cast<size_t>(i)], (i % 64 == 0 ? 3000 : 2000) + i) << i;
+      }
+    }
+    lots::run_barrier();
+    if (rank == 1) {
+      EXPECT_EQ(n.stats().diff_words_sent.load() - diff_words, kRowInts / 64u)
+          << "a sparse rewrite did not ship as a diff";
+    }
+    lots::barrier();
+  });
+}
+
+TEST(LargeSpace, FullCopyRefetchSkipsTheStaleImage) {
+  // The requester's swapped-out copy goes stale; the home's reply
+  // replaces every word, so the copy is mapped into a fresh block when
+  // the reply lands and its stale image is freed unread.
+  Runtime rt(stamp_range_cfg());
+  rt.run([](int rank) {
+    Pointer<int> row;
+    row.alloc(kRowInts);
+    Node& n = Runtime::self();
+    ASSERT_EQ(n.home_of(row.id()), 1);
+    if (rank == 1) rewrite(row, 1, 1000);
+    lots::barrier();
+    if (rank == 0) {
+      ASSERT_EQ(row[77], 1077);
+      n.force_swap_out(row.id());
+      ASSERT_TRUE(n.disk().contains(row.id())) << "the valid copy left no image";
+    }
+    lots::barrier();
+    if (rank == 1) rewrite(row, 1, 2000);
+    lots::barrier();
+    if (rank == 0) {
+      ASSERT_FALSE(n.is_valid(row.id()));
+      const uint64_t ins = n.stats().swap_ins.load();
+      for (int i = 0; i < kRowInts; ++i) ASSERT_EQ(row[static_cast<size_t>(i)], 2000 + i) << i;
+      EXPECT_EQ(n.stats().swap_ins.load(), ins) << "the refetch read the stale image";
+      EXPECT_FALSE(n.disk().contains(row.id())) << "the stale image was kept";
+    }
+    lots::barrier();
+  });
+}
+
 }  // namespace
 }  // namespace lots::core

@@ -437,14 +437,16 @@ TEST(Mapper, EvictingASmallObjectKeepsItsPageNeighbor) {
 }
 
 TEST(Mapper, ReusedBlockStartsWithCleanStamps) {
-  // A block keeps its last occupant's bytes after the unmap, so the
-  // zero path of map_in must clear the data and the stamps. Rank 0's
-  // lock releases stamp x's words far above the epoch at which rank 1
-  // wrote y. x is evicted and y, never mapped on rank 0, maps into x's
-  // block: stale stamps would mark every word of y as newer than the
-  // home's copy, and the first fetch would land none of them. Then z, a
-  // fresh object of rank 0's own, maps into the same block and must
-  // read zeros.
+  // A block keeps its last occupant's bytes after the unmap, so every
+  // refill must write data and stamps. Rank 0's lock releases stamp x's
+  // words far above the epoch at which rank 1 wrote y. x is evicted and
+  // y, never mapped on rank 0, is fetched into x's block: stale stamps
+  // would mark every word of y as newer than the home's copy. Then x
+  // comes back into the block and leaves again, and z, a fresh object of
+  // rank 0's own, maps into it through map_in's zero path: it must read
+  // zeros, and its stamps must be zero too, since rank 1's write to z,
+  // stamped far below x's releases, reaches rank 0's copy as the home at
+  // the barrier.
   Runtime rt(small_config(2));
   rt.run([](int rank) {
     std::array<Pointer<int>, 4> objs;
@@ -473,13 +475,21 @@ TEST(Mapper, ReusedBlockStartsWithCleanStamps) {
       ASSERT_EQ(dmm_offset_of(n, y.id()), block) << "y did not reuse x's block";
       EXPECT_EQ(bad, 0) << "the first fetch into a reused block lost words of 512";
       n.force_swap_out(y.id());
+      EXPECT_EQ(x[511], 15 * 1000 + 511);  // x's image and stamps back in the block
+      ASSERT_EQ(dmm_offset_of(n, x.id()), block) << "x did not reuse its block";
+      n.force_swap_out(x.id());
       bad = 0;
       for (int i = 0; i < 512; ++i) bad += z[i] != 0 ? 1 : 0;
       ASSERT_EQ(dmm_offset_of(n, z.id()), block) << "z did not reuse the block";
       EXPECT_EQ(bad, 0) << "a fresh object in a reused block read old words of 512";
-      EXPECT_EQ(x[511], 15 * 1000 + 511);
       EXPECT_EQ(y[511], 512);
     }
+    lots::run_barrier();
+    if (rank == 0) z[0] = 7;
+    if (rank == 1) z[1] = 42;
+    lots::barrier();  // two writers: z's home stays at rank 0
+    EXPECT_EQ(z[0], 7) << "rank " << rank;
+    EXPECT_EQ(z[1], 42) << "rank " << rank << ": a stale stamp rejected a write";
     lots::barrier();
   });
 }
